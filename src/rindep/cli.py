@@ -1,7 +1,9 @@
 """Command-line surface: build complexes, run property checks with
 certificates, sweep graph families, and replay certificates.
 
-Exit codes: 0 completed (verdicts may still be false), 2 parse/usage error,
+Exit codes: 0 completed (verdicts may still be false), 1 an invalid
+certificate (``verify``), 2 rejected input (a parse or usage error, a
+negative or non-integer budget, or an input beyond an enumeration guard),
 3 a search budget ran out, 4 an internal cross-check mismatch.
 """
 
@@ -49,7 +51,7 @@ from .graphs import (
     twin_bridge_paths,
 )
 from .homology import field_name, is_cohen_macaulay, is_scm, parse_field, reduced_homology
-from .hypergraphs import DEFAULT_MINOR_BUDGET, con_r, is_chordal_hypergraph
+from .hypergraphs import DEFAULT_MINOR_BUDGET, GuardExceeded, con_r, is_chordal_hypergraph
 from .ideals import (
     DEFAULT_SPLIT_BUDGET,
     CrossCheckError,
@@ -71,13 +73,16 @@ ENV_PREFIX = "RINDEP_"
 ALL_PROPS = ("vd", "shellable", "cm", "scm", "homology", "splittable", "chordal-hypergraph")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    return int(raw) if raw else fallback
+def _env(name: str, fallback):
+    # a set variable is a string default, which argparse type-checks like a flag
+    return os.environ.get(ENV_PREFIX + name) or fallback
 
 
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _budget(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative, got {value}")
+    return value
 
 
 def build_generator(token: str) -> Graph:
@@ -403,11 +408,11 @@ def _add_input_args(p: argparse.ArgumentParser, with_complex: bool = False) -> N
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-vd", type=int, default=_env_int("BUDGET_VD", DEFAULT_VD_BUDGET))
-    p.add_argument("--budget-shell", type=int, default=_env_int("BUDGET_SHELL", DEFAULT_SHELL_BUDGET))
-    p.add_argument("--budget-minor", type=int, default=_env_int("BUDGET_MINOR", DEFAULT_MINOR_BUDGET))
-    p.add_argument("--budget-split", type=int, default=_env_int("BUDGET_SPLIT", DEFAULT_SPLIT_BUDGET))
-    p.add_argument("--field", default=_env_str("FIELD", "q"), help="q or gf:p")
+    p.add_argument("--budget-vd", type=_budget, default=_env("BUDGET_VD", DEFAULT_VD_BUDGET))
+    p.add_argument("--budget-shell", type=_budget, default=_env("BUDGET_SHELL", DEFAULT_SHELL_BUDGET))
+    p.add_argument("--budget-minor", type=_budget, default=_env("BUDGET_MINOR", DEFAULT_MINOR_BUDGET))
+    p.add_argument("--budget-split", type=_budget, default=_env("BUDGET_SPLIT", DEFAULT_SPLIT_BUDGET))
+    p.add_argument("--field", default=_env("FIELD", "q"), help="q or gf:p")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -452,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, ValueError, OSError) as exc:
+    except (GraphParseError, ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CrossCheckError as exc:

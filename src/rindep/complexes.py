@@ -5,6 +5,10 @@ combinatorial Alexander dual.
 Conventions: the void complex has no faces at all (empty facet family), the
 empty complex has the single facet {} (its only face), and a simplex is any
 complex with exactly one facet.
+
+Internally a face is an ``int`` bitmask over the ground-set index (bit i is
+vertex ``ground_set[i]``); labels appear only in the public dataclasses and
+return values.
 """
 
 from __future__ import annotations
@@ -12,12 +16,54 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .graphs import Graph, _component_sizes_capped
+from .graphs import Graph, bits, r_growth_test
 from .hypergraphs import GuardExceeded, Hypergraph, reduce_to_maximal
 
 FACE_ENUMERATION_GUARD = 20  # full face enumeration allowed up to 2^20 subsets
+
+
+def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a face: (dimension, ground-set order)."""
+    return mask.bit_count(), bits(mask)
+
+
+def submasks(generators: Iterable[int]) -> set[int]:
+    """Every subset of some generator: the faces of the complex they
+    generate, the empty face included unless there is no generator."""
+    faces: set[int] = set()
+    for g in generators:
+        s = g
+        while s:
+            faces.add(s)
+            s = (s - 1) & g
+        faces.add(0)
+    return faces
+
+
+def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
+    """Maximal members of a downward-closed family of subsets of range(n).
+
+    ``fits(s, i)`` says whether ``s | 1 << i`` is a member, for a member s
+    without i.  Members grow in increasing index order on an explicit stack,
+    so each is visited once; a member is maximal when no vertex fits.
+    """
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        s, start = stack.pop()
+        children = [(s | 1 << i, i + 1) for i in range(start, n) if fits(s, i)]
+        stack.extend(children)
+        if not children and not any(not s >> i & 1 and fits(s, i) for i in range(start)):
+            out.append(s)
+    return out
+
+
+def _complex_of(ground: tuple[str, ...], facet_masks: Iterable[int]) -> SimplicialComplex:
+    return SimplicialComplex(
+        ground, frozenset(frozenset(ground[i] for i in bits(m)) for m in facet_masks)
+    )
 
 
 @dataclass(frozen=True)
@@ -58,6 +104,17 @@ class SimplicialComplex:
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.ground_set)}
 
+    @cached_property
+    def facet_masks(self) -> tuple[int, ...]:
+        """Facets as bitmasks over the ground-set index, ascending."""
+        return tuple(sorted(map(self.mask, self.facets)))
+
+    def mask(self, face: Iterable[str]) -> int:
+        return sum(1 << self.index[v] for v in set(face))
+
+    def labels(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ground_set[i] for i in bits(mask))
+
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -94,25 +151,24 @@ class SimplicialComplex:
         f = frozenset(face)
         return any(f <= g for g in self.facets)
 
-    def faces(self) -> set[frozenset[str]]:
-        """Every face, the empty set included (unless void)."""
+    def face_masks(self) -> set[int]:
+        """Every face as a bitmask, the empty face included (unless void)."""
         if len(self.ground_set) > FACE_ENUMERATION_GUARD:
             raise GuardExceeded(
                 f"face enumeration over {len(self.ground_set)} vertices exceeds the guard"
             )
-        out: set[frozenset[str]] = set()
-        for facet in self.facets:
-            members = tuple(facet)
-            for k in range(len(members) + 1):
-                out.update(map(frozenset, itertools.combinations(members, k)))
-        return out
+        return submasks(self.facet_masks)
+
+    def faces(self) -> set[frozenset[str]]:
+        """Every face, the empty set included (unless void)."""
+        return set(map(self.labels, self.face_masks()))
 
     def faces_by_dimension(self) -> dict[int, list[frozenset[str]]]:
         """Faces grouped by dimension (-1 upward), deterministically ordered."""
         grouped: dict[int, list[frozenset[str]]] = {}
-        for face in self.faces():
-            grouped.setdefault(len(face) - 1, []).append(face)
-        return {d: sorted(fs, key=self.face_key) for d, fs in sorted(grouped.items())}
+        for m in sorted(self.face_masks(), key=mask_order):
+            grouped.setdefault(m.bit_count() - 1, []).append(self.labels(m))
+        return grouped
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,34 +194,12 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
 
 def ind_r(g: Graph, r: int) -> SimplicialComplex:
     """Complex of all vertex subsets whose induced components have at most r
-    vertices; facets are the maximal ones.
-
-    All subsets are generated by growing independent sets vertex by vertex
-    (the property is downward closed), within the enumeration guard.
-    """
+    vertices; facets are the maximal ones, within the enumeration guard."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if len(g.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded("vertex set exceeds the enumeration guard")
-    adj = g.adjacency
-    verts = g.vertices
-    n = len(verts)
-    independent: set[frozenset[str]] = set()
-
-    def grow(current: frozenset[str], start: int) -> None:
-        independent.add(current)
-        for i in range(start, n):
-            nxt = current | {verts[i]}
-            if _component_sizes_capped(adj, nxt, r):
-                grow(nxt, i + 1)
-
-    grow(frozenset(), 0)
-    maximal = [
-        s
-        for s in independent
-        if not any(v not in s and (s | {v}) in independent for v in verts)
-    ]
-    return SimplicialComplex(verts, frozenset(maximal))
+    return _complex_of(g.vertices, maximal_sets(len(g.vertices), r_growth_test(g, r)))
 
 
 def ind_hypergraph(h: Hypergraph) -> SimplicialComplex:
@@ -177,29 +211,10 @@ def ind_hypergraph(h: Hypergraph) -> SimplicialComplex:
         return SimplicialComplex(h.vertices, frozenset())
     if len(h.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded("vertex set exceeds the enumeration guard")
-    verts = h.vertices
-    n = len(verts)
-    edges_by_vertex: dict[str, list[frozenset[str]]] = {v: [] for v in verts}
-    for e in h.edges:
-        for v in e:
-            edges_by_vertex[v].append(e)
-    independent: set[frozenset[str]] = set()
-
-    def grow(current: frozenset[str], start: int) -> None:
-        independent.add(current)
-        for i in range(start, n):
-            v = verts[i]
-            nxt = current | {v}
-            if not any(e <= nxt for e in edges_by_vertex[v]):
-                grow(nxt, i + 1)
-
-    grow(frozenset(), 0)
-    maximal = [
-        s
-        for s in independent
-        if not any(v not in s and (s | {v}) in independent for v in verts)
-    ]
-    return SimplicialComplex(verts, frozenset(maximal))
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    edges = [sum(1 << idx[v] for v in e) for e in h.edges]
+    fits = lambda s, i: all(e & ~(s | 1 << i) for e in edges)  # noqa: E731
+    return _complex_of(h.vertices, maximal_sets(len(h.vertices), fits))
 
 
 # ---------------------------------------------------------------------------
@@ -255,33 +270,19 @@ def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
 def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
-    Built level by level: a candidate of size s+1 has all of its s-subsets
-    among the faces, so the search never leaves the downward closure.
+    Each candidate is a face plus one vertex above its largest index, so
+    every subset is tested at most once, and only next to the faces.
     """
-    if len(k.ground_set) > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded("ground set exceeds the enumeration guard")
-    verts = k.ground_set
-    out: list[frozenset[str]] = []
     if k.is_void:
         return frozenset({frozenset()})
-    level: set[frozenset[str]] = {frozenset()}
-    size = 0
-    while level:
-        size += 1
-        next_level: set[frozenset[str]] = set()
-        candidates: set[frozenset[str]] = set()
-        for face in level:
-            top = max((k.index[v] for v in face), default=-1)
-            for i in range(top + 1, len(verts)):
-                candidates.add(face | {verts[i]})
-        for cand in candidates:
-            if any(cand - {v} not in level for v in cand):
-                continue
-            if k.has_face(cand):
-                next_level.add(cand)
-            else:
-                out.append(cand)
-        level = next_level
+    faces = k.face_masks()
+    n = len(k.ground_set)
+    out = []
+    for f in faces:
+        for i in range(f.bit_length(), n):
+            cand = f | 1 << i
+            if cand not in faces and all(cand ^ 1 << j in faces for j in bits(cand)):
+                out.append(k.labels(cand))
     return frozenset(out)
 
 
@@ -300,6 +301,5 @@ def f_vector(k: SimplicialComplex) -> list[int]:
     """Face counts per dimension starting at f_{-1} = 1; empty for void."""
     if k.is_void:
         return []
-    grouped = k.faces_by_dimension()
-    top = max(grouped)
-    return [len(grouped.get(d, ())) for d in range(-1, top + 1)]
+    sizes = [m.bit_count() for m in k.face_masks()]
+    return [sizes.count(s) for s in range(max(sizes) + 1)]

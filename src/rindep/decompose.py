@@ -201,7 +201,9 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     the set of facets already placed, so dead prefix-sets are memoized; the
     budget counts distinct prefix-sets visited.  Admissibility uses the
     pairwise form: F may follow the placed set P when for every J in P some
-    L in P has |F \\ L| = 1 and J cap F inside L cap F.
+    L in P has |F \\ L| = 1 and J cap F inside L cap F.  With F \\ L = {x}
+    the inclusion says x is not in J, so F may follow P exactly when no J
+    in P contains every such x.
 
     The search only explores orders with weakly decreasing facet dimension.
     Every shellable complex admits such a shelling (any shelling can be
@@ -214,21 +216,24 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     n = len(facets)
     if n == 1:
         return ShellingResult(True, tuple(facets), 1)
-    # witnesses[c][j]: bitmask of facets l with |F_c \ F_l| = 1 and
-    # F_j cap F_c inside F_l cap F_c; F_c may follow a placed set P iff for
-    # every j in P some witness l is in P as well
+    masks = [k.mask(f) for f in facets]
+    # near[c]: (l, the one vertex of F_c missing from F_l) when |F_c \ F_l| = 1
     near = [
-        [l for l in range(n) if len(facets[c] - facets[l]) == 1] for c in range(n)
+        [(l, fc & ~fl) for l, fl in enumerate(masks) if (fc & ~fl).bit_count() == 1]
+        for fc in masks
     ]
-    witnesses = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for j in range(n):
-            mask = 0
-            meet = facets[j] & facets[c]
-            for l in near[c]:
-                if meet <= facets[l]:
-                    mask |= 1 << l
-            witnesses[c][j] = mask
+    # holding[x]: the facets containing vertex x, keyed by x's one-bit mask
+    holding = {
+        1 << v: sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1)
+        for v in range(len(k.ground_set))
+    }
+
+    def admissible(c: int, used_mask: int) -> bool:
+        holders = used_mask  # placed J holding each x with F_c \ F_l = {x}, l placed
+        for l, x in near[c]:
+            if used_mask >> l & 1:
+                holders &= holding[x]
+        return not holders
 
     dead: set[int] = set()
     visited = 0
@@ -240,7 +245,11 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     sizes = sorted({len(f) for f in facets}, reverse=True)
     by_size = {s: [c for c in cand if len(facets[c]) == s] for s in sizes}
 
-    def extend(order: tuple[int, ...], used_mask: int, tier: int, left: int) -> tuple[int, ...] | None:
+    # depth-first in the order of a recursive search, on an explicit stack of
+    # (order, used_mask, tier, left, remaining candidates) frames
+    stack: list[tuple] = []
+
+    def enter(order: tuple[int, ...], used_mask: int, tier: int, left: int) -> tuple[int, ...] | None:
         nonlocal visited
         visited += 1
         if visited > budget:
@@ -250,23 +259,21 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
         if left == 0:
             tier += 1
             left = len(by_size[sizes[tier]])
-        for c in by_size[sizes[tier]]:
-            if used_mask >> c & 1:
-                continue
-            wit = witnesses[c]
-            if any(not wit[j] & used_mask for j in order):
-                continue
-            nxt_mask = used_mask | 1 << c
-            if nxt_mask in dead:
-                continue
-            out = extend(order + (c,), nxt_mask, tier, left - 1)
-            if out is not None:
-                return out
-            dead.add(nxt_mask)
+        stack.append((order, used_mask, tier, left, iter(by_size[sizes[tier]])))
         return None
 
     try:
-        found = extend((), 0, 0, len(by_size[sizes[0]]))
+        found = enter((), 0, 0, len(by_size[sizes[0]]))
+        while stack and found is None:
+            order, used_mask, tier, left, cands = stack[-1]
+            for c in cands:
+                if not (used_mask >> c & 1 or used_mask | 1 << c in dead) and admissible(c, used_mask):
+                    found = enter(order + (c,), used_mask | 1 << c, tier, left - 1)
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    dead.add(used_mask)
     except _BudgetExhausted:
         return ShellingResult(None, None, visited - 1)
     if found is None:
@@ -298,17 +305,16 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
 
 def verify_certificate(k: SimplicialComplex, cert) -> bool:
     """Dispatch on certificate shape: shedding trees are dicts/SheddingNode,
-    shelling orders are facet sequences."""
+    shelling orders are facet sequences, bare or under ``"order"``.  A
+    certificate of any other shape is invalid."""
     if isinstance(cert, SheddingNode):
         return verify_shedding_certificate(k, cert)
-    if isinstance(cert, dict):
-        if "order" in cert:
-            return verify_shelling_certificate(k, cert["order"])
-        try:
-            node = SheddingNode.from_json_dict(cert)
-        except (KeyError, TypeError, ValueError):
-            return False
-        return verify_shedding_certificate(k, node)
-    if isinstance(cert, (list, tuple)):
-        return verify_shelling_certificate(k, cert)
+    try:
+        if isinstance(cert, dict) and "order" not in cert:
+            return verify_shedding_certificate(k, SheddingNode.from_json_dict(cert))
+        order = cert["order"] if isinstance(cert, dict) else cert
+        if isinstance(order, (list, tuple)):
+            return verify_shelling_certificate(k, order)
+    except (KeyError, TypeError, ValueError):
+        pass
     return False

@@ -9,7 +9,7 @@ import string
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 TREE_ENUMERATION_LIMIT = 10
 
@@ -122,27 +122,36 @@ def is_connected(g: Graph) -> bool:
     return len(g.vertices) <= 1 or len(connected_components(g)) == 1
 
 
-def _component_sizes_capped(adj: dict[str, frozenset[str]], sub: frozenset[str], cap: int) -> bool:
-    """True iff every component of the induced subgraph on ``sub`` has at
-    most ``cap`` vertices."""
-    seen: set[str] = set()
-    for start in sub:
-        if start in seen:
-            continue
-        size = 0
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            size += 1
-            if size > cap:
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
+    """``fits(s, i)``: whether adding vertex ``g.vertices[i]`` to the
+    r-independent set with bitmask ``s`` keeps it r-independent.  Adding a
+    vertex can only grow its own component, so only that one is measured."""
+    idx = g.index
+    adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in g.vertices]
+
+    def fits(s: int, i: int) -> bool:
+        comp, frontier = 1 << i, adj[i] & s
+        while frontier:
+            comp |= frontier
+            if comp.bit_count() > r:
                 return False
-            for w in adj[u]:
-                if w in sub and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-    return True
+            reach = 0
+            for j in bits(frontier):
+                reach |= adj[j]
+            frontier = reach & s & ~comp
+        return True
+
+    return fits
 
 
 def is_r_independent(g: Graph, s: Iterable[str], r: int) -> bool:
@@ -150,8 +159,13 @@ def is_r_independent(g: Graph, s: Iterable[str], r: int) -> bool:
     ``r`` vertices."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    sub = _check_subset(g, s)
-    return _component_sizes_capped(g.adjacency, sub, r)
+    fits = r_growth_test(g, r)
+    grown = 0  # the set is r-independent iff each vertex fits its prefix
+    for i in sorted(g.index[v] for v in _check_subset(g, s)):
+        if not fits(grown, i):
+            return False
+        grown |= 1 << i
+    return True
 
 
 def distance(g: Graph, u: str, v: str) -> int | None:

@@ -5,8 +5,10 @@ via pure skeletons."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from typing import Container
 
-from .complexes import SimplicialComplex, link, pure_skeleton
+from .complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
 
 
 def parse_field(spec: str) -> int | None:
@@ -49,89 +51,91 @@ class BettiProfile:
         return all(b == 0 for b in self.reduced)
 
 
-def _rank(columns: list[dict[int, int]], p: int | None) -> int:
-    """Rank of a sparse integer matrix given as columns.
-
-    Over the rationals the elimination is fraction-free (integer cross
-    multiplication with gcd normalization); over GF(p) it reduces mod p.
-    """
-    from math import gcd
-
-    pivots: list[tuple[int, dict[int, int]]] = []  # (pivot row, column)
-    rank = 0
-    for col in columns:
-        col = dict(col)
+def _pivots(columns: list[dict], p: int | None, cleared: Container[int] = ()) -> dict[int, dict]:
+    """Column reduction of a sparse integer matrix, keyed by pivot row; the
+    rank is the number of pivots.  A column is reduced against the stored
+    column keyed by its largest row until that row is free.  Elimination is
+    fraction-free, normalized by the gcd over Q and mod p over GF(p).
+    Columns in ``cleared`` are known to reduce to zero and are skipped."""
+    pivots: dict[int, dict[int, int]] = {}
+    for i, col in enumerate(columns):
+        if i in cleared:
+            continue
         if p is not None:
             col = {r: v % p for r, v in col.items() if v % p}
-        for prow, pcol in pivots:
-            if prow not in col:
-                continue
+        while col:
+            row = max(col)
+            pcol = pivots.get(row)
+            if pcol is None:
+                pivots[row] = col
+                break
+            a, b = pcol[row], col[row]
+            merged = {r: v * a for r, v in col.items()}
+            for r, v in pcol.items():
+                merged[r] = merged.get(r, 0) - v * b
             if p is None:
-                a = pcol[prow]
-                b = col[prow]
-                merged = {r: v * a for r, v in col.items()}
-                for r, v in pcol.items():
-                    merged[r] = merged.get(r, 0) - v * b
-                col = {r: v for r, v in merged.items() if v}
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    col = {r: v // g for r, v in col.items()}
+                g = gcd(*merged.values())  # 0 only when every entry cancelled
+                col = {r: v // g for r, v in merged.items() if v}
             else:
-                factor = (col[prow] * pow(pcol[prow], p - 2, p)) % p
-                merged = dict(col)
-                for r, v in pcol.items():
-                    merged[r] = (merged.get(r, 0) - factor * v) % p
-                col = {r: v for r, v in merged.items() if v}
-        if col:
-            # prefer a +-1 pivot to keep integer growth down
-            prow = None
-            for r, v in col.items():
-                if abs(v) == 1:
-                    prow = r
-                    break
-            if prow is None:
-                prow = min(col)
-            pivots.append((prow, col))
-            rank += 1
-    return rank
+                col = {r: v % p for r, v in merged.items() if v % p}
+    return pivots
 
 
-def _boundary_columns(
-    lower: list[frozenset[str]], upper: list[frozenset[str]], key
-) -> list[dict[int, int]]:
+def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
     """Boundary matrix columns: for each upper face, alternating-sign
-    incidences with its codimension-one subfaces."""
+    incidences with its codimension-one subfaces, signs taken in ground-set
+    order."""
     index = {f: i for i, f in enumerate(lower)}
     cols = []
     for face in upper:
-        ordered = sorted(face, key=key)
         col: dict[int, int] = {}
-        for j, v in enumerate(ordered):
-            sub = face - {v}
-            col[index[sub]] = 1 if j % 2 == 0 else -1
+        sign, rest = 1, face
+        while rest:
+            low = rest & -rest
+            col[index[face ^ low]] = sign
+            sign, rest = -sign, rest ^ low
         cols.append(col)
     return cols
 
 
-def _composition_vanishes(
-    upper: list[frozenset[str]], key
-) -> bool:
-    """Check that taking two successive boundaries of every face cancels."""
-    for face in upper:
-        acc: dict[frozenset[str], int] = {}
-        ordered = sorted(face, key=key)
-        for j, v in enumerate(ordered):
-            sign_v = 1 if j % 2 == 0 else -1
-            rest = [u for u in ordered if u != v]
-            for i, u in enumerate(rest):
-                sign_u = 1 if i % 2 == 0 else -1
-                sub = face - {v, u}
-                acc[sub] = acc.get(sub, 0) + sign_v * sign_u
+def _composition_vanishes(upper: list[dict[int, int]], lower: list[dict[int, int]]) -> bool:
+    """Check that the product of two successive boundary matrices is zero,
+    column by column of the upper one."""
+    for col in upper:
+        acc: dict[int, int] = {}
+        for r, v in col.items():
+            for r2, v2 in lower[r].items():
+                acc[r2] = acc.get(r2, 0) + v * v2
         if any(acc.values()):
             return False
     return True
+
+
+def _betti(faces: set[int], p: int | None) -> tuple[int, ...]:
+    """Reduced Betti numbers, degree -1 upward, of the non-void complex with
+    face bitmasks ``faces``.  Boundaries are reduced from the top down: a
+    face that is the pivot of a reduced boundary one size up has a column
+    that combines earlier columns, so it is cleared without reduction."""
+    levels: dict[int, list[int]] = {}
+    for f in faces:
+        levels.setdefault(f.bit_count(), []).append(f)
+    top = max(levels)  # faces are downward closed: every size 0..top occurs
+    grouped = [sorted(levels[s]) for s in range(top + 1)]
+    ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary out of size s
+    upper: list[dict[int, int]] = []
+    cleared: Container[int] = ()
+    for s in range(top, 0, -1):
+        cols = _boundary_columns(grouped[s - 1], grouped[s])
+        assert _composition_vanishes(upper, cols), "boundary of boundary is nonzero"
+        cleared = _pivots(cols, p, cleared)
+        ranks[s] = len(cleared)
+        upper = cols
+    counts = [len(level) for level in grouped]
+    betti = tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
+    euler_faces = sum((-1) ** s * c for s, c in enumerate(counts))
+    euler_betti = sum((-1) ** s * b for s, b in enumerate(betti))
+    assert euler_faces == euler_betti, "Euler-Poincare identity failed"
+    return betti
 
 
 def reduced_homology(k: SimplicialComplex, field: int | None = None) -> BettiProfile:
@@ -140,26 +144,7 @@ def reduced_homology(k: SimplicialComplex, field: int | None = None) -> BettiPro
     name = field_name(field)
     if k.is_void:
         return BettiProfile((), name)
-    grouped = k.faces_by_dimension()
-    top = max(grouped)
-    key = lambda v: k.index[v]  # noqa: E731
-
-    counts = {d: len(grouped.get(d, ())) for d in range(-1, top + 1)}
-    ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
-        cols = _boundary_columns(grouped.get(d - 1, []), grouped.get(d, []), key)
-        ranks[d] = _rank(cols, field)
-        assert _composition_vanishes(grouped.get(d, []), key), "boundary of boundary is nonzero"
-    ranks[top + 1] = 0
-
-    betti = []
-    for d in range(-1, top + 1):
-        b = counts[d] - ranks.get(d, 0) - ranks[d + 1]
-        betti.append(b)
-    euler_faces = sum((-1) ** d * counts[d] for d in range(-1, top + 1))
-    euler_betti = sum((-1) ** d * b for d, b in zip(range(-1, top + 1), betti))
-    assert euler_faces == euler_betti, "Euler-Poincare identity failed"
-    return BettiProfile(tuple(betti), name)
+    return BettiProfile(_betti(k.face_masks(), field), name)
 
 
 @dataclass(frozen=True)
@@ -200,15 +185,13 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     if not k.is_pure():
         smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
         return CMReport(False, name, smallest, None, "non-pure")
-    grouped = k.faces_by_dimension()
-    for d in sorted(grouped):
-        for face in grouped[d]:
-            lk = link(k, face)
-            lk_dim = lk.dimension
-            profile = reduced_homology(lk, field)
-            for degree in range(-1, lk_dim):
-                if profile.betti(degree) != 0:
-                    return CMReport(False, name, face, degree, "link-homology")
+    facets = k.facet_masks
+    for face in sorted(k.face_masks(), key=mask_order):
+        # the link's facets are the facets through the face, minus the face
+        lk = submasks(f ^ face for f in facets if f & face == face)
+        for i, b in enumerate(_betti(lk, field)[:-1]):  # degrees -1 .. dim(link) - 1
+            if b:
+                return CMReport(False, name, k.labels(face), i - 1, "link-homology")
     return CMReport(True, name)
 
 

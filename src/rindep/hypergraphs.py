@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, bits, is_r_independent
 
 DEFAULT_MINOR_BUDGET = 2_000_000
 
@@ -78,26 +78,9 @@ def con_r(g: Graph, r: int) -> Hypergraph:
     connected subgraph.  Uniform edge size makes it simple automatically."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    adj = g.adjacency
-    edges = []
-    for combo in itertools.combinations(g.vertices, r + 1):
-        sub = frozenset(combo)
-        if _connected_within(adj, sub):
-            edges.append(sub)
-    return Hypergraph(g.vertices, frozenset(edges))
-
-
-def _connected_within(adj: dict[str, frozenset[str]], sub: frozenset[str]) -> bool:
-    start = next(iter(sub))
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in sub and w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return len(comp) == len(sub)
+    # an (r+1)-subset is connected exactly when it is not r-independent
+    edges = (frozenset(c) for c in itertools.combinations(g.vertices, r + 1))
+    return Hypergraph(g.vertices, frozenset(e for e in edges if not is_r_independent(g, e, r)))
 
 
 def _check_vertex(h: Hypergraph, v: str) -> None:
@@ -202,22 +185,28 @@ def is_chordal_hypergraph(
 def minimal_vertex_covers(h: Hypergraph, guard: int = 20) -> frozenset[frozenset[str]]:
     """All inclusion-minimal sets meeting every edge.
 
+    Bitmask candidates grow from the empty set by a vertex of the first edge
+    they miss, so each minimal cover is reached through its own subsets.
     With no edges the empty set is the unique cover; an empty edge cannot be
     met, so the cover family is empty.
     """
     if len(h.vertices) > guard:
         raise GuardExceeded(f"cover enumeration over 2^{len(h.vertices)} vertices")
-    if any(not e for e in h.edges):
-        return frozenset()
-    if not h.edges:
-        return frozenset({frozenset()})
-    edges = tuple(h.edges)
-    covers: list[frozenset[str]] = []
-    for size in range(0, len(h.vertices) + 1):
-        for combo in itertools.combinations(h.vertices, size):
-            cand = frozenset(combo)
-            if any(c <= cand for c in covers):
-                continue
-            if all(cand & e for e in edges):
-                covers.append(cand)
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    edges = [sum(1 << idx[v] for v in e) for e in h.edges]
+
+    def missed(s: int) -> int | None:
+        return next((e for e in edges if not s & e), None)
+
+    covers, seen, stack = [], {0}, [0]
+    while stack:
+        s = stack.pop()
+        e = missed(s)
+        if e is None:
+            if all(missed(s ^ 1 << i) is not None for i in bits(s)):
+                covers.append(frozenset(h.vertices[i] for i in bits(s)))
+            continue
+        grown = {s | 1 << i for i in bits(e)} - seen
+        seen |= grown
+        stack.extend(grown)
     return frozenset(covers)

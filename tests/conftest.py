@@ -105,6 +105,26 @@ def oracle_rank_over_q(rows: list[list[int]]) -> int:
     return rank
 
 
+def oracle_reduced_betti(k) -> list[int]:
+    """Reduced Betti numbers over Q, degree -1 upward: every boundary matrix
+    rebuilt densely from the labelled faces and ranked with fractions."""
+    grouped = k.faces_by_dimension()
+    top = max(grouped)
+    ranks = {}
+    for d in range(0, top + 1):
+        lower = grouped.get(d - 1, [])
+        upper = grouped.get(d, [])
+        idx = {f: i for i, f in enumerate(lower)}
+        dense = [[0] * len(upper) for _ in lower]
+        for col, face in enumerate(upper):
+            ordered = sorted(face, key=lambda v: k.index[v])
+            for j, v in enumerate(ordered):
+                dense[idx[face - {v}]][col] = (-1) ** j
+        ranks[d] = oracle_rank_over_q(dense) if lower and upper else 0
+    ranks[top + 1] = 0
+    return [len(grouped.get(d, [])) - ranks.get(d, 0) - ranks[d + 1] for d in range(-1, top + 1)]
+
+
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset[frozenset[int]]:
     """Labeled tree on 0..n-1 from its length n-2 sequence."""
     degree = [1] * n

@@ -85,6 +85,10 @@ class TestBuild:
         code, _, err = run_cli(capsys, "build", "--input", str(path), "--r", "1")
         assert code == EXIT_PARSE and "line 1" in err
 
+    def test_beyond_enumeration_guard_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--gen", "path:21", "--r", "2")
+        assert code == EXIT_PARSE and out == "" and "guard" in err
+
 
 class TestGeneratorRoundTrip:
     @pytest.mark.parametrize("token", GENERATOR_TOKENS)
@@ -148,6 +152,13 @@ class TestCheck:
         )
         assert code == EXIT_BUDGET
         assert json.loads(out)["verdicts"]["vd"] == "budget-exceeded"
+
+    @pytest.mark.parametrize("flag", ["--budget-vd", "--budget-shell", "--budget-minor", "--budget-split"])
+    def test_negative_budget_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--gen", "path:7", "--r", "2", "--props", "vd", flag, "-1"])
+        assert exc.value.code == EXIT_PARSE
+        assert "non-negative" in capsys.readouterr().err
 
     def test_gf_field(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +298,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(complex_path), str(cert_path))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("cert", [{"order": 5}, {"order": [5]}, [None]])
+    def test_malformed_cert_is_invalid(self, capsys, tmp_path, cert):
+        complex_path, _ = self._build_and_check(capsys, tmp_path, "vd")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert code == EXIT_INVALID and out.strip() == "invalid"
+
 
 class TestCrossCheckExit:
     def test_cross_check_failure_maps_to_exit_4(self, capsys, monkeypatch):
@@ -322,6 +341,13 @@ class TestEnvOverrides:
         )
         assert code == EXIT_BUDGET
         assert json.loads(out)["verdicts"]["vd"] == "budget-exceeded"
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "-3"])
+    def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RINDEP_BUDGET_SHELL", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--gen", "path:7", "--r", "2", "--props", "shellable"])
+        assert exc.value.code == EXIT_PARSE
 
     def test_field_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RINDEP_FIELD", "gf:3")

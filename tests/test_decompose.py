@@ -13,7 +13,7 @@ from rindep.decompose import (
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import enumerate_trees, is_chordal_graph, path_graph
+from rindep.graphs import Graph, enumerate_trees, is_chordal_graph, path_graph
 
 
 def fs(*labels):
@@ -157,6 +157,17 @@ class TestShellability:
         res = is_shellable(k, budget=1)
         assert res.shellable is None and res.budget_exceeded
 
+    def test_order_longer_than_the_recursion_limit(self):
+        # ten disjoint edges: 1024 facets, the boundary of a cross-polytope
+        verts = [str(i) for i in range(20)]
+        g = Graph.from_edges(verts, [(verts[2 * i], verts[2 * i + 1]) for i in range(10)])
+        k = ind_r(g, 1)
+        assert len(k.facets) == 1024
+        res = is_shellable(k)
+        assert res.shellable is True
+        assert res.explored == 1025  # lexicographic order shells it, no backtracking
+        assert is_vertex_decomposable(k).decomposable is True
+
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(127)
         for _ in range(60):
@@ -236,3 +247,5 @@ class TestCertificateDispatch:
         k = ind_r(path_graph(5), 2)
         assert not verify_certificate(k, {"nonsense": 1})
         assert not verify_certificate(k, "strings are not certificates")
+        assert not verify_certificate(k, {"order": 5})
+        assert not verify_certificate(k, [["1"], 5])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import oracle_rank_over_q, random_graph
+from conftest import oracle_reduced_betti, random_graph
 
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_vertex_decomposable
@@ -99,26 +99,7 @@ class TestReducedHomology:
         for _ in range(8):
             g = random_graph(rng, 3, 6)
             k = ind_r(g, rng.choice((1, 2)))
-            grouped = k.faces_by_dimension()
-            top = max(grouped)
-            # rebuild every boundary matrix densely and rank it with the
-            # fraction oracle, then recompute the betti numbers
-            ranks = {}
-            for d in range(0, top + 1):
-                lower = grouped.get(d - 1, [])
-                upper = grouped.get(d, [])
-                idx = {f: i for i, f in enumerate(lower)}
-                dense = [[0] * len(upper) for _ in lower]
-                for col, face in enumerate(upper):
-                    ordered = sorted(face, key=lambda v: k.index[v])
-                    for j, v in enumerate(ordered):
-                        dense[idx[face - {v}]][col] = (-1) ** j
-                ranks[d] = oracle_rank_over_q(dense) if lower and upper else 0
-            ranks[top + 1] = 0
-            expected = []
-            for d in range(-1, top + 1):
-                expected.append(len(grouped.get(d, [])) - ranks.get(d, 0) - ranks[d + 1])
-            assert list(reduced_homology(k).reduced) == expected
+            assert list(reduced_homology(k).reduced) == oracle_reduced_betti(k)
 
     def test_field_consistency_on_sphere_like_complexes(self):
         # complexes coming from decomposable families are torsion free, so
@@ -179,6 +160,16 @@ class TestCohenMacaulay:
         assert rep.witness_degree == 0
         lk = link(pure_skeleton(k, 3), ["1", "4"])
         assert {frozenset(f) for f in lk.facets} == {fs("2", "3"), fs("a", "b")}
+
+    def test_witness_is_first_in_dimension_then_label_order(self):
+        # contractible; the links of edge {0,1} and of vertex 5 are both
+        # disconnected, and the vertex comes first although its index is larger
+        k = SimplicialComplex.from_faces(
+            "012345678", [("0", "1", "2", "3"), ("0", "1", "4", "5"), ("5", "6", "7", "8")]
+        )
+        rep = is_cohen_macaulay(k)
+        assert (rep.witness_face, rep.witness_degree) == (fs("5"), 0)
+        assert reduced_homology(link(k, ["0", "1"])).betti(0) == 1
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
