@@ -112,6 +112,13 @@ def build_generator(token: str) -> Graph:
     raise GraphParseError(f"unknown generator {token!r}")
 
 
+def _load_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
+
+
 def load_graph(path: str, fmt: str) -> Graph:
     text = Path(path).read_text()
     if fmt == "auto":
@@ -264,7 +271,7 @@ def cmd_check(args) -> int:
     field = parse_field(args.field)
     props = _parse_props(args.props)
     if args.complex:
-        complex_ = complex_from_json_dict(json.loads(Path(args.complex).read_text()))
+        complex_ = complex_from_json_dict(_load_json(args.complex))
         graph, r = None, None
         input_desc = {"kind": "complex-file", "source": args.complex}
     else:
@@ -385,8 +392,8 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        complex_ = complex_from_json_dict(json.loads(Path(args.complex).read_text()))
-        cert = json.loads(Path(args.certificate).read_text())
+        complex_ = complex_from_json_dict(_load_json(args.complex))
+        cert = _load_json(args.certificate)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -182,10 +182,12 @@ class SimplicialComplex:
 def complex_from_json_dict(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "ground_set" not in data or "facets" not in data:
         raise ValueError("complex JSON needs 'ground_set' and 'facets'")
-    gs = [str(v) for v in data["ground_set"]]
-    return SimplicialComplex(
-        tuple(gs), frozenset(frozenset(map(str, f)) for f in data["facets"])
-    )
+    try:
+        gs = tuple(str(v) for v in data["ground_set"])
+        facets = frozenset(frozenset(map(str, f)) for f in data["facets"])
+    except TypeError as exc:  # a number or null where a list belongs
+        raise ValueError(f"complex JSON: {exc}") from exc
+    return SimplicialComplex(gs, facets)
 
 
 # ---------------------------------------------------------------------------

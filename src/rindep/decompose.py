@@ -216,69 +216,68 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     n = len(facets)
     if n == 1:
         return ShellingResult(True, tuple(facets), 1)
+    if budget < 1:
+        return ShellingResult(None, None, 0)
     masks = [k.mask(f) for f in facets]
-    # near[c]: (l, the one vertex of F_c missing from F_l) when |F_c \ F_l| = 1
-    near = [
-        [(l, fc & ~fl) for l, fl in enumerate(masks) if (fc & ~fl).bit_count() == 1]
-        for fc in masks
+    # holding[v]: the facets containing vertex v
+    holding = [
+        sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1) for v in range(len(k.ground_set))
     ]
-    # holding[x]: the facets containing vertex x, keyed by x's one-bit mask
-    holding = {
-        1 << v: sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1)
-        for v in range(len(k.ground_set))
-    }
-
-    def admissible(c: int, used_mask: int) -> bool:
-        holders = used_mask  # placed J holding each x with F_c \ F_l = {x}, l placed
-        for l, x in near[c]:
-            if used_mask >> l & 1:
-                holders &= holding[x]
-        return not holders
-
-    dead: set[int] = set()
-    visited = 0
+    # near[c]: for each vertex x, (the facets F_l with F_c \ F_l = {x},
+    # holding[x]); F_c may follow the placed set P when no placed facet holds
+    # every x whose group meets P
+    near = []
+    for fc in masks:
+        by_x: dict[int, int] = {}
+        for l, fl in enumerate(masks):
+            x = fc & ~fl
+            if x.bit_count() == 1:
+                by_x[x] = by_x.get(x, 0) | 1 << l
+        near.append([(ls, holding[x.bit_length() - 1]) for x, ls in by_x.items()])
 
     # weakly decreasing dimensions force each size class to be exhausted
-    # before the next smaller one starts, so the candidates at every step
-    # are the unplaced facets of the largest size still outstanding
+    # before the next smaller one starts, so the candidates at depth d are
+    # the size class of cand[d]
     cand = sorted(range(n), key=lambda i: (-len(facets[i]), k.face_key(facets[i])))
-    sizes = sorted({len(f) for f in facets}, reverse=True)
-    by_size = {s: [c for c in cand if len(facets[c]) == s] for s in sizes}
+    by_size: dict[int, list[tuple]] = {}
+    for c in cand:
+        by_size.setdefault(len(facets[c]), []).append((c, 1 << c, near[c]))
+    at_depth = [by_size[len(facets[c])] for c in cand]
 
-    # depth-first in the order of a recursive search, on an explicit stack of
-    # (order, used_mask, tier, left, remaining candidates) frames
-    stack: list[tuple] = []
-
-    def enter(order: tuple[int, ...], used_mask: int, tier: int, left: int) -> tuple[int, ...] | None:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise _BudgetExhausted
-        if len(order) == n:
-            return order
-        if left == 0:
-            tier += 1
-            left = len(by_size[sizes[tier]])
-        stack.append((order, used_mask, tier, left, iter(by_size[sizes[tier]])))
-        return None
-
-    try:
-        found = enter((), 0, 0, len(by_size[sizes[0]]))
-        while stack and found is None:
-            order, used_mask, tier, left, cands = stack[-1]
-            for c in cands:
-                if not (used_mask >> c & 1 or used_mask | 1 << c in dead) and admissible(c, used_mask):
-                    found = enter(order + (c,), used_mask | 1 << c, tier, left - 1)
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    dead.add(used_mask)
-    except _BudgetExhausted:
-        return ShellingResult(None, None, visited - 1)
-    if found is None:
-        return ShellingResult(False, None, visited)
-    return ShellingResult(True, tuple(facets[i] for i in found), visited)
+    # depth-first in the order of a recursive search: one candidate iterator
+    # per placed prefix, the prefix itself in ``path`` and as ``used``
+    dead: set[int] = set()
+    visited = 1
+    path: list[int] = []
+    used = 0
+    stack = [iter(at_depth[0])]
+    while stack:
+        for c, bit, groups in stack[-1]:
+            if used & bit or used | bit in dead:
+                continue
+            holders = used
+            for ls, held in groups:
+                if used & ls:
+                    holders &= held
+                    if not holders:
+                        break
+            if holders:
+                continue
+            visited += 1
+            if visited > budget:
+                return ShellingResult(None, None, visited - 1)
+            path.append(c)
+            used |= bit
+            if len(path) == n:
+                return ShellingResult(True, tuple(facets[i] for i in path), visited)
+            stack.append(iter(at_depth[len(path)]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                dead.add(used)
+                used ^= 1 << path.pop()
+    return ShellingResult(False, None, visited)
 
 
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:

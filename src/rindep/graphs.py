@@ -460,7 +460,7 @@ def graph_to_json_dict(g: Graph) -> dict:
 def parse_graph_json(text: str) -> Graph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # malformed or nested too deeply
         raise GraphParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise GraphParseError("graph JSON needs 'vertices' and 'edges'")

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, bits, is_r_independent
+from .graphs import Graph, bits, r_growth_test
 
 DEFAULT_MINOR_BUDGET = 2_000_000
 
@@ -78,9 +78,12 @@ def con_r(g: Graph, r: int) -> Hypergraph:
     connected subgraph.  Uniform edge size makes it simple automatically."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    # an (r+1)-subset is connected exactly when it is not r-independent
-    edges = (frozenset(c) for c in itertools.combinations(g.vertices, r + 1))
-    return Hypergraph(g.vertices, frozenset(e for e in edges if not is_r_independent(g, e, r)))
+    # an (r+1)-set is connected exactly when its first vertex does not fit
+    # the other r, which are r-independent as any r vertices are
+    fits = r_growth_test(g, r)
+    sets = itertools.combinations(range(len(g.vertices)), r + 1)
+    edges = (c for c in sets if not fits(sum(1 << i for i in c[1:]), c[0]))
+    return Hypergraph(g.vertices, frozenset(frozenset(g.vertices[i] for i in c) for c in edges))
 
 
 def _check_vertex(h: Hypergraph, v: str) -> None:
@@ -126,14 +129,6 @@ def is_simplicial_vertex(h: Hypergraph, v: str, include_equal_pairs: bool = Fals
     return True
 
 
-def _has_simplicial_vertex(h: Hypergraph, include_equal_pairs: bool) -> bool:
-    return any(is_simplicial_vertex(h, v, include_equal_pairs) for v in h.vertices)
-
-
-def _canonical_key(h: Hypergraph) -> tuple:
-    return (h.vertices, tuple(sorted(tuple(sorted(e)) for e in h.edges)))
-
-
 @dataclass(frozen=True)
 class ChordalityResult:
     """Outcome of the exhaustive minor search.
@@ -151,34 +146,74 @@ class ChordalityResult:
         return self.chordal is None
 
 
-def is_chordal_hypergraph(
-    h: Hypergraph,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    include_equal_pairs: bool = False,
-) -> ChordalityResult:
+def _minor_children(vs: int, edges: frozenset[int]):
+    """Delete-then-contract children of a mask minor, vertex by vertex in
+    ground-set order.  Deletion drops the edges through the vertex; those
+    edges are an antichain already.  Contraction shrinks them, and only an
+    untouched edge can then contain a shrunk one, so reduction to minimal
+    edges compares the two groups and runs only when some edge held it."""
+    for i in bits(vs):
+        b = 1 << i
+        rest = vs ^ b
+        held = [e for e in edges if e & b]
+        if not held:  # deletion and contraction agree
+            yield rest, edges
+            continue
+        kept = [e for e in edges if not e & b]
+        yield rest, frozenset(kept)
+        shrunk = [e ^ b for e in held]
+        yield rest, frozenset(shrunk + [f for f in kept if all(s & ~f for s in shrunk)])
+
+
+def _has_simplicial_mask(vs: int, edges: frozenset[int]) -> bool:
+    """Some vertex whose every two distinct edges contain a third edge
+    inside their union minus the vertex (``is_simplicial_vertex``)."""
+    for i in bits(vs):
+        b = 1 << i
+        through = [e for e in edges if e & b]
+        if all(
+            any(not e3 & ~((e1 | e2) ^ b) for e3 in edges)
+            for e1, e2 in itertools.combinations(through, 2)
+        ):
+            return True
+    return False
+
+
+def _labelled(h: Hypergraph, vs: int, edges: frozenset[int]) -> Hypergraph:
+    labels = [str(v) for v in h.vertices]
+    return Hypergraph(
+        tuple(labels[i] for i in bits(vs)),
+        frozenset(frozenset(labels[i] for i in bits(e)) for e in edges),
+    )
+
+
+def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:
     """Decide chordality by breadth-first search over all minors.
 
     Every minor is reachable by interleaving single-vertex deletions and
-    contractions; minors are deduplicated by their (vertex list, edge list)
-    key.  The budget counts distinct minors visited and exceeding it yields
-    an explicit inconclusive result, never a silent answer.
+    contractions.  A minor is searched as a (vertex mask, edge masks) pair
+    over the index of ``h.vertices``, which also deduplicates it; only a
+    witness is turned back into a labelled ``Hypergraph``.  The budget
+    counts distinct minors visited and exceeding it yields an explicit
+    inconclusive result, never a silent answer.
     """
-    queue: deque[Hypergraph] = deque([h])
-    seen = {_canonical_key(h)}
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    root = ((1 << len(h.vertices)) - 1, frozenset(sum(1 << idx[v] for v in e) for e in h.edges))
+    queue = deque([root])
+    seen = {root}
     visited = 0
     while queue:
         minor = queue.popleft()
         visited += 1
         if visited > budget:
             return ChordalityResult(None, None, visited - 1)
-        if minor.vertices and not _has_simplicial_vertex(minor, include_equal_pairs):
-            return ChordalityResult(False, minor, visited)
-        for v in minor.vertices:
-            for child in (delete_vertex(minor, v), contract_vertex(minor, v)):
-                key = _canonical_key(child)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(child)
+        vs, edges = minor
+        if vs and not _has_simplicial_mask(vs, edges):
+            return ChordalityResult(False, h if minor == root else _labelled(h, vs, edges), visited)
+        for child in _minor_children(vs, edges):
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
     return ChordalityResult(True, None, visited)
 
 

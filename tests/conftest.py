@@ -5,11 +5,25 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
+from hypothesis import settings
 
 from rindep.graphs import Graph
+from rindep.hypergraphs import (
+    DEFAULT_MINOR_BUDGET,
+    ChordalityResult,
+    Hypergraph,
+    contract_vertex,
+    delete_vertex,
+    is_simplicial_vertex,
+)
+
+# the same examples on every run, so that a red run can be reproduced
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile("ci")
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -61,6 +75,31 @@ def oracle_minimal_covers(vertices, edges) -> set[frozenset[str]]:
         if all(frozenset(c) & e for e in edges)
     }
     return {c for c in covers if not any(d < c for d in covers)}
+
+
+def oracle_chordality(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:
+    """Breadth-first search over labelled minors through the public minor
+    operations, deduplicated by (vertex tuple, sorted edge list)."""
+
+    def key(m: Hypergraph) -> tuple:
+        return m.vertices, tuple(sorted(tuple(sorted(e)) for e in m.edges))
+
+    queue = deque([h])
+    seen = {key(h)}
+    visited = 0
+    while queue:
+        minor = queue.popleft()
+        visited += 1
+        if visited > budget:
+            return ChordalityResult(None, None, visited - 1)
+        if minor.vertices and not any(is_simplicial_vertex(minor, v) for v in minor.vertices):
+            return ChordalityResult(False, minor, visited)
+        for v in minor.vertices:
+            for child in (delete_vertex(minor, v), contract_vertex(minor, v)):
+                if key(child) not in seen:
+                    seen.add(key(child))
+                    queue.append(child)
+    return ChordalityResult(True, None, visited)
 
 
 def oracle_shelling_order_ok(order: list[frozenset[str]]) -> bool:

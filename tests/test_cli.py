@@ -307,6 +307,43 @@ class TestVerify:
         assert code == EXIT_INVALID and out.strip() == "invalid"
 
 
+class TestMalformedFiles:
+    @pytest.fixture
+    def files(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "build", "--gen", "path:4", "--r", "1")
+        (tmp_path / "good.json").write_text(out)
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        (tmp_path / "number.json").write_text(json.dumps({"ground_set": 5, "facets": []}))
+        (tmp_path / "null.json").write_text(json.dumps({"ground_set": ["a"], "facets": [None]}))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--complex", "deep.json", "--props", "vd"),
+            ("check", "--input", "deep.json", "--r", "1", "--props", "vd"),
+            ("build", "--input", "deep.json", "--r", "1"),
+            ("verify", "deep.json", "good.json"),
+            ("verify", "good.json", "deep.json"),
+        ],
+    )
+    def test_json_nested_too_deeply_is_parse_error(self, capsys, files, argv):
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and "error" in err
+
+    @pytest.mark.parametrize("name", ["number.json", "null.json"])
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_complex_fields_of_the_wrong_type_are_parse_errors(self, capsys, files, name, command):
+        path = str(files / name)
+        if command == "check":
+            argv = ("check", "--complex", path, "--props", "vd")
+        else:
+            argv = ("verify", path, str(files / "good.json"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and "error" in err
+
+
 class TestCrossCheckExit:
     def test_cross_check_failure_maps_to_exit_4(self, capsys, monkeypatch):
         import rindep.cli as cli_module

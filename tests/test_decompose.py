@@ -13,7 +13,13 @@ from rindep.decompose import (
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph, enumerate_trees, is_chordal_graph, path_graph
+from rindep.graphs import (
+    Graph,
+    enumerate_trees,
+    is_chordal_graph,
+    path_graph,
+    twin_bridge_paths,
+)
 
 
 def fs(*labels):
@@ -156,6 +162,24 @@ class TestShellability:
         k = ind_r(path_graph(7), 2)
         res = is_shellable(k, budget=1)
         assert res.shellable is None and res.budget_exceeded
+
+    def test_explored_pinned_on_twin_bridge(self):
+        res = is_shellable(ind_r(twin_bridge_paths(4), 2))
+        assert res.shellable is False
+        assert res.explored == 218448
+
+    def test_budget_below_the_full_count_stops_at_the_budget(self):
+        rng = random.Random(131)
+        complexes = [ind_r(path_graph(7), 2), SimplicialComplex.from_faces("abcd", ["ab", "cd"])]
+        complexes += [random_complex(rng, n_max=5, facet_cap=6) for _ in range(30)]
+        # a single facet is answered before the search starts, at any budget
+        for k in [k for k in complexes if len(k.facets) > 1]:
+            full = is_shellable(k)
+            for b in range(full.explored):
+                res = is_shellable(k, budget=b)
+                assert res.shellable is None and res.order is None
+                assert res.explored == b
+            assert is_shellable(k, budget=full.explored) == full
 
     def test_order_longer_than_the_recursion_limit(self):
         # ten disjoint edges: 1024 facets, the boundary of a cross-polytope

@@ -11,6 +11,8 @@ from rindep.graphs import (
     induced_subgraph,
     make_caterpillar,
     path_graph,
+    star_graph,
+    twin_bridge_paths,
 )
 from rindep.hypergraphs import (
     Hypergraph,
@@ -183,6 +185,19 @@ class TestChordality:
         assert res.chordal is None
         assert res.budget_exceeded
         assert res.minors_visited == 3
+
+    @pytest.mark.parametrize(
+        "graph, r, chordal, visited",
+        [
+            (path_graph(10), 1, True, 9192),
+            (star_graph(9), 2, True, 3550),
+            (twin_bridge_paths(3), 2, False, 526),
+        ],
+    )
+    def test_minors_visited_pinned(self, graph, r, chordal, visited):
+        res = is_chordal_hypergraph(con_r(graph, r))
+        assert res.chordal is chordal
+        assert res.minors_visited == visited
 
     def test_chordal_graphs_stay_chordal_as_hypergraphs(self):
         rng = random.Random(37)

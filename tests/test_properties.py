@@ -1,20 +1,44 @@
-"""Property tests of the bitmask face kernel against brute-force oracles and
-the public API, and byte-stability of reports across hash seeds and jobs."""
+"""Property tests of the bitmask kernel and the searches against
+brute-force oracles and the public API and verifiers, a fuzz test of the
+CLI's exit codes, and byte-stability of reports across hash seeds and jobs."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-from conftest import oracle_ind_r_facets, oracle_reduced_betti
+from conftest import oracle_chordality, oracle_ind_r_facets, oracle_reduced_betti
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rindep.complexes import f_vector, ind_r, link, pure_skeleton
+from rindep.cli import main
+from rindep.complexes import SimplicialComplex, f_vector, ind_r, link, pure_skeleton
+from rindep.decompose import (
+    is_shellable,
+    is_vertex_decomposable,
+    verify_shedding_certificate,
+    verify_shelling_certificate,
+)
 from rindep.graphs import Graph
 from rindep.homology import is_cohen_macaulay, is_scm, reduced_homology
+from rindep.hypergraphs import (
+    DEFAULT_MINOR_BUDGET,
+    Hypergraph,
+    con_r,
+    is_chordal_hypergraph,
+    is_simplicial_vertex,
+)
+from rindep.ideals import (
+    alexander_dual_ideal,
+    is_vertex_splittable,
+    stanley_reisner,
+    verify_split_certificate,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -29,6 +53,25 @@ def graphs(draw, max_vertices=9):
 
 
 radii = st.integers(1, 3)
+
+
+@st.composite
+def _subsets(draw, min_vertices, max_vertices, min_size):
+    """A vertex list and up to eight subsets of it."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    verts = [chr(97 + i) for i in range(n)]
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=min_size, max_size=8))
+    return verts, [[v for i, v in enumerate(verts) if m >> i & 1] for m in masks]
+
+
+# simple hypergraphs (minimal edges kept) and complexes (maximal faces kept)
+hypergraphs = _subsets(0, 7, 0).map(lambda vs: Hypergraph.reduced(*vs))
+antichain_complexes = _subsets(1, 7, 1).map(lambda vs: SimplicialComplex.from_faces(*vs))
+
+
+con_r_of_graphs = st.builds(con_r, graphs(8), radii)
+complexes = st.one_of(antichain_complexes, st.builds(ind_r, graphs(8), radii))
+minor_budgets = st.one_of(st.just(DEFAULT_MINOR_BUDGET), st.integers(1, 50))
 
 
 @SETTINGS
@@ -95,6 +138,175 @@ def test_false_cm_witnesses_recheck_through_links(g, r):
     for m, skeleton_rep in is_scm(k).skeletons:
         if not skeleton_rep.cohen_macaulay:
             _recheck_cm(pure_skeleton(k, m), skeleton_rep)
+
+
+@settings(SETTINGS, max_examples=250)
+@given(st.one_of(hypergraphs, con_r_of_graphs), minor_budgets)
+def test_minor_search_matches_labelled_oracle(h, budget):
+    assert is_chordal_hypergraph(h, budget) == oracle_chordality(h, budget)
+
+
+@SETTINGS
+@given(st.one_of(hypergraphs, con_r_of_graphs))
+def test_false_chordality_witness_has_no_simplicial_vertex(h):
+    res = is_chordal_hypergraph(h)
+    assert res.chordal is not None
+    if res.chordal is False:
+        w = res.witness
+        assert w.vertices and not any(is_simplicial_vertex(w, v) for v in w.vertices)
+        assert set(w.vertices) <= set(h.vertices)
+
+
+@SETTINGS
+@given(complexes)
+def test_vd_implies_shellable_implies_scm_and_certificates_verify(k):
+    vd = is_vertex_decomposable(k)
+    sh = is_shellable(k)
+    if vd.decomposable:
+        assert sh.shellable is True
+        assert verify_shedding_certificate(k, vd.certificate)
+    if sh.shellable:
+        assert verify_shelling_certificate(k, sh.order)
+        assert is_scm(k).sequentially_cohen_macaulay
+    sr = stanley_reisner(k)
+    if not sr.is_zero:
+        dual = alexander_dual_ideal(sr)
+        split = is_vertex_splittable(dual)
+        if split.splittable:
+            assert verify_split_certificate(dual, split.certificate)
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: each subcommand's command line, its flags drawn from pools of
+# valid and invalid values over plausible and malformed input files, then
+# mutated by inserting and dropping tokens.  Values stay small and --jobs is
+# never drawn, so no call is slow or starts processes; free tokens hold no
+# digits or dashes, so they cannot form a number or a flag.
+
+_VALUES = {  # flag: (valid values, invalid values)
+    "--gen": (["fig1", "path:4", "cycle:5", "star:4", "complete:0", "complete:4",
+               "caterpillar:1,2", "H:1", "G:1"],
+              ["path:-1", "path:x", "caterpillar:", "nope:3", "H:0", "G:0", "cycle:2"]),
+    "--input": (["graph.txt", "graph.json"], ["complex.json", "nofile", "out"]),
+    "--complex": (["complex.json"], ["graph.json", "nofile"]),
+    "--format": (["auto", "edgelist", "json"], ["xml"]),
+    "--r": (["1", "2", "3", "1..3"], ["0", "-1", "x", "2..1", "1..", "a..b"]),
+    "--n": (["1", "3", "4"], ["0", "11", "-2", "x"]),
+    "--family": (["trees", "caterpillars"], ["forests"]),
+    "--props": (["vd,shellable", "cm,scm,homology", "splittable", "chordal-hypergraph"],
+                ["vd,,", "nope", ""]),
+    "--field": (["q", "gf:2"], ["gf:4", "gf:x", "z", ""]),
+    "--out": (["out/report"], ["out", "missing/out"]),
+    "certificate": (["cert.json"], ["complex.json", "nofile"]),
+    **{f"--budget-{b}": (["0", "1", "50"], ["-1", "x", "1.5"])
+       for b in ("vd", "shell", "minor", "split")},
+}
+_OPTIONAL = ("--format", "--budget-vd", "--budget-shell", "--budget-minor", "--budget-split",
+             "--field", "--out")
+_COMMANDS = {  # command: (required flags, optional flags)
+    "build": (("--r",), ("--format", "--out")),
+    "check": (("--r", "--props"), _OPTIONAL),
+    "scan": (("--family", "--n", "--r", "--props"), _OPTIONAL[1:]),
+    "verify": ((), ()),
+}
+_PATHS = ("graph.txt", "graph.json", "complex.json", "cert.json", "nofile", "out")
+
+_labels = st.sampled_from("abcd")
+_facet_lists = st.lists(st.lists(_labels, max_size=3), max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | _labels,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["vertices", "edges", "ground_set", "facets", "order", "vertex",
+                         "link", "del"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+_shedding = st.recursive(
+    st.fixed_dictionaries({"facets": _facet_lists}),
+    lambda inner: st.fixed_dictionaries(
+        {"facets": _facet_lists, "vertex": _labels, "link": inner, "del": inner}
+    ),
+    max_leaves=4,
+)
+
+
+def _json_file(*plausible):
+    return st.one_of(*plausible, *plausible, _json_values, st.binary(max_size=20)).map(
+        lambda v: v if isinstance(v, bytes) else json.dumps(v).encode()
+    )
+
+
+_files = st.fixed_dictionaries({
+    "graph.txt": st.one_of(
+        st.lists(st.sampled_from(["a b", "b c", "c d", "vertex d", "a a", "a", "# x", ""]),
+                 max_size=5).map(lambda lines: "\n".join(lines).encode()),
+        st.binary(max_size=20),
+    ),
+    "graph.json": _json_file(st.fixed_dictionaries({
+        "vertices": st.lists(_labels, max_size=4),
+        "edges": st.lists(st.lists(_labels, min_size=1, max_size=3), max_size=4),
+    })),
+    "complex.json": _json_file(st.fixed_dictionaries({
+        "ground_set": st.lists(_labels, max_size=4), "facets": _facet_lists,
+    })),
+    "cert.json": _json_file(_facet_lists, st.fixed_dictionaries({"order": _facet_lists}),
+                            _shedding),
+})
+
+
+def _value(draw, flag):
+    valid, invalid = _VALUES[flag]
+    return draw(st.sampled_from(valid if draw(st.integers(0, 7)) else invalid))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    argv = [command]
+    if command == "verify":
+        argv += [_value(draw, "--complex"), _value(draw, "certificate")]
+    elif command != "scan":
+        source = draw(st.sampled_from(["--gen", "--input", "--complex"][: 2 + (command == "check")]))
+        argv += [source, _value(draw, source)]
+    for flag in required:
+        argv += [flag, _value(draw, flag)]
+    for flag in optional:
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, _value(draw, flag)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            token = draw(st.one_of(
+                st.sampled_from([f for f in sorted(_VALUES) if f.startswith("--")]),
+                st.sampled_from(_PATHS),
+                st.text("abxyz:,.{}[]\" ", max_size=8),
+            ))
+            argv.insert(at, token)
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs(), _files)
+def test_cli_returns_only_documented_exit_codes(argv, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        Path(tmp, "out").mkdir()  # writing a report onto a directory fails
+        paths = {a: str(Path(tmp, a)) for a in (*_PATHS, "out/report", "missing/out")}
+        argv = [paths.get(a, a) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                assert exc.code == 2
+                return
+    assert code in (0, 1, 2, 3, 4)
 
 
 _HASH_REPORTS = """
