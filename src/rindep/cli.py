@@ -215,17 +215,17 @@ def run_checks(
             extras["betti"] = {"field": profile.field, "reduced": list(profile.reduced)}
             extras["f_vector"] = f_vector(complex_)
         elif prop == "splittable":
-            sr = stanley_reisner(complex_)
-            if sr.is_zero:
-                # full simplex: zero ideal and the unit ideal are both split
-                # base cases, so the verdict is true without taking a dual
+            if complex_.facets == {frozenset(complex_.ground_set)}:
+                # the full simplex is the one complex with a zero Stanley-Reisner
+                # ideal; zero and unit ideals are both split base cases, so the
+                # verdict is true without taking a dual
                 record(prop, True)
                 extras["splittable"] = {"note": "stanley-reisner ideal is zero (simplex)"}
             else:
                 if graph is not None and r is not None:
-                    dual = dual_of_ind(graph, r)  # cross-checks both routes
+                    dual = dual_of_ind(graph, r, complex_)  # cross-checks both routes
                 else:
-                    dual = alexander_dual_ideal(sr)
+                    dual = alexander_dual_ideal(stanley_reisner(complex_))
                 res = is_vertex_splittable(dual, budgets["split"])
                 record(prop, res.splittable)
                 extras["splittable"] = {"dual_ideal": dual.to_json_dict()}

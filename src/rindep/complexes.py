@@ -43,20 +43,46 @@ def submasks(generators: Iterable[int]) -> set[int]:
 
 
 def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
-    """Maximal members of a downward-closed family of subsets of range(n).
+    """Maximal members of a downward-closed family of subsets of range(n),
+    each returned once.
 
     ``fits(s, i)`` says whether ``s | 1 << i`` is a member, for a member s
-    without i.  Members grow in increasing index order on an explicit stack,
-    so each is visited once; a member is maximal when no vertex fits.
+    without i.  It may be called with any mask s, and it must be antitone
+    in s: if it holds for s, it holds for every subset of s.
+
+    Depth-first in the style of Bron-Kerbosch, on an explicit stack.  A node
+    is a member s with P, the vertices that fit s and are undecided, and X,
+    those that fit s but were excluded.  The child ``s | 1 << i`` keeps the
+    members of P above i and of X that still fit it; the members of P below
+    i join its X, so each maximal set is reached only through its lowest
+    vertex outside s.  s is maximal when P and X are empty.  A node is cut
+    when some x in X fits ``s | P``: then x fits every set the node can
+    reach, so none of them is maximal.
     """
+
+    def fitting(s: int, candidates: int) -> int:
+        kept = 0
+        while candidates:
+            low = candidates & -candidates
+            if fits(s, low.bit_length() - 1):
+                kept |= low
+            candidates ^= low
+        return kept
+
     out = []
-    stack = [(0, 0)]
+    stack = [(0, fitting(0, (1 << n) - 1), 0)]
     while stack:
-        s, start = stack.pop()
-        children = [(s | 1 << i, i + 1) for i in range(start, n) if fits(s, i)]
-        stack.extend(children)
-        if not children and not any(not s >> i & 1 and fits(s, i) for i in range(start)):
-            out.append(s)
+        s, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(s)
+            continue
+        if x and any(fits(s | p, j) for j in bits(x)):
+            continue
+        for i in reversed(bits(p)):
+            t = s | 1 << i
+            below = p & ((1 << i) - 1)
+            stack.append((t, fitting(t, p >> i + 1 << i + 1), fitting(t, x | below)))
     return out
 
 
@@ -207,7 +233,10 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
 def ind_hypergraph(h: Hypergraph) -> SimplicialComplex:
     """Independence complex of a hypergraph: faces contain no edge.
 
-    An empty edge rules out every subset, so the result is void.
+    An empty edge rules out every subset, so the result is void.  The
+    growth test says whether ``s | 1 << i`` contains no edge, for any mask
+    s; a subset of s contains no more edges, so the test is antitone in s,
+    as ``maximal_sets`` requires.
     """
     if any(not e for e in h.edges):
         return SimplicialComplex(h.vertices, frozenset())

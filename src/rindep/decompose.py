@@ -214,10 +214,10 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
         raise ValueError("void complex has no facets to shell")
     facets = k.sorted_facets()
     n = len(facets)
-    if n == 1:
-        return ShellingResult(True, tuple(facets), 1)
     if budget < 1:
         return ShellingResult(None, None, 0)
+    if n == 1:
+        return ShellingResult(True, tuple(facets), 1)
     masks = [k.mask(f) for f in facets]
     # holding[v]: the facets containing vertex v
     holding = [

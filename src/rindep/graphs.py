@@ -135,7 +135,11 @@ def bits(mask: int) -> tuple[int, ...]:
 def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
     """``fits(s, i)``: whether adding vertex ``g.vertices[i]`` to the
     r-independent set with bitmask ``s`` keeps it r-independent.  Adding a
-    vertex can only grow its own component, so only that one is measured."""
+    vertex can only grow its own component, so only that one is measured.
+
+    For any mask s it says whether the component of i in ``s | 1 << i`` has
+    at most r vertices.  That component only grows with s, so the test is
+    antitone in s, as ``complexes.maximal_sets`` requires."""
     idx = g.index
     adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in g.vertices]
 
@@ -146,8 +150,10 @@ def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
             if comp.bit_count() > r:
                 return False
             reach = 0
-            for j in bits(frontier):
-                reach |= adj[j]
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & s & ~comp
         return True
 

@@ -119,13 +119,15 @@ def sr_dual(k: SimplicialComplex) -> MonomialIdeal:
     return alexander_dual_ideal(stanley_reisner(k))
 
 
-def dual_of_ind(g: Graph, r: int) -> MonomialIdeal:
+def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
     """Dual of the Stanley-Reisner ideal of the r-independence complex.
 
     Computed twice, by independent enumerations: as the cover dual of the
     connected-subset hypergraph's edge ideal, and from the facets of the
     complex, whose complements generate the dual (Miller-Sturmfels, ch. 1).
     Any mismatch raises, since the two routes must agree facet for facet.
+    ``k`` is ``ind_r(g, r)`` when the caller has built it already; it is
+    built here otherwise.
 
     When the graph has no connected (r+1)-subset the complex is the full
     simplex, its Stanley-Reisner ideal is zero, and the dual is rejected
@@ -140,7 +142,9 @@ def dual_of_ind(g: Graph, r: int) -> MonomialIdeal:
         )
     via_covers = alexander_dual_ideal(hyperedge_ideal(h))
     full = frozenset(g.vertices)
-    via_complex = MonomialIdeal(g.vertices, frozenset(full - f for f in ind_r(g, r).facets))
+    if k is None:
+        k = ind_r(g, r)
+    via_complex = MonomialIdeal(g.vertices, frozenset(full - f for f in k.facets))
     if via_covers != via_complex:
         raise CrossCheckError(
             "cover dual and Stanley-Reisner dual disagree; this is a bug"

@@ -188,6 +188,58 @@ class TestCheck:
         assert data["verdicts"]["splittable"] == "true"
         assert "note" in data["splittable"]
 
+    def test_full_simplex_graph_complex_splittable_note(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--gen", "path:3", "--r", "3", "--props", "splittable"
+        )
+        data = json.loads(out)
+        assert code == EXIT_OK and data["verdicts"]["splittable"] == "true"
+        assert data["splittable"] == {"note": "stanley-reisner ideal is zero (simplex)"}
+
+    def test_single_facet_with_a_ghost_vertex_takes_the_dual(self, capsys, tmp_path):
+        # one facet, but not the full simplex: the ideal is (c), not zero
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps({"ground_set": ["a", "b", "c"], "facets": [["a", "b"]]}))
+        code, out, _ = run_cli(capsys, "check", "--complex", str(path), "--props", "splittable")
+        data = json.loads(out)
+        assert code == EXIT_OK and data["verdicts"]["splittable"] == "true"
+        assert data["splittable"] == {
+            "dual_ideal": {"variables": ["a", "b", "c"], "generators": [["c"]]}
+        }
+        assert data["certificates"]["splittable"] == {"generators": [["c"]]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--gen", "fig1", "--r", "2", "--props", "vd,splittable"),
+            ("scan", "--family", "trees", "--n", "4", "--r", "1..2", "--props", "splittable"),
+        ],
+        ids=["check", "scan"],
+    )
+    def test_ind_r_built_once_per_check(self, capsys, monkeypatch, argv):
+        import rindep.cli as cli_module
+        import rindep.ideals as ideals_module
+
+        built, passed = [], []
+        real_ind_r, real_dual = cli_module.ind_r, cli_module.dual_of_ind
+
+        def counting_ind_r(*args):
+            built.append(args)
+            return real_ind_r(*args)
+
+        def recording_dual(g, r, k=None):
+            passed.append(k)
+            return real_dual(g, r, k)
+
+        monkeypatch.setattr(cli_module, "ind_r", counting_ind_r)
+        monkeypatch.setattr(ideals_module, "ind_r", counting_ind_r)
+        monkeypatch.setattr(cli_module, "dual_of_ind", recording_dual)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        items = len(out.strip().splitlines()) - 1 if argv[0] == "scan" else 1
+        assert len(built) == items
+        assert passed and all(k is not None for k in passed)
+
     def test_missing_r_for_graph_input(self, capsys):
         code, _, err = run_cli(capsys, "check", "--gen", "fig1", "--props", "vd")
         assert code == EXIT_PARSE

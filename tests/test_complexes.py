@@ -18,10 +18,12 @@ from rindep.complexes import (
 )
 from rindep.graphs import (
     complete_graph,
+    cycle_graph,
     demo_graph,
     half_apex_clique,
     induced_subgraph,
     is_connected,
+    path_graph,
     twin_bridge_paths,
 )
 from rindep.hypergraphs import Hypergraph, con_r
@@ -118,6 +120,16 @@ class TestIndR:
     def test_never_void(self):
         k = ind_r(complete_graph(3), 1)
         assert not k.is_void
+
+    # the builds at the 20-vertex guard that the benchmark times
+    @pytest.mark.parametrize(
+        "graph, r, count",
+        [(path_graph(20), 2, 684), (cycle_graph(20), 2, 851),
+         (path_graph(20), 4, 470), (cycle_graph(20), 3, 974)],
+        ids=["path20-r2", "cycle20-r2", "path20-r4", "cycle20-r3"],
+    )
+    def test_facet_counts_at_the_guard(self, graph, r, count):
+        assert len(ind_r(graph, r).facets) == count
 
 
 class TestIndHypergraph:

@@ -7,8 +7,15 @@ from conftest import oracle_minimal_covers, random_graph
 
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import is_vertex_decomposable
-from rindep.graphs import CaterpillarSpec, demo_graph, induced_subgraph, make_caterpillar
+from rindep.graphs import (
+    CaterpillarSpec,
+    demo_graph,
+    induced_subgraph,
+    make_caterpillar,
+    path_graph,
+)
 from rindep.ideals import (
+    CrossCheckError,
     MonomialIdeal,
     SplitNode,
     UnitIdealError,
@@ -167,6 +174,24 @@ class TestDualOfInd:
                 except ZeroIdealError:
                     continue
                 assert dual == alexander_dual_ideal(stanley_reisner(ind_r(g, r)))
+
+    def test_prebuilt_complex_gives_the_same_dual(self):
+        rng = random.Random(173)
+        for _ in range(20):
+            g = random_graph(rng, 3, 7)
+            try:
+                dual = dual_of_ind(g, 1)
+            except ZeroIdealError:
+                continue
+            assert dual_of_ind(g, 1, ind_r(g, 1)) == dual
+
+    def test_prebuilt_complex_is_still_cross_checked(self):
+        g = demo_graph()
+        with pytest.raises(CrossCheckError):
+            dual_of_ind(g, 1, ind_r(g, 2))
+
+    def test_generator_count_at_path16(self):
+        assert len(dual_of_ind(path_graph(16), 2).generators) == 177
 
 
 class TestVertexSplittable:

@@ -17,14 +17,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rindep.cli import main
-from rindep.complexes import SimplicialComplex, f_vector, ind_r, link, pure_skeleton
+from rindep.complexes import (
+    SimplicialComplex,
+    f_vector,
+    ind_hypergraph,
+    ind_r,
+    link,
+    maximal_sets,
+    pure_skeleton,
+)
 from rindep.decompose import (
     is_shellable,
     is_vertex_decomposable,
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph
+from rindep.graphs import Graph, r_growth_test
 from rindep.homology import is_cohen_macaulay, is_scm, reduced_homology
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -78,6 +86,47 @@ minor_budgets = st.one_of(st.just(DEFAULT_MINOR_BUDGET), st.integers(1, 50))
 @given(graphs(), radii)
 def test_ind_r_facets_match_power_set_oracle(g, r):
     assert set(ind_r(g, r).facets) == oracle_ind_r_facets(g, r)
+
+
+@st.composite
+def edge_masks(draw, max_vertices=8):
+    """A vertex count and up to eight edge masks, singletons drawn often."""
+    n = draw(st.integers(0, max_vertices))
+    singletons = st.sampled_from([1 << i for i in range(n)]) if n else st.nothing()
+    edge = st.one_of(st.integers(1, (1 << n) - 1), singletons) if n else st.just(0)
+    return n, draw(st.lists(edge, max_size=8))
+
+
+def _hypergraph_fits(edges):
+    return lambda s, i: all(e & ~(s | 1 << i) for e in edges)
+
+
+@SETTINGS
+@given(edge_masks())
+def test_ind_hypergraph_matches_power_set_oracle(n_edges):
+    n, masks = n_edges
+    verts = [chr(97 + i) for i in range(n)]
+    h = Hypergraph.reduced(verts, [[verts[i] for i in range(n) if m >> i & 1] for m in masks])
+    edges = [frozenset(e) for e in h.edges]
+    faces = [
+        frozenset(c)
+        for size in range(n + 1)
+        for c in itertools.combinations(verts, size)
+        if not any(e <= frozenset(c) for e in edges)
+    ]
+    facets = {f for f in faces if not any(f < g for g in faces)}
+    assert set(ind_hypergraph(h).facets) == facets
+
+
+@SETTINGS
+@given(st.one_of(
+    st.builds(lambda g, r: (len(g.vertices), r_growth_test(g, r)), graphs(10), radii),
+    edge_masks().map(lambda n_edges: (n_edges[0], _hypergraph_fits(n_edges[1]))),
+))
+def test_maximal_sets_emits_each_set_once(n_fits):
+    n, fits = n_fits
+    found = maximal_sets(n, fits)
+    assert len(found) == len(set(found))
 
 
 @SETTINGS
