@@ -3,8 +3,10 @@ certificates, sweep graph families, and replay certificates.
 
 Exit codes: 0 completed (verdicts may still be false), 1 an invalid
 certificate (``verify``), 2 rejected input (a parse or usage error, a
-negative or non-integer budget, or an input beyond an enumeration guard),
-3 a search budget ran out, 4 an internal cross-check mismatch.
+negative or non-integer budget, an input beyond an enumeration guard, or
+one whose certificate nests deeper than the recursion limit allows to
+replay or write), 3 a search budget ran out, 4 an internal cross-check
+mismatch.
 """
 
 from __future__ import annotations
@@ -466,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphParseError, ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:  # replaying or writing a certificate recurses per level
+        print("error: certificate nested deeper than the recursion limit", file=sys.stderr)
         return EXIT_PARSE
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, r_growth_test
-from .hypergraphs import GuardExceeded, Hypergraph, reduce_to_maximal
+from .hypergraphs import GuardExceeded, Hypergraph, is_antichain, reduce_to_maximal
 
 FACE_ENUMERATION_GUARD = 20  # full face enumeration allowed up to 2^20 subsets
 
@@ -111,9 +111,8 @@ class SimplicialComplex:
         for f in self.facets:
             if not f <= labels:
                 raise ValueError(f"facet {sorted(f)} uses unknown vertices")
-        for a, b in itertools.combinations(self.facets, 2):
-            if a <= b or b <= a:
-                raise ValueError("facets do not form an antichain")
+        if not is_antichain(self.facets):
+            raise ValueError("facets do not form an antichain")
 
     @classmethod
     def from_faces(cls, ground_set: Iterable, faces: Iterable) -> SimplicialComplex:

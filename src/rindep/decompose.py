@@ -4,22 +4,20 @@ verifiers."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
+from .graphs import bits
 from .hypergraphs import reduce_to_maximal
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _canon_facets(facets: Iterable[frozenset[str]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(tuple(sorted(f)) for f in facets))
+def _canon_sets(sets: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
 
 
 def _link_facets(facets: frozenset[frozenset[str]], v: str) -> frozenset[frozenset[str]]:
@@ -28,10 +26,61 @@ def _link_facets(facets: frozenset[frozenset[str]], v: str) -> frozenset[frozens
 
 
 def _deletion_facets(facets: frozenset[frozenset[str]], v: str) -> frozenset[frozenset[str]]:
-    parts: set[frozenset[str]] = set()
-    for f in facets:
-        parts.add(f - {v} if v in f else f)
-    return reduce_to_maximal(parts)
+    return reduce_to_maximal({f - {v} if v in f else f for f in facets})
+
+
+def certificate_search(
+    root: frozenset, order: list[int], split: Callable, budget: int, labels: Sequence[str], node: type
+) -> tuple:
+    """Memoized depth-first search for a certificate tree over states, each
+    a frozenset of masks over the index of ``labels``.  A state with at most
+    one member is a leaf; otherwise, of the indices i of ``order`` that some
+    member holds, the first whose ``split(state, 1 << i)`` gives two children
+    with certificates makes ``node(sets, labels[i], first, second)``.  Every
+    state entered takes a memo slot, failed until it succeeds (a state met
+    again while open fails); the budget counts slots.  Returns (verdict,
+    certificate, slots); the verdict is None when the budget ran out."""
+    memo: dict[frozenset[int], object] = {}
+
+    @functools.cache  # one search meets each facet in many states
+    def face(m: int) -> tuple[str, ...]:
+        return tuple(sorted(labels[i] for i in bits(m)))
+
+    def expand(state: frozenset[int]):
+        support = functools.reduce(int.__or__, state)
+        for i in order:
+            children = split(state, 1 << i) if support >> i & 1 else None
+            if children is None:
+                continue
+            first = yield children[0]
+            if first is None:
+                continue
+            second = yield children[1]
+            if second is not None:
+                memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
+                return memo[state]
+
+    # one generator per open state; ``state`` is the next state to enter, or
+    # None to send ``value`` to the generator on top
+    stack, state, value = [], root, None
+    while True:
+        if state is not None:
+            if state in memo:
+                value = memo[state]
+            elif len(memo) >= budget:
+                return None, None, len(memo)
+            elif len(state) <= 1:
+                value = memo[state] = node(tuple(sorted(map(face, state))))
+            else:
+                memo[state] = value = None
+                stack.append(expand(state))
+        if not stack:
+            return value is not None, value, len(memo)
+        try:
+            state = stack[-1].send(value)
+        except StopIteration as done:
+            state, value = None, done.value
+            stack.pop()
 
 
 @dataclass(frozen=True)
@@ -95,6 +144,16 @@ def is_shedding_vertex(k: SimplicialComplex, v: str) -> bool:
     return _deletion_facets(k.facets, v) <= k.facets
 
 
+def _shed(facets: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
+    """(link, deletion) when the vertex sheds: every facet of its link lies
+    inside some facet without it, so the deletion keeps exactly those."""
+    link = [f ^ bit for f in facets if f & bit]
+    rest = [f for f in facets if not f & bit]
+    if all(any(not l & ~f for f in rest) for l in link):
+        return frozenset(link), frozenset(rest)
+    return None
+
+
 def is_vertex_decomposable(
     k: SimplicialComplex,
     budget: int = DEFAULT_VD_BUDGET,
@@ -104,54 +163,22 @@ def is_vertex_decomposable(
     is a simplex, or some vertex sheds (deletion facets stay facets) with a
     decomposable link and deletion.
 
-    Verdicts are memoized on the facet antichain; the budget counts memo
-    entries.  ``candidate_order`` overrides the ground-set vertex order
-    (the verdict itself is order independent).
+    Verdicts are memoized on the facet masks (``certificate_search``); the
+    budget counts memo entries.  ``candidate_order`` overrides the ground-set
+    vertex order (the verdict itself is order independent).
     """
     if k.is_void:
         raise ValueError("void complex")
-    order = tuple(candidate_order) if candidate_order is not None else k.ground_set
-    memo: dict[frozenset[frozenset[str]], SheddingNode | None] = {}
-
-    def solve(facets: frozenset[frozenset[str]]) -> SheddingNode | None:
-        if facets in memo:
-            return memo[facets]
-        if len(memo) >= budget:
-            raise _BudgetExhausted
-        memo[facets] = None  # reserve the slot; overwritten on success
-        if len(facets) == 1:
-            node = SheddingNode(_canon_facets(facets))
-            memo[facets] = node
-            return node
-        support = frozenset().union(*facets)
-        for v in order:
-            if v not in support:
-                continue
-            del_facets = _deletion_facets(facets, v)
-            if not del_facets <= facets:
-                continue
-            link_cert = solve(_link_facets(facets, v))
-            if link_cert is None:
-                continue
-            del_cert = solve(del_facets)
-            if del_cert is None:
-                continue
-            node = SheddingNode(_canon_facets(facets), v, link_cert, del_cert)
-            memo[facets] = node
-            return node
-        return None
-
-    try:
-        cert = solve(k.facets)
-    except _BudgetExhausted:
-        return VDResult(None, None, len(memo))
-    return VDResult(cert is not None, cert, len(memo))
+    order = k.ground_set if candidate_order is None else candidate_order
+    bit_order = [k.index[v] for v in order if v in k.index]
+    root = frozenset(k.facet_masks)
+    return VDResult(*certificate_search(root, bit_order, _shed, budget, k.ground_set, SheddingNode))
 
 
 def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> bool:
     """Replay a shedding tree against ``k``, recomputing every local
     condition from the facets stored in the certificate."""
-    if cert.facets != _canon_facets(k.facets):
+    if cert.facets != _canon_sets(k.facets):
         return False
 
     def check(node: SheddingNode) -> bool:
@@ -168,9 +195,9 @@ def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> boo
         del_facets = _deletion_facets(facets, v)
         if not del_facets <= facets:
             return False
-        if node.link.facets != _canon_facets(_link_facets(facets, v)):
+        if node.link.facets != _canon_sets(_link_facets(facets, v)):
             return False
-        if node.deletion.facets != _canon_facets(del_facets):
+        if node.deletion.facets != _canon_sets(del_facets):
             return False
         return check(node.link) and check(node.deletion)
 

@@ -160,20 +160,6 @@ def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
     return fits
 
 
-def is_r_independent(g: Graph, s: Iterable[str], r: int) -> bool:
-    """True iff every component of the induced subgraph on ``s`` has at most
-    ``r`` vertices."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    fits = r_growth_test(g, r)
-    grown = 0  # the set is r-independent iff each vertex fits its prefix
-    for i in sorted(g.index[v] for v in _check_subset(g, s)):
-        if not fits(grown, i):
-            return False
-        grown |= 1 << i
-    return True
-
-
 def distance(g: Graph, u: str, v: str) -> int | None:
     """Length of a shortest path between ``u`` and ``v``; None if unreachable."""
     _check_subset(g, (u, v))

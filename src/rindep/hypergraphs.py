@@ -37,6 +37,19 @@ def reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str
     return frozenset(maximal)
 
 
+def is_antichain(sets: Iterable[frozenset[str]]) -> bool:
+    """True iff no member of ``sets``, a family of distinct sets, lies
+    inside another.  Two distinct sets of one size are never nested, so only
+    sets of different sizes are compared."""
+    by_size: dict[int, list[frozenset[str]]] = {}
+    for s in sets:
+        by_size.setdefault(len(s), []).append(s)
+    groups = [by_size[n] for n in sorted(by_size)]
+    return len(groups) < 2 or not any(
+        a < b for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large
+    )
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Simple hypergraph: the edge set is an antichain under inclusion."""
@@ -51,9 +64,8 @@ class Hypergraph:
         for e in self.edges:
             if not e <= labels:
                 raise ValueError(f"edge {sorted(e)} uses unknown vertices")
-        for a, b in itertools.combinations(self.edges, 2):
-            if a < b or b < a:
-                raise ValueError("edge set is not an antichain")
+        if not is_antichain(self.edges):
+            raise ValueError("edge set is not an antichain")
 
     @classmethod
     def reduced(cls, vertices: Iterable, edges: Iterable) -> Hypergraph:

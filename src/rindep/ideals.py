@@ -4,13 +4,13 @@ recursion with replayable certificates."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, minimal_nonfaces
+from .decompose import _canon_sets, certificate_search
 from .graphs import Graph
-from .hypergraphs import Hypergraph, con_r, minimal_vertex_covers
+from .hypergraphs import Hypergraph, con_r, is_antichain, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
 
@@ -25,10 +25,6 @@ class UnitIdealError(ValueError):
 
 class CrossCheckError(RuntimeError):
     """Two independent computation paths disagreed; always a bug."""
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,8 @@ class MonomialIdeal:
         for g in self.generators:
             if not g <= names:
                 raise ValueError(f"generator {sorted(g)} uses unknown variables")
-        for a, b in itertools.combinations(self.generators, 2):
-            if a <= b or b <= a:
-                raise ValueError("generators do not form an antichain")
+        if not is_antichain(self.generators):
+            raise ValueError("generators do not form an antichain")
 
     @classmethod
     def from_supports(cls, variables: Iterable, supports: Iterable) -> MonomialIdeal:
@@ -209,10 +204,6 @@ class SplitResult:
         return self.splittable is None
 
 
-def _canon_gens(gens: Iterable[frozenset[str]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(tuple(sorted(g)) for g in gens))
-
-
 def _split_parts(
     gens: frozenset[frozenset[str]], x: str
 ) -> tuple[frozenset[frozenset[str]], frozenset[frozenset[str]]] | None:
@@ -234,59 +225,37 @@ def _split_parts(
     return quotients, remainder
 
 
+def _split(gens: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
+    """(quotients, remainder) at the pivot, or None: some generator must
+    hold it, and every generator without it must contain some quotient."""
+    quotients = frozenset(g ^ bit for g in gens if g & bit)
+    remainder = frozenset(g for g in gens if not g & bit)
+    if quotients and all(any(not q & ~f for q in quotients) for f in remainder):
+        return quotients, remainder
+    return None
+
+
 def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
-    """Recursive splitting search with memoization on the generator
-    antichain.  Zero, unit, and principal ideals are the base cases; the
-    budget counts memo entries."""
-    memo: dict[frozenset[frozenset[str]], SplitNode | None] = {}
-
-    def solve(gens: frozenset[frozenset[str]]) -> SplitNode | None:
-        if gens in memo:
-            return memo[gens]
-        if len(memo) >= budget:
-            raise _BudgetExhausted
-        memo[gens] = None
-        if len(gens) <= 1:
-            node = SplitNode(_canon_gens(gens))
-            memo[gens] = node
-            return node
-        support = sorted(frozenset().union(*gens))
-        for x in support:
-            parts = _split_parts(gens, x)
-            if parts is None:
-                continue
-            quotients, remainder = parts
-            q_cert = solve(quotients)
-            if q_cert is None:
-                continue
-            r_cert = solve(remainder)
-            if r_cert is None:
-                continue
-            node = SplitNode(_canon_gens(gens), x, q_cert, r_cert)
-            memo[gens] = node
-            return node
-        return None
-
-    try:
-        cert = solve(i.generators)
-    except _BudgetExhausted:
-        return SplitResult(None, None, len(memo))
-    return SplitResult(cert is not None, cert, len(memo))
+    """Recursive splitting search with memoization on the generator masks
+    (``certificate_search``), pivots in the string order of the variables.
+    Zero, unit, and principal ideals are the base cases; the budget counts
+    memo entries."""
+    index = {v: j for j, v in enumerate(i.variables)}
+    root = frozenset(sum(1 << index[v] for v in g) for g in i.generators)
+    pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
+    return SplitResult(*certificate_search(root, pivots, _split, budget, i.variables, SplitNode))
 
 
 def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
     """Replay a splitting certificate, recomputing every pivot condition
     from the generators recorded at each node."""
-    if cert.generators != _canon_gens(i.generators):
+    if cert.generators != _canon_sets(i.generators):
         return False
 
     def check(node: SplitNode) -> bool:
         gens = frozenset(frozenset(g) for g in node.generators)
-        if len(gens) != len(node.generators):
+        if len(gens) != len(node.generators) or not is_antichain(gens):
             return False
-        for a, b in itertools.combinations(gens, 2):
-            if a <= b or b <= a:
-                return False
         if node.is_leaf:
             return len(gens) <= 1
         if node.quotient is None or node.remainder is None:
@@ -295,9 +264,9 @@ def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
         if parts is None:
             return False
         quotients, remainder = parts
-        if node.quotient.generators != _canon_gens(quotients):
+        if node.quotient.generators != _canon_sets(quotients):
             return False
-        if node.remainder.generators != _canon_gens(remainder):
+        if node.remainder.generators != _canon_sets(remainder):
             return False
         return check(node.quotient) and check(node.remainder)
 

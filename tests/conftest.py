@@ -3,14 +3,18 @@ paths they check."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
 import networkx as nx
 from hypothesis import settings
 
+from rindep.complexes import SimplicialComplex
+from rindep.decompose import DEFAULT_VD_BUDGET, SheddingNode, VDResult
 from rindep.graphs import Graph
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -20,10 +24,34 @@ from rindep.hypergraphs import (
     delete_vertex,
     is_simplicial_vertex,
 )
+from rindep.ideals import DEFAULT_SPLIT_BUDGET, SplitNode, SplitResult
 
 # the same examples on every run, so that a red run can be reproduced
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile("ci")
+
+
+@contextlib.contextmanager
+def recursion_limit(frames: int):
+    """Lower the recursion limit to ``frames`` above the caller's depth, so
+    that a test of deep inputs stays small and fast."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def path_complex(n: int):
+    """Facets {i, i+1} on the labels "0".."n-1": a shedding tree nests
+    about n levels deep."""
+    verts = [str(i) for i in range(n)]
+    facets = frozenset(frozenset(verts[i : i + 2]) for i in range(n - 1))
+    return SimplicialComplex(tuple(verts), facets)
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -100,6 +128,87 @@ def oracle_chordality(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> Chor
                     seen.add(key(child))
                     queue.append(child)
     return ChordalityResult(True, None, visited)
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _labelled_search(root, candidates, children, budget, node):
+    """Recursive certificate search over labelled set families: a family
+    with at most one member is a leaf; a state is memoized, reserved as
+    failed while open, and the budget counts memo entries."""
+    memo = {}
+
+    def canon(sets):
+        return tuple(sorted(tuple(sorted(s)) for s in sets))
+
+    def solve(sets):
+        if sets in memo:
+            return memo[sets]
+        if len(memo) >= budget:
+            raise _BudgetSpent
+        memo[sets] = None
+        if len(sets) <= 1:
+            memo[sets] = node(canon(sets))
+            return memo[sets]
+        for v in candidates(sets):
+            parts = children(sets, v)
+            if parts is None:
+                continue
+            first = solve(parts[0])
+            if first is None:
+                continue
+            second = solve(parts[1])
+            if second is None:
+                continue
+            memo[sets] = node(canon(sets), v, first, second)
+            return memo[sets]
+        return None
+
+    try:
+        cert = solve(root)
+    except _BudgetSpent:
+        return None, None, len(memo)
+    return cert is not None, cert, len(memo)
+
+
+def oracle_vd(k, budget: int = DEFAULT_VD_BUDGET, candidate_order=None) -> VDResult:
+    """Vertex decomposability by the definition: a vertex sheds when the
+    maximal sets of the deletion are facets; candidates in ground-set order
+    (or ``candidate_order``)."""
+    order = tuple(candidate_order) if candidate_order is not None else k.ground_set
+
+    def candidates(facets):
+        support = frozenset().union(*facets)
+        return [v for v in order if v in support]
+
+    def children(facets, v):
+        parts = {f - {v} for f in facets}
+        deletion = frozenset(p for p in parts if not any(p < q for q in parts))
+        if not deletion <= facets:
+            return None
+        return frozenset(f - {v} for f in facets if v in f), deletion
+
+    return VDResult(*_labelled_search(k.facets, candidates, children, budget, SheddingNode))
+
+
+def oracle_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
+    """Vertex splitting by the definition, pivots in the string order of
+    the variables that occur."""
+
+    def children(gens, x):
+        quotients = frozenset(g - {x} for g in gens if x in g)
+        remainder = frozenset(g for g in gens if x not in g)
+        if not quotients or not all(any(q <= f for q in quotients) for f in remainder):
+            return None
+        return quotients, remainder
+
+    return SplitResult(
+        *_labelled_search(
+            i.generators, lambda gens: sorted(frozenset().union(*gens)), children, budget, SplitNode
+        )
+    )
 
 
 def oracle_shelling_order_ok(order: list[frozenset[str]]) -> bool:

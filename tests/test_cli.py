@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from conftest import oracle_ind_r_facets
+from conftest import oracle_ind_r_facets, path_complex, recursion_limit
 
 from rindep.cli import (
     EXIT_BUDGET,
@@ -394,6 +394,15 @@ class TestMalformedFiles:
             argv = ("verify", path, str(files / "good.json"))
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_PARSE and "error" in err
+
+
+    def test_certificate_deeper_than_the_recursion_limit_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(path_complex(150).to_json_dict()))
+        with recursion_limit(100):
+            code, out, err = run_cli(capsys, "check", "--complex", str(path), "--props", "vd")
+        assert code == EXIT_PARSE and not out
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCrossCheckExit:

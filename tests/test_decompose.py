@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from conftest import oracle_is_shellable, oracle_shelling_order_ok, random_graph
+from conftest import (
+    oracle_is_shellable,
+    oracle_shelling_order_ok,
+    path_complex,
+    random_graph,
+    recursion_limit,
+)
 
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import (
@@ -117,6 +123,17 @@ class TestVertexDecomposability:
                 assert verify_shedding_certificate(k, res.certificate)
                 round_trip = SheddingNode.from_json_dict(res.certificate.to_json_dict())
                 assert verify_shedding_certificate(k, round_trip)
+
+    @pytest.mark.parametrize("gen, explored", [(twin_bridge_paths(4), 32), (path_graph(12), 91)])
+    def test_explored_pinned(self, gen, explored):
+        assert is_vertex_decomposable(ind_r(gen, 2)).explored == explored
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        k = path_complex(150)
+        with recursion_limit(50):
+            res = is_vertex_decomposable(k)
+        assert res.decomposable is True and res.explored == 297
+        assert verify_shedding_certificate(k, res.certificate)
 
     def test_tampered_certificate_rejected(self):
         k = ind_r(path_graph(6), 2)

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from conftest import ahu_canonical_key, prufer_decode, random_graph, to_networkx
 
+from rindep.complexes import ind_r
 from rindep.graphs import (
     CaterpillarSpec,
     Graph,
@@ -22,7 +23,6 @@ from rindep.graphs import (
     is_caterpillar,
     is_chordal_graph,
     is_connected,
-    is_r_independent,
     is_tree,
     make_caterpillar,
     parse_edge_list,
@@ -111,13 +111,13 @@ class TestComponents:
 class TestRIndependence:
     def test_demo_examples(self):
         g = demo_graph()
-        assert is_r_independent(g, {"v2", "v3", "v4", "v5"}, 2)
-        assert is_r_independent(g, set(), 1)
-        assert not is_r_independent(g, {"v1", "v2", "v5"}, 2)
+        assert ind_r(g, 2).has_face({"v2", "v3", "v4", "v5"})
+        assert ind_r(g, 1).has_face(set())
+        assert not ind_r(g, 2).has_face({"v1", "v2", "v5"})
 
     def test_r_zero_rejected(self):
         with pytest.raises(ValueError):
-            is_r_independent(demo_graph(), set(), 0)
+            ind_r(demo_graph(), 0)
 
     def test_monotone_in_r_and_downward_closed(self):
         rng = random.Random(11)
@@ -126,10 +126,10 @@ class TestRIndependence:
             verts = list(g.vertices)
             s = frozenset(v for v in verts if rng.random() < 0.6)
             for r in (1, 2, 3):
-                if is_r_independent(g, s, r):
-                    assert is_r_independent(g, s, r + 1)
+                if ind_r(g, r).has_face(s):
+                    assert ind_r(g, r + 1).has_face(s)
                     drop = frozenset(v for v in s if rng.random() < 0.7)
-                    assert is_r_independent(g, drop, r)
+                    assert ind_r(g, r).has_face(drop)
 
     def test_matches_networkx_definition(self):
         rng = random.Random(13)
@@ -139,7 +139,7 @@ class TestRIndependence:
             for r in (1, 2, 3):
                 sub = to_networkx(g).subgraph(s)
                 expected = all(len(c) <= r for c in nx.connected_components(sub))
-                assert is_r_independent(g, s, r) == expected
+                assert ind_r(g, r).has_face(s) == expected
 
 
 class TestGenerators:

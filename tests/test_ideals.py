@@ -13,6 +13,7 @@ from rindep.graphs import (
     induced_subgraph,
     make_caterpillar,
     path_graph,
+    twin_bridge_paths,
 )
 from rindep.ideals import (
     CrossCheckError,
@@ -223,6 +224,10 @@ class TestVertexSplittable:
         dual = dual_of_ind(demo_graph(), 2)
         res = is_vertex_splittable(dual, budget=1)
         assert res.splittable is None
+
+    @pytest.mark.parametrize("gen, explored", [(twin_bridge_paths(4), 37), (path_graph(12), 59)])
+    def test_explored_pinned(self, gen, explored):
+        assert is_vertex_splittable(dual_of_ind(gen, 2)).explored == explored
 
     def test_tampered_certificate_rejected(self):
         dual = dual_of_ind(demo_graph(), 2)

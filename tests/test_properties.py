@@ -12,7 +12,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import oracle_chordality, oracle_ind_r_facets, oracle_reduced_betti
+from conftest import (
+    oracle_chordality,
+    oracle_ind_r_facets,
+    oracle_reduced_betti,
+    oracle_split,
+    oracle_vd,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +81,16 @@ def _subsets(draw, min_vertices, max_vertices, min_size):
 # simple hypergraphs (minimal edges kept) and complexes (maximal faces kept)
 hypergraphs = _subsets(0, 7, 0).map(lambda vs: Hypergraph.reduced(*vs))
 antichain_complexes = _subsets(1, 7, 1).map(lambda vs: SimplicialComplex.from_faces(*vs))
+
+
+@st.composite
+def _scrambled_complexes(draw):
+    """Antichain complexes on labels whose string order differs from their
+    index order ("10" sorts before "2")."""
+    verts, subsets = draw(_subsets(1, 7, 1))
+    labels = draw(st.permutations([str(i) for i in range(2, 14)]))[: len(verts)]
+    relabel = dict(zip(verts, labels))
+    return SimplicialComplex.from_faces(labels, [[relabel[v] for v in s] for s in subsets])
 
 
 con_r_of_graphs = st.builds(con_r, graphs(8), radii)
@@ -204,6 +220,22 @@ def test_false_chordality_witness_has_no_simplicial_vertex(h):
         w = res.witness
         assert w.vertices and not any(is_simplicial_vertex(w, v) for v in w.vertices)
         assert set(w.vertices) <= set(h.vertices)
+
+
+@settings(SETTINGS, max_examples=250)
+@given(
+    st.one_of(_scrambled_complexes(), st.builds(ind_r, graphs(8), radii)),
+    st.one_of(st.none(), st.integers(1, 50)),
+    st.booleans(),
+)
+def test_certificate_search_matches_labelled_oracles(k, budget, reverse):
+    order = tuple(reversed(k.ground_set)) if reverse else None
+    kw = {} if budget is None else {"budget": budget}
+    vd = is_vertex_decomposable(k, candidate_order=order, **kw)
+    assert vd == oracle_vd(k, candidate_order=order, **kw)
+    sr = stanley_reisner(k)
+    for i in [sr] if sr.is_zero else [sr, alexander_dual_ideal(sr)]:
+        assert is_vertex_splittable(i, **kw) == oracle_split(i, **kw)
 
 
 @SETTINGS
