@@ -3,7 +3,8 @@ certificates, sweep graph families, and replay certificates.
 
 Exit codes: 0 completed (verdicts may still be false), 1 an invalid
 certificate (``verify``), 2 rejected input (a parse or usage error, a
-negative or non-integer budget, an input beyond an enumeration guard, or
+negative or non-integer budget, a ``--jobs`` below 1, a field order that is
+not a prime below 2**64, an input beyond an enumeration guard, or
 one whose certificate nests deeper than the recursion limit allows to
 replay or write), 3 a search budget ran out, 4 an internal cross-check
 mismatch.
@@ -354,9 +355,13 @@ def _scan_worker(payload: dict) -> dict:
 
 
 def cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
     payloads = _scan_payloads(args)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at once, so never more than can run
+    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(pool.map(_scan_worker, payloads, chunksize=1))
     else:
         lines = [_scan_worker(p) for p in payloads]
@@ -448,7 +453,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n", type=int, required=True, help="maximum vertex count")
     p_scan.add_argument("--r", required=True, help="range like 1..3 or a single value")
     p_scan.add_argument("--props", required=True)
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     _add_budget_args(p_scan)
     p_scan.add_argument("--out")
     p_scan.set_defaults(func=cmd_scan)

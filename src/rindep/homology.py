@@ -13,7 +13,8 @@ from .complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
 
 def parse_field(spec: str) -> int | None:
     """Normalize a field descriptor: ``q``/``Q`` is the rationals (None),
-    ``gf:p`` or ``GF(p)`` is the prime field of order p."""
+    ``gf:p`` or ``GF(p)`` is the prime field of order p, for a prime
+    p < 2**64."""
     s = spec.strip().lower()
     if s in ("q", "rational", "rationals"):
         return None
@@ -23,9 +24,26 @@ def parse_field(spec: str) -> int | None:
         p = int(s[3:-1])
     else:
         raise ValueError(f"unknown field descriptor {spec!r}")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p >= 1 << 64:
+        raise ValueError(f"field order {p} is not below 2**64")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which decides
+    primality exactly below 3.18e23 (Sorenson and Webster 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
 
 
 def field_name(p: int | None) -> str:
@@ -173,12 +191,34 @@ class CMReport:
 
 
 def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMReport:
-    """Reisner's criterion over a field: purity plus vanishing reduced
-    homology of every face link below its dimension.
+    """Reisner's criterion over a field (Reisner 1976): purity plus
+    vanishing reduced homology of every face link below its dimension.
 
     Faces are scanned in (dimension, label) order, so a false verdict always
-    carries the lexicographically first witness.
-    """
+    carries the lexicographically first witness.  Links that agree up to an
+    order-preserving relabelling are eliminated once per call."""
+    return _cohen_macaulay(k, field, {})
+
+
+def _relabelled(facets: list[int]) -> tuple[int, ...]:
+    """Facet masks moved onto the low bits in vertex order, then sorted.
+    The move keeps every boundary sign, so the key fixes the Betti numbers."""
+    support = 0
+    for f in facets:
+        support |= f
+    gaps = ~support & (1 << support.bit_length()) - 1
+    while gaps:  # squeeze out the lowest run of vertices in no facet
+        start = gaps & -gaps
+        end = (gaps + start) & -(gaps + start)
+        width = end.bit_length() - start.bit_length()
+        low = start - 1
+        facets = [f >> width & ~low | f & low for f in facets]
+        gaps = (gaps ^ (end - start)) >> width
+    return tuple(sorted(facets))
+
+
+def _cohen_macaulay(k: SimplicialComplex, field: int | None, memo: dict) -> CMReport:
+    """``is_cohen_macaulay`` with the link Betti numbers memoized in ``memo``."""
     name = field_name(field)
     if k.is_void:
         raise ValueError("void complex")
@@ -188,8 +228,11 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     facets = k.facet_masks
     for face in sorted(k.face_masks(), key=mask_order):
         # the link's facets are the facets through the face, minus the face
-        lk = submasks(f ^ face for f in facets if f & face == face)
-        for i, b in enumerate(_betti(lk, field)[:-1]):  # degrees -1 .. dim(link) - 1
+        key = _relabelled([f ^ face for f in facets if f & face == face])
+        betti = memo.get(key)
+        if betti is None:
+            betti = memo[key] = _betti(submasks(key), field)
+        for i, b in enumerate(betti[:-1]):  # degrees -1 .. dim(link) - 1
             if b:
                 return CMReport(False, name, k.labels(face), i - 1, "link-homology")
     return CMReport(True, name)
@@ -220,16 +263,21 @@ def is_scm(k: SimplicialComplex, field: int | None = None) -> SCMReport:
     """Sequential Cohen-Macaulayness: every pure m-skeleton, m = 1..dim, is
     Cohen-Macaulay.  (The 0-skeleton, a disjoint set of points, is always
     Cohen-Macaulay, so starting at m = 1 agrees with the convention that
-    includes it.)"""
+    includes it.)  Skeletons go from the top down and share one link memo.
+    Where k has no m-dimensional facet, its m-skeleton is a skeleton of the
+    (m+1)-skeleton, so it is inferred Cohen-Macaulay when that one is (Duval
+    1996)."""
     name = field_name(field)
     if k.is_void:
         raise ValueError("void complex")
-    dim = k.dimension
-    entries: list[tuple[int, CMReport]] = []
-    verdict = True
-    for m in range(1, (dim or 0) + 1):
-        rep = is_cohen_macaulay(pure_skeleton(k, m), field)
-        entries.append((m, rep))
-        if not rep.cohen_macaulay:
-            verdict = False
-    return SCMReport(verdict, name, tuple(entries))
+    facet_sizes = {f.bit_count() for f in k.facet_masks}
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # link facets -> Betti numbers
+    reports: dict[int, CMReport] = {}
+    for m in range(k.dimension or 0, 0, -1):
+        above = reports.get(m + 1)
+        if m + 1 not in facet_sizes and above is not None and above.cohen_macaulay:
+            reports[m] = CMReport(True, name)
+        else:
+            reports[m] = _cohen_macaulay(pure_skeleton(k, m), field, memo)
+    verdict = all(rep.cohen_macaulay for rep in reports.values())
+    return SCMReport(verdict, name, tuple(sorted(reports.items())))

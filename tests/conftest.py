@@ -13,9 +13,10 @@ from fractions import Fraction
 import networkx as nx
 from hypothesis import settings
 
-from rindep.complexes import SimplicialComplex
+from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
 from rindep.decompose import DEFAULT_VD_BUDGET, SheddingNode, VDResult
 from rindep.graphs import Graph
+from rindep.homology import CMReport, SCMReport, _betti, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
     ChordalityResult,
@@ -271,6 +272,31 @@ def oracle_reduced_betti(k) -> list[int]:
         ranks[d] = oracle_rank_over_q(dense) if lower and upper else 0
     ranks[top + 1] = 0
     return [len(grouped.get(d, [])) - ranks.get(d, 0) - ranks[d + 1] for d in range(-1, top + 1)]
+
+
+def oracle_cm(k, field: int | None = None) -> CMReport:
+    """Reisner's criterion with the link of every face eliminated afresh,
+    faces in (dimension, label) order."""
+    name = field_name(field)
+    if not k.is_pure():
+        smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
+        return CMReport(False, name, smallest, None, "non-pure")
+    facets = k.facet_masks
+    for face in sorted(k.face_masks(), key=mask_order):
+        lk = submasks(f ^ face for f in facets if f & face == face)
+        for i, b in enumerate(_betti(lk, field)[:-1]):
+            if b:
+                return CMReport(False, name, k.labels(face), i - 1, "link-homology")
+    return CMReport(True, name)
+
+
+def oracle_scm(k, field: int | None = None) -> SCMReport:
+    """Every pure m-skeleton, m = 1..dim in ascending order, checked by
+    ``oracle_cm``: no memo shared between skeletons and none inferred."""
+    entries = tuple(
+        (m, oracle_cm(pure_skeleton(k, m), field)) for m in range(1, (k.dimension or 0) + 1)
+    )
+    return SCMReport(all(rep.cohen_macaulay for _, rep in entries), field_name(field), entries)
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset[frozenset[int]]:

@@ -4,6 +4,7 @@ import json
 import pytest
 from conftest import oracle_ind_r_facets, path_complex, recursion_limit
 
+from rindep import cli
 from rindep.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -168,6 +169,13 @@ class TestCheck:
         data = json.loads(out)
         assert data["field"] == "GF(2)" and data["betti"]["field"] == "GF(2)"
 
+    def test_field_order_from_2_64_up_is_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", "--gen", "path:3", "--r", "1", "--props", "homology",
+            "--field", "gf:18446744073709551629",
+        )
+        assert code == EXIT_PARSE and "2**64" in err
+
     def test_complex_file_input(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "build", "--gen", "fig1", "--r", "2")
         path = tmp_path / "c.json"
@@ -288,6 +296,43 @@ class TestScan:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert out1 == out2
+
+    # a fake pool records its size and maps in this process, so no worker
+    # process starts however large --jobs is
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [("1000", 2, [2]), ("3", 8, [3]), ("1000", 64, [6]), ("1000", None, [])],
+    )
+    def test_jobs_clamped_to_cpus_and_items(self, capsys, monkeypatch, jobs, cpus, workers):
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        argv = ["scan", "--family", "trees", "--n", "3", "--r", "1..2", "--props", "vd"]
+        _, serial, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+        assert (code, out, created) == (EXIT_OK, serial, workers)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "3", "--r", "1", "--props", "vd",
+            "--jobs", jobs,
+        )
+        assert (code, out) == (EXIT_PARSE, "") and "--jobs" in err
 
     def test_budget_exhaustion_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(

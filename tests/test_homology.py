@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 from conftest import oracle_reduced_betti, random_graph
 
+from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_vertex_decomposable
-from rindep.graphs import half_apex_clique, twin_bridge_paths
+from rindep.graphs import half_apex_clique, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -41,6 +43,26 @@ class TestFieldParsing:
             parse_field("gf:6")
         with pytest.raises(ValueError):
             parse_field("banana")
+
+    def test_largest_prime_below_2_64_is_accepted_at_once(self):
+        start = time.perf_counter()
+        assert parse_field("gf:18446744073709551557") == 2**64 - 59
+        assert time.perf_counter() - start < 0.5
+
+    # the square of the largest 32-bit prime, and a strong pseudoprime to
+    # every prime base up to 23
+    @pytest.mark.parametrize("n", [4294967291**2, 3825123056546413051])
+    def test_large_composites_are_rejected(self, n):
+        with pytest.raises(ValueError, match="not prime"):
+            parse_field(f"gf:{n}")
+
+    def test_orders_from_2_64_up_are_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            parse_field("gf:18446744073709551629")
+
+    def test_primality_matches_trial_division_below_3000(self):
+        primes = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+        assert [n for n in range(-5, 3000) if homology._is_prime(n)] == primes
 
 
 class TestReducedHomology:
@@ -210,3 +232,38 @@ class TestSCM:
         k = SimplicialComplex.from_faces("ab", [("a",), ("b",)])
         rep = is_scm(k)
         assert rep.sequentially_cohen_macaulay and rep.skeletons == ()
+
+    def test_skeleton_with_its_own_facets_is_computed(self):
+        # the 2-skeleton, a triangle, is CM; the 1-skeleton adds the facet
+        # {d, e}, which disconnects it, so it must not be inferred from above
+        k = SimplicialComplex.from_faces("abcde", [("a", "b", "c"), ("d", "e")])
+        rep = is_scm(k)
+        assert rep.failing_dimensions() == [1]
+        assert dict(rep.skeletons)[1].witness_face == frozenset()
+
+
+class TestLinkMemo:
+    """Pinned counts of link eliminations.  Each distinct link up to an
+    order-preserving relabelling is eliminated once per call, skeletons
+    inferred from the one above are not eliminated at all, and no memo
+    outlives a call, so a repeated call counts the same again."""
+
+    @pytest.mark.parametrize(
+        "k, calls",
+        [(ind_r(path_graph(12), 2), 829), (ind_r(twin_bridge_paths(4), 4), 308)],
+        ids=["path12-r2", "G4-r4"],
+    )
+    def test_betti_calls_per_scm_call(self, monkeypatch, k, calls):
+        count = 0
+        betti = homology._betti
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return betti(*args)
+
+        monkeypatch.setattr(homology, "_betti", counting)
+        for _ in range(2):
+            count = 0
+            is_scm(k)
+            assert count == calls

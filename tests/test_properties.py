@@ -14,8 +14,10 @@ from pathlib import Path
 
 from conftest import (
     oracle_chordality,
+    oracle_cm,
     oracle_ind_r_facets,
     oracle_reduced_betti,
+    oracle_scm,
     oracle_split,
     oracle_vd,
 )
@@ -203,6 +205,25 @@ def test_false_cm_witnesses_recheck_through_links(g, r):
     for m, skeleton_rep in is_scm(k).skeletons:
         if not skeleton_rep.cohen_macaulay:
             _recheck_cm(pure_skeleton(k, m), skeleton_rep)
+
+
+@settings(SETTINGS, max_examples=250)
+@given(complexes, st.sampled_from([None, 2]))
+def test_link_memo_and_skeleton_inference_match_unmemoized_oracle(k, field):
+    assert is_cohen_macaulay(k, field) == oracle_cm(k, field)
+    assert is_scm(k, field) == oracle_scm(k, field)
+
+
+@SETTINGS
+@given(complexes, st.sampled_from([None, 2]))
+def test_inferred_skeletons_are_cohen_macaulay_when_computed(k, field):
+    # is_scm infers skeleton m when k has no m-dimensional facet and
+    # skeleton m + 1 is Cohen-Macaulay
+    sizes = {len(f) for f in k.facets}
+    verdicts = dict(is_scm(k, field).skeletons)
+    for m in verdicts:
+        if m + 1 not in sizes and m + 1 in verdicts and verdicts[m + 1].cohen_macaulay:
+            assert is_cohen_macaulay(pure_skeleton(k, m), field).cohen_macaulay
 
 
 @settings(SETTINGS, max_examples=250)
