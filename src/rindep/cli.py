@@ -300,9 +300,15 @@ def cmd_check(args) -> int:
 # scan
 
 
-def _scan_payloads(args) -> list[dict]:
-    lo, _, hi = args.r.partition("..")
-    r_lo, r_hi = int(lo), int(hi) if hi else int(lo)
+def _r_range(raw: str) -> range:
+    lo, _, hi = raw.partition("..")
+    rs = range(int(lo), int(hi or lo) + 1)
+    if not rs or rs[0] < 1:
+        raise GraphParseError(f"--r must be a non-empty range of positive integers, got {raw!r}")
+    return rs
+
+
+def _scan_payloads(args, rs: range, props: list[str], field: int | None) -> list[dict]:
     budgets = _budgets(args)
     payloads = []
     for n in range(1, args.n + 1):
@@ -310,7 +316,7 @@ def _scan_payloads(args) -> list[dict]:
         for tree in enumerate_trees(n):
             if args.family == "caterpillars" and not is_caterpillar(tree):
                 continue
-            for r in range(r_lo, r_hi + 1):
+            for r in rs:
                 payloads.append(
                     {
                         "family": args.family,
@@ -319,9 +325,9 @@ def _scan_payloads(args) -> list[dict]:
                         "r": r,
                         "vertices": list(tree.vertices),
                         "edges": [list(e) for e in tree.sorted_edges()],
-                        "props": _parse_props(args.props),
+                        "props": props,
                         "budgets": budgets,
-                        "field": args.field,
+                        "field": field,
                     }
                 )
             index += 1
@@ -331,9 +337,8 @@ def _scan_payloads(args) -> list[dict]:
 def _scan_worker(payload: dict) -> dict:
     graph = Graph.from_edges(payload["vertices"], payload["edges"])
     r = payload["r"]
-    field = parse_field(payload["field"])
     complex_ = ind_r(graph, r)
-    report = run_checks(complex_, payload["props"], payload["budgets"], field, graph, r)
+    report = run_checks(complex_, payload["props"], payload["budgets"], payload["field"], graph, r)
     line = {
         "family": payload["family"],
         "n": payload["n"],
@@ -357,7 +362,9 @@ def _scan_worker(payload: dict) -> dict:
 def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
-    payloads = _scan_payloads(args)
+    # every argument is checked before the first item is built
+    rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
+    payloads = _scan_payloads(args, rs, props, field)
     # a pool starts all its workers at once, so never more than can run
     workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if workers > 1:

@@ -1,6 +1,5 @@
 """Simplicial complexes in facet representation: higher independence
-complexes, links, deletions, skeletons, face enumeration, and the
-combinatorial Alexander dual.
+complexes, links, skeletons, face enumeration, and minimal non-faces.
 
 Conventions: the void complex has no faces at all (empty facet family), the
 empty complex has the single facet {} (its only face), and a simplex is any
@@ -19,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, r_growth_test
-from .hypergraphs import GuardExceeded, Hypergraph, is_antichain, reduce_to_maximal
+from .hypergraphs import GuardExceeded, is_antichain, reduce_to_maximal
 
 FACE_ENUMERATION_GUARD = 20  # full face enumeration allowed up to 2^20 subsets
 
@@ -145,10 +144,6 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_empty_complex(self) -> bool:
-        return self.facets == frozenset({frozenset()})
-
-    @property
     def is_simplex(self) -> bool:
         return len(self.facets) == 1
 
@@ -229,24 +224,6 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
     return _complex_of(g.vertices, maximal_sets(len(g.vertices), r_growth_test(g, r)))
 
 
-def ind_hypergraph(h: Hypergraph) -> SimplicialComplex:
-    """Independence complex of a hypergraph: faces contain no edge.
-
-    An empty edge rules out every subset, so the result is void.  The
-    growth test says whether ``s | 1 << i`` contains no edge, for any mask
-    s; a subset of s contains no more edges, so the test is antitone in s,
-    as ``maximal_sets`` requires.
-    """
-    if any(not e for e in h.edges):
-        return SimplicialComplex(h.vertices, frozenset())
-    if len(h.vertices) > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded("vertex set exceeds the enumeration guard")
-    idx = {v: i for i, v in enumerate(h.vertices)}
-    edges = [sum(1 << idx[v] for v in e) for e in h.edges]
-    fits = lambda s, i: all(e & ~(s | 1 << i) for e in edges)  # noqa: E731
-    return _complex_of(h.vertices, maximal_sets(len(h.vertices), fits))
-
-
 # ---------------------------------------------------------------------------
 # subcomplex operations
 
@@ -260,30 +237,6 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     ground = tuple(v for v in k.ground_set if v not in f)
     facets = reduce_to_maximal(g - f for g in k.facets if f <= g)
     return SimplicialComplex(ground, facets)
-
-
-def delete(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
-    """Face deletion: maximal faces not containing ``face``.
-
-    Deleting the empty face would leave the void complex, which is almost
-    surely a caller bug, so it is rejected.  Deleting a single vertex drops
-    it from the ground set (it is in no remaining face); larger faces keep
-    their vertices since each is still a face on its own.
-    """
-    f = frozenset(map(str, face))
-    if not f:
-        raise ValueError("cannot delete the empty face")
-    unknown = f - set(k.ground_set)
-    if unknown:
-        raise ValueError(f"unknown vertices {sorted(unknown)}")
-    contributions: set[frozenset[str]] = set()
-    for g in k.facets:
-        if f <= g:
-            contributions.update(g - {x} for x in f)
-        else:
-            contributions.add(g)
-    ground = k.ground_set if len(f) > 1 else tuple(v for v in k.ground_set if v not in f)
-    return SimplicialComplex(ground, reduce_to_maximal(contributions))
 
 
 def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
@@ -314,17 +267,6 @@ def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
             if cand not in faces and all(cand ^ 1 << j in faces for j in bits(cand)):
                 out.append(k.labels(cand))
     return frozenset(out)
-
-
-def alexander_dual(k: SimplicialComplex) -> SimplicialComplex:
-    """Combinatorial Alexander dual: faces are complements of non-faces.
-
-    Facets of the dual are complements of the minimal non-faces; the
-    operation is an involution over a fixed ground set.
-    """
-    full = frozenset(k.ground_set)
-    facets = frozenset(full - nf for nf in minimal_nonfaces(k))
-    return SimplicialComplex(k.ground_set, facets)
 
 
 def f_vector(k: SimplicialComplex) -> list[int]:

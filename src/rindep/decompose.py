@@ -135,15 +135,6 @@ class VDResult:
         return self.decomposable is None
 
 
-def is_shedding_vertex(k: SimplicialComplex, v: str) -> bool:
-    """True iff every facet of the deletion at ``v`` is a facet of ``k``."""
-    if v not in k.ground_set:
-        raise ValueError(f"unknown vertex {v!r}")
-    if not any(v in f for f in k.facets):
-        raise ValueError(f"vertex {v!r} is in no face")
-    return _deletion_facets(k.facets, v) <= k.facets
-
-
 def _shed(facets: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
     """(link, deletion) when the vertex sheds: every facet of its link lies
     inside some facet without it, so the deletion keeps exactly those."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import string
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -63,12 +62,6 @@ class Graph:
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
@@ -160,46 +153,8 @@ def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
     return fits
 
 
-def distance(g: Graph, u: str, v: str) -> int | None:
-    """Length of a shortest path between ``u`` and ``v``; None if unreachable."""
-    _check_subset(g, (u, v))
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.adjacency[x]:
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                if w == v:
-                    return dist[w]
-                queue.append(w)
-    return None
-
-
 def is_tree(g: Graph) -> bool:
     return len(g.vertices) >= 1 and len(g.edges) == len(g.vertices) - 1 and is_connected(g)
-
-
-def is_chordal_graph(g: Graph) -> bool:
-    """Chordality via repeated simplicial-vertex elimination."""
-    adj = {v: set(g.adjacency[v]) for v in g.vertices}
-    remaining = [v for v in g.vertices]
-    while remaining:
-        pick = None
-        for v in remaining:
-            ns = adj[v]
-            if all(b in adj[a] for a, b in itertools.combinations(ns, 2)):
-                pick = v
-                break
-        if pick is None:
-            return False
-        for u in adj[pick]:
-            adj[u].discard(pick)
-        del adj[pick]
-        remaining.remove(pick)
-    return True
 
 
 def is_caterpillar(g: Graph) -> bool:
@@ -233,10 +188,6 @@ class CaterpillarSpec:
             raise ValueError("leaf_counts must have one entry per spine vertex")
         if any(m < 0 for m in self.leaf_counts):
             raise ValueError("leaf counts must be non-negative")
-
-    @property
-    def n_vertices(self) -> int:
-        return self.spine_length + sum(self.leaf_counts)
 
 
 def make_caterpillar(spec: CaterpillarSpec) -> Graph:
@@ -304,22 +255,17 @@ def half_apex_clique(r: int) -> Graph:
     return Graph.from_edges(vs + ["x1", "x2"], edges)
 
 
-def twin_bridge_paths(r: int, bridge_size: int = 2) -> Graph:
-    """Two paths ``1..r`` and ``r+1..2r`` joined through a clique of
-    ``bridge_size`` extra vertices, each adjacent to both path ends.
-
-    ``bridge_size=2`` gives the 2r+2 vertex family with bridge ``{a, b}``;
-    larger cliques generalize it.
-    """
+def twin_bridge_paths(r: int) -> Graph:
+    """Two paths ``1..r`` and ``r+1..2r`` joined through the adjacent bridge
+    vertices ``a`` and ``b``, each adjacent to both path ends: the 2r+2
+    vertex family."""
     if r < 2:
         raise ValueError("r must be at least 2")
-    if not 2 <= bridge_size <= 26:
-        raise ValueError("bridge_size must be between 2 and 26")
     left = [str(i) for i in range(1, r + 1)]
     right = [str(i) for i in range(r + 1, 2 * r + 1)]
-    bridge = list(string.ascii_lowercase[:bridge_size])
+    bridge = ["a", "b"]
     edges = list(zip(left, left[1:])) + list(zip(right, right[1:]))
-    edges += list(itertools.combinations(bridge, 2))
+    edges.append(("a", "b"))
     edges += [(left[-1], c) for c in bridge]
     edges += [(right[0], c) for c in bridge]
     return Graph.from_edges(left + bridge + right, edges)
@@ -437,16 +383,6 @@ def parse_edge_list(text: str) -> Graph:
         declare(v)
         edges.add(frozenset((u, v)))
     return Graph(tuple(verts), frozenset(edges))
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
 
 
 def parse_graph_json(text: str) -> Graph:

@@ -1,5 +1,5 @@
-"""Simple hypergraphs, the connected-subset hypergraph of a graph, minors,
-simplicial vertices, exhaustive chordality checking, and vertex covers."""
+"""Simple hypergraphs, the connected-subset hypergraph of a graph,
+exhaustive chordality checking over mask minors, and vertex covers."""
 
 from __future__ import annotations
 
@@ -15,16 +15,6 @@ DEFAULT_MINOR_BUDGET = 2_000_000
 
 class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured size guard."""
-
-
-def reduce_to_minimal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Antichain of inclusion-minimal members of ``sets``."""
-    by_size = sorted(set(sets), key=len)
-    minimal: list[frozenset[str]] = []
-    for s in by_size:
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
-    return frozenset(minimal)
 
 
 def reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
@@ -67,22 +57,11 @@ class Hypergraph:
         if not is_antichain(self.edges):
             raise ValueError("edge set is not an antichain")
 
-    @classmethod
-    def reduced(cls, vertices: Iterable, edges: Iterable) -> Hypergraph:
-        """Build the underlying simple hypergraph (keep minimal edges)."""
-        vs = tuple(str(v) for v in vertices)
-        es = reduce_to_minimal(frozenset(map(str, e)) for e in edges)
-        return cls(vs, es)
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
             "edges": sorted([sorted(e) for e in self.edges], key=lambda e: (len(e), e)),
         }
-
-
-def graph_as_hypergraph(g: Graph) -> Hypergraph:
-    return Hypergraph(g.vertices, g.edges)
 
 
 def con_r(g: Graph, r: int) -> Hypergraph:
@@ -96,49 +75,6 @@ def con_r(g: Graph, r: int) -> Hypergraph:
     sets = itertools.combinations(range(len(g.vertices)), r + 1)
     edges = (c for c in sets if not fits(sum(1 << i for i in c[1:]), c[0]))
     return Hypergraph(g.vertices, frozenset(frozenset(g.vertices[i] for i in c) for c in edges))
-
-
-def _check_vertex(h: Hypergraph, v: str) -> None:
-    if v not in h.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
-
-
-def delete_vertex(h: Hypergraph, v: str) -> Hypergraph:
-    """Drop ``v`` and every edge containing it."""
-    _check_vertex(h, v)
-    verts = tuple(u for u in h.vertices if u != v)
-    return Hypergraph.reduced(verts, (e for e in h.edges if v not in e))
-
-
-def contract_vertex(h: Hypergraph, v: str) -> Hypergraph:
-    """Drop ``v`` from the vertex set and from every edge, then reduce to the
-    underlying simple hypergraph.  Contracting the last vertex of an edge
-    leaves the empty edge, which is retained as the unique minimal edge."""
-    _check_vertex(h, v)
-    verts = tuple(u for u in h.vertices if u != v)
-    return Hypergraph.reduced(verts, (e - {v} for e in h.edges))
-
-
-def is_simplicial_vertex(h: Hypergraph, v: str, include_equal_pairs: bool = False) -> bool:
-    """True iff every two edges through ``v`` contain a third edge inside
-    their union minus ``v``.
-
-    The default reads "any two edges" as distinct pairs, which makes the
-    notion agree with graph chordality on graphs; ``include_equal_pairs``
-    switches to the stricter reading that also tests each edge against
-    itself.
-    """
-    _check_vertex(h, v)
-    through = [e for e in h.edges if v in e]
-    if include_equal_pairs:
-        pairs = itertools.combinations_with_replacement(through, 2)
-    else:
-        pairs = itertools.combinations(through, 2)
-    for e1, e2 in pairs:
-        target = (e1 | e2) - {v}
-        if not any(e3 <= target for e3 in h.edges):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -178,8 +114,10 @@ def _minor_children(vs: int, edges: frozenset[int]):
 
 
 def _has_simplicial_mask(vs: int, edges: frozenset[int]) -> bool:
-    """Some vertex whose every two distinct edges contain a third edge
-    inside their union minus the vertex (``is_simplicial_vertex``)."""
+    """Some vertex is simplicial: every two distinct edges through it
+    contain a third edge inside their union minus the vertex.  Reading
+    "two edges" as distinct pairs makes the notion agree with graph
+    chordality on graphs."""
     for i in bits(vs):
         b = 1 << i
         through = [e for e in edges if e & b]

@@ -61,20 +61,12 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return frozenset() in self.generators
 
-    @property
-    def is_principal(self) -> bool:
-        return len(self.generators) == 1
-
     def var_key(self, s: frozenset[str]) -> tuple[int, ...]:
         idx = {v: i for i, v in enumerate(self.variables)}
         return tuple(sorted(idx[v] for v in s))
 
     def sorted_generators(self) -> list[frozenset[str]]:
         return sorted(self.generators, key=lambda s: (len(s), self.var_key(s)))
-
-    def contains_monomial(self, support: Iterable[str]) -> bool:
-        s = frozenset(map(str, support))
-        return any(g <= s for g in self.generators)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,11 +84,6 @@ def stanley_reisner(k: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal(k.ground_set, minimal_nonfaces(k))
 
 
-def hyperedge_ideal(h: Hypergraph) -> MonomialIdeal:
-    """Ideal generated by the edges of a simple hypergraph."""
-    return MonomialIdeal(h.vertices, h.edges)
-
-
 def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
     """Dual ideal: generators are the minimal vertex covers of the generator
     hypergraph.  Zero and unit inputs are rejected outright rather than
@@ -107,11 +94,6 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
         raise UnitIdealError("the unit ideal has no Alexander dual here")
     covers = minimal_vertex_covers(Hypergraph(i.variables, i.generators))
     return MonomialIdeal(i.variables, covers)
-
-
-def sr_dual(k: SimplicialComplex) -> MonomialIdeal:
-    """Alexander dual of the Stanley-Reisner ideal of ``k``."""
-    return alexander_dual_ideal(stanley_reisner(k))
 
 
 def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
@@ -135,7 +117,7 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
         raise ZeroIdealError(
             "every vertex subset is r-independent; the Stanley-Reisner ideal is zero"
         )
-    via_covers = alexander_dual_ideal(hyperedge_ideal(h))
+    via_covers = alexander_dual_ideal(MonomialIdeal(h.vertices, h.edges))
     full = frozenset(g.vertices)
     if k is None:
         k = ind_r(g, r)

@@ -17,14 +17,7 @@ from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton, subma
 from rindep.decompose import DEFAULT_VD_BUDGET, SheddingNode, VDResult
 from rindep.graphs import Graph
 from rindep.homology import CMReport, SCMReport, _betti, field_name
-from rindep.hypergraphs import (
-    DEFAULT_MINOR_BUDGET,
-    ChordalityResult,
-    Hypergraph,
-    contract_vertex,
-    delete_vertex,
-    is_simplicial_vertex,
-)
+from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, ChordalityResult, Hypergraph
 from rindep.ideals import DEFAULT_SPLIT_BUDGET, SplitNode, SplitResult
 
 # the same examples on every run, so that a red run can be reproduced
@@ -92,6 +85,18 @@ def oracle_ind_r_facets(g: Graph, r: int) -> set[frozenset[str]]:
     }
 
 
+def oracle_ind_hypergraph_facets(h: Hypergraph) -> set[frozenset[str]]:
+    """Maximal vertex sets containing no edge, by scanning the full power
+    set; an empty edge leaves no face at all."""
+    faces = {
+        frozenset(c)
+        for k in range(len(h.vertices) + 1)
+        for c in itertools.combinations(h.vertices, k)
+        if not any(e <= frozenset(c) for e in h.edges)
+    }
+    return {f for f in faces if not any(f | {v} in faces for v in h.vertices if v not in f)}
+
+
 def oracle_minimal_covers(vertices, edges) -> set[frozenset[str]]:
     """All minimal transversals by scanning the full power set twice."""
     edges = [frozenset(e) for e in edges]
@@ -104,6 +109,50 @@ def oracle_minimal_covers(vertices, edges) -> set[frozenset[str]]:
         if all(frozenset(c) & e for e in edges)
     }
     return {c for c in covers if not any(d < c for d in covers)}
+
+
+def reduced_hypergraph(vertices, edges) -> Hypergraph:
+    """The simple hypergraph of the inclusion-minimal members of ``edges``."""
+    by_size = sorted({frozenset(map(str, e)) for e in edges}, key=len)
+    minimal: list[frozenset[str]] = []
+    for e in by_size:
+        if not any(m <= e for m in minimal):
+            minimal.append(e)
+    return Hypergraph(tuple(map(str, vertices)), frozenset(minimal))
+
+
+def _check_vertex(h: Hypergraph, v: str) -> None:
+    if v not in h.vertices:
+        raise ValueError(f"unknown vertex {v!r}")
+
+
+def delete_vertex(h: Hypergraph, v: str) -> Hypergraph:
+    """Drop ``v`` and every edge containing it."""
+    _check_vertex(h, v)
+    verts = tuple(u for u in h.vertices if u != v)
+    return reduced_hypergraph(verts, (e for e in h.edges if v not in e))
+
+
+def contract_vertex(h: Hypergraph, v: str) -> Hypergraph:
+    """Drop ``v`` from the vertex set and from every edge, then reduce to the
+    underlying simple hypergraph.  Contracting the last vertex of an edge
+    leaves the empty edge, which is retained as the unique minimal edge."""
+    _check_vertex(h, v)
+    verts = tuple(u for u in h.vertices if u != v)
+    return reduced_hypergraph(verts, (e - {v} for e in h.edges))
+
+
+def is_simplicial_vertex(h: Hypergraph, v: str) -> bool:
+    """True iff every two distinct edges through ``v`` contain a third edge
+    inside their union minus ``v``; reading "two edges" as distinct pairs
+    makes the notion agree with graph chordality on graphs."""
+    _check_vertex(h, v)
+    through = [e for e in h.edges if v in e]
+    for e1, e2 in itertools.combinations(through, 2):
+        target = (e1 | e2) - {v}
+        if not any(e3 <= target for e3 in h.edges):
+            return False
+    return True
 
 
 def oracle_chordality(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:

@@ -8,10 +8,10 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from conftest import oracle_is_shellable
+from conftest import oracle_ind_hypergraph_facets, oracle_is_shellable
 
 from rindep.cli import main as cli_main
-from rindep.complexes import f_vector, ind_hypergraph, ind_r, link, pure_skeleton
+from rindep.complexes import f_vector, ind_r, link, pure_skeleton
 from rindep.decompose import (
     is_shellable,
     is_vertex_decomposable,
@@ -27,7 +27,7 @@ from rindep.graphs import (
     twin_bridge_paths,
 )
 from rindep.homology import is_scm, reduced_homology
-from rindep.hypergraphs import con_r, graph_as_hypergraph, is_chordal_hypergraph
+from rindep.hypergraphs import Hypergraph, con_r, is_chordal_hypergraph
 from rindep.ideals import (
     MonomialIdeal,
     alexander_dual_ideal,
@@ -165,7 +165,8 @@ def test_criterion_06_hypergraph_chordality():
                 for r in (1, 2):
                     res = is_chordal_hypergraph(con_r(tree, r))
                     assert res.chordal is True, (n, r)
-        square = graph_as_hypergraph(cycle_graph(4))
+        c4 = cycle_graph(4)
+        square = Hypergraph(c4.vertices, c4.edges)
         res = is_chordal_hypergraph(square)
         assert res.chordal is False
         assert res.witness == square
@@ -192,7 +193,7 @@ def test_criterion_08_hypergraph_complex_identity(corpus_200):
     with criterion("8 independence complexes agree through the hypergraph", 120.0):
         for g in corpus_200:
             for r in (1, 2):
-                assert ind_hypergraph(con_r(g, r)) == ind_r(g, r)
+                assert oracle_ind_hypergraph_facets(con_r(g, r)) == set(ind_r(g, r).facets)
 
 
 def test_criterion_09_worked_example_fixture():
@@ -240,7 +241,7 @@ def test_criterion_09_worked_example_fixture():
         for pivot, gens in decomposition["pieces"].items():
             expected = {frozenset(g) for g in gens}
             for g in expected:
-                assert dual.contains_monomial(g | {pivot})
+                assert any(d <= g | {pivot} for d in dual.generators)
             assert buckets[pivot] == expected, pivot
 
 

@@ -13,7 +13,7 @@ from rindep.cli import (
     build_generator,
     main,
 )
-from rindep.graphs import format_edge_list, parse_edge_list
+from rindep.graphs import parse_edge_list
 
 GENERATOR_TOKENS = [
     "fig1",
@@ -95,7 +95,9 @@ class TestGeneratorRoundTrip:
     @pytest.mark.parametrize("token", GENERATOR_TOKENS)
     def test_edge_list_round_trip(self, token):
         g = build_generator(token)
-        assert parse_edge_list(format_edge_list(g)) == g
+        text = "".join(f"vertex {v}\n" for v in g.vertices)
+        text += "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+        assert parse_edge_list(text) == g
 
 
 class TestCheck:
@@ -325,6 +327,18 @@ class TestScan:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
         assert (code, out, created) == (EXIT_OK, serial, workers)
+
+    # no tree has 0 vertices, so these fail only if checked before the items
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--field", "banana"), ("--r", "3..1"), ("--r", "0..2"), ("--props", "bogus")],
+    )
+    def test_arguments_checked_before_any_item(self, capsys, flag, value):
+        args = {"--r": "1", "--props": "vd", flag: value}
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "0", *itertools.chain(*args.items())
+        )
+        assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):

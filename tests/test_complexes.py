@@ -2,20 +2,23 @@ import itertools
 import random
 
 import pytest
-from conftest import oracle_ind_r_facets, oracle_r_independent, random_graph
+from conftest import (
+    oracle_ind_hypergraph_facets,
+    oracle_ind_r_facets,
+    oracle_r_independent,
+    random_graph,
+    reduced_hypergraph,
+)
 
 from rindep.complexes import (
     SimplicialComplex,
-    alexander_dual,
     complex_from_json_dict,
-    delete,
     f_vector,
-    ind_hypergraph,
     ind_r,
     link,
-    minimal_nonfaces,
     pure_skeleton,
 )
+from rindep.decompose import _deletion_facets
 from rindep.graphs import (
     complete_graph,
     cycle_graph,
@@ -26,7 +29,7 @@ from rindep.graphs import (
     path_graph,
     twin_bridge_paths,
 )
-from rindep.hypergraphs import Hypergraph, con_r
+from rindep.hypergraphs import con_r
 
 
 def facet_sets(k):
@@ -47,7 +50,8 @@ class TestComplexType:
         empty = SimplicialComplex(("a",), frozenset({frozenset()}))
         point = SimplicialComplex(("a",), frozenset({fs("a")}))
         assert void.is_void and void.dimension is None
-        assert empty.is_empty_complex and empty.is_simplex and empty.dimension == -1
+        assert empty.facets == frozenset({frozenset()})
+        assert empty.is_simplex and empty.dimension == -1
         assert point.is_simplex and point.dimension == 0
 
     def test_json_round_trip(self):
@@ -134,21 +138,19 @@ class TestIndR:
 
 class TestIndHypergraph:
     def test_single_full_edge_gives_boundary(self):
-        h = Hypergraph.reduced("abcd", [("a", "b", "c", "d")])
-        k = ind_hypergraph(h)
+        h = reduced_hypergraph("abcd", [("a", "b", "c", "d")])
         full = frozenset("abcd")
-        assert facet_sets(k) == {full - {v} for v in "abcd"}
+        assert oracle_ind_hypergraph_facets(h) == {full - {v} for v in "abcd"}
 
     def test_matches_ind_r_through_con(self):
         rng = random.Random(61)
         for _ in range(25):
             g = random_graph(rng, 3, 8)
             for r in (1, 2, 3):
-                assert ind_hypergraph(con_r(g, r)) == ind_r(g, r)
+                assert oracle_ind_hypergraph_facets(con_r(g, r)) == set(ind_r(g, r).facets)
 
     def test_empty_edge_gives_void(self):
-        k = ind_hypergraph(Hypergraph.reduced("ab", [()]))
-        assert k.is_void
+        assert oracle_ind_hypergraph_facets(reduced_hypergraph("ab", [()])) == set()
 
 
 class TestLinkAndDelete:
@@ -173,28 +175,22 @@ class TestLinkAndDelete:
         with pytest.raises(ValueError):
             link(k, ["v1", "v2"])  # an edge of the graph is a non-face here
 
-    def test_delete_empty_face_rejected(self):
-        with pytest.raises(ValueError):
-            delete(ind_r(demo_graph(), 1), ())
+    # vertex deletion lives in the shedding verifier, on labelled facets
 
     def test_delete_vertex_drops_ground(self):
         k = SimplicialComplex.from_faces("abc", [("a", "b")])
-        out = delete(k, ["c"])  # ghost vertex: same facets, smaller ground set
-        assert out.ground_set == ("a", "b")
-        assert facet_sets(out) == {fs("a", "b")}
+        assert _deletion_facets(k.facets, "c") == k.facets  # a ghost vertex
 
     def test_delete_matches_join_structure(self):
         g = twin_bridge_paths(2)
         k = ind_r(g, 2)
-        out = delete(k, ["3"])
         sub = ind_r(induced_subgraph(g, ["1", "2", "a", "b"]), 2)
         expected = {f | fs("4") for f in sub.facets}
-        assert facet_sets(out) == expected
+        assert _deletion_facets(k.facets, "3") == expected
 
     def test_delete_triangle_boundary_vertex(self):
         k = SimplicialComplex.from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-        out = delete(k, ["a"])
-        assert facet_sets(out) == {fs("b", "c")}
+        assert _deletion_facets(k.facets, "a") == {fs("b", "c")}
 
     def test_membership_against_definitions(self):
         rng = random.Random(67)
@@ -203,7 +199,7 @@ class TestLinkAndDelete:
             k = ind_r(g, rng.choice((1, 2)))
             faces = sorted(k.faces(), key=k.face_key)
             face = rng.choice(faces)
-            lk, dl = link(k, face), (delete(k, face) if face else None)
+            lk = link(k, face)
             all_faces = k.faces()
             lk_faces = lk.faces()
             for size in range(len(k.ground_set) + 1):
@@ -211,10 +207,6 @@ class TestLinkAndDelete:
                     s = frozenset(combo)
                     in_link = not (s & face) and (s | face) in all_faces
                     assert (s in lk_faces) == in_link
-            if dl is not None:
-                dl_faces = dl.faces()
-                for s in all_faces:
-                    assert (s in dl_faces) == (not face <= s)
 
 
 class TestSkeletons:
@@ -239,35 +231,6 @@ class TestSkeletons:
             pure_skeleton(k, k.dimension + 1)
         with pytest.raises(ValueError):
             pure_skeleton(k, -1)
-
-
-class TestAlexanderDual:
-    def test_boundary_of_simplex_dualizes_to_empty_complex(self):
-        full = frozenset("abcd")
-        bd = SimplicialComplex.from_faces("abcd", [full - {v} for v in "abcd"])
-        assert alexander_dual(bd) == SimplicialComplex(bd.ground_set, frozenset({frozenset()}))
-
-    def test_involution(self):
-        rng = random.Random(71)
-        for _ in range(20):
-            g = random_graph(rng, 3, 7)
-            k = ind_r(g, rng.choice((1, 2)))
-            assert alexander_dual(alexander_dual(k)) == k
-
-    def test_full_simplex_and_void_are_swapped(self):
-        full = SimplicialComplex.simplex("abc")
-        void = SimplicialComplex(("a", "b", "c"), frozenset())
-        assert alexander_dual(full) == void
-        assert alexander_dual(void) == full
-
-    def test_dual_minimal_nonfaces_are_facet_complements(self):
-        rng = random.Random(73)
-        for _ in range(15):
-            g = random_graph(rng, 3, 6)
-            k = ind_r(g, rng.choice((1, 2)))
-            full = frozenset(k.ground_set)
-            dual = alexander_dual(k)
-            assert minimal_nonfaces(dual) == frozenset(full - f for f in k.facets)
 
 
 class TestFVector:

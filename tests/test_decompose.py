@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from conftest import (
     oracle_is_shellable,
@@ -7,12 +8,13 @@ from conftest import (
     path_complex,
     random_graph,
     recursion_limit,
+    to_networkx,
 )
 
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import (
     SheddingNode,
-    is_shedding_vertex,
+    _shed,
     is_shellable,
     is_vertex_decomposable,
     verify_certificate,
@@ -22,7 +24,6 @@ from rindep.decompose import (
 from rindep.graphs import (
     Graph,
     enumerate_trees,
-    is_chordal_graph,
     path_graph,
     twin_bridge_paths,
 )
@@ -45,33 +46,31 @@ def random_complex(rng, n_max=6, facet_cap=7):
     return k
 
 
+def sheds(k, v):
+    """The search's shedding condition at ``v``, on the facet masks of ``k``."""
+    return _shed(frozenset(k.facet_masks), 1 << k.index[v]) is not None
+
+
 class TestSheddingVertex:
     def test_path_complex_vertices(self):
         k = ind_r(path_graph(7), 2)
-        assert is_shedding_vertex(k, "3")
-        assert is_shedding_vertex(k, "5")
+        assert sheds(k, "3")
+        assert sheds(k, "5")
 
     def test_simplex_vertex_never_sheds(self):
         k = SimplicialComplex.simplex("ab")
-        assert not is_shedding_vertex(k, "a")
-
-    def test_requires_vertex_in_a_face(self):
-        k = SimplicialComplex.from_faces("abc", [("a", "b")])
-        with pytest.raises(ValueError):
-            is_shedding_vertex(k, "c")
-        with pytest.raises(ValueError):
-            is_shedding_vertex(k, "z")
+        assert not sheds(k, "a")
 
     def test_definitional_inclusion(self):
-        from rindep.complexes import delete
-
         rng = random.Random(103)
         for _ in range(20):
             k = random_complex(rng)
             support = set().union(*k.facets) if k.facets else set()
             for v in support:
-                if is_shedding_vertex(k, v):
-                    assert delete(k, [v]).facets <= k.facets
+                # v sheds iff every facet of its deletion is a facet of k
+                parts = {f - {v} for f in k.facets}
+                deletion = {p for p in parts if not any(p < q for q in parts)}
+                assert sheds(k, v) == (deletion <= k.facets)
 
 
 class TestVertexDecomposability:
@@ -80,7 +79,7 @@ class TestVertexDecomposability:
         checked = 0
         while checked < 12:
             g = random_graph(rng, 3, 7)
-            if not is_chordal_graph(g):
+            if not nx.is_chordal(to_networkx(g)):
                 continue
             res = is_vertex_decomposable(ind_r(g, 1))
             assert res.decomposable is True

@@ -13,13 +13,16 @@ import tempfile
 from pathlib import Path
 
 from conftest import (
+    is_simplicial_vertex,
     oracle_chordality,
     oracle_cm,
+    oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_reduced_betti,
     oracle_scm,
     oracle_split,
     oracle_vd,
+    reduced_hypergraph,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,6 @@ from rindep.cli import main
 from rindep.complexes import (
     SimplicialComplex,
     f_vector,
-    ind_hypergraph,
     ind_r,
     link,
     maximal_sets,
@@ -40,15 +42,9 @@ from rindep.decompose import (
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph, r_growth_test
+from rindep.graphs import Graph, bits, r_growth_test
 from rindep.homology import is_cohen_macaulay, is_scm, reduced_homology
-from rindep.hypergraphs import (
-    DEFAULT_MINOR_BUDGET,
-    Hypergraph,
-    con_r,
-    is_chordal_hypergraph,
-    is_simplicial_vertex,
-)
+from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, con_r, is_chordal_hypergraph
 from rindep.ideals import (
     alexander_dual_ideal,
     is_vertex_splittable,
@@ -81,7 +77,7 @@ def _subsets(draw, min_vertices, max_vertices, min_size):
 
 
 # simple hypergraphs (minimal edges kept) and complexes (maximal faces kept)
-hypergraphs = _subsets(0, 7, 0).map(lambda vs: Hypergraph.reduced(*vs))
+hypergraphs = _subsets(0, 7, 0).map(lambda vs: reduced_hypergraph(*vs))
 antichain_complexes = _subsets(1, 7, 1).map(lambda vs: SimplicialComplex.from_faces(*vs))
 
 
@@ -122,18 +118,17 @@ def _hypergraph_fits(edges):
 @SETTINGS
 @given(edge_masks())
 def test_ind_hypergraph_matches_power_set_oracle(n_edges):
+    """The maximal-set search with the hypergraph growth test finds the
+    facets of the hypergraph's independence complex."""
     n, masks = n_edges
     verts = [chr(97 + i) for i in range(n)]
-    h = Hypergraph.reduced(verts, [[verts[i] for i in range(n) if m >> i & 1] for m in masks])
-    edges = [frozenset(e) for e in h.edges]
-    faces = [
-        frozenset(c)
-        for size in range(n + 1)
-        for c in itertools.combinations(verts, size)
-        if not any(e <= frozenset(c) for e in edges)
-    ]
-    facets = {f for f in faces if not any(f < g for g in faces)}
-    assert set(ind_hypergraph(h).facets) == facets
+    h = reduced_hypergraph(verts, [[verts[i] for i in bits(m)] for m in masks])
+    facets = oracle_ind_hypergraph_facets(h)
+    if 0 in masks:  # an empty edge leaves no face, so there is nothing to search
+        assert facets == set()
+    else:
+        found = maximal_sets(n, _hypergraph_fits(masks))
+        assert {frozenset(verts[i] for i in bits(m)) for m in found} == facets
 
 
 @SETTINGS
