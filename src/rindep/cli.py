@@ -4,10 +4,10 @@ certificates, sweep graph families, and replay certificates.
 Exit codes: 0 completed (verdicts may still be false), 1 an invalid
 certificate (``verify``), 2 rejected input (a parse or usage error, a
 negative or non-integer budget, a ``--jobs`` below 1, a field order that is
-not a prime below 2**64, an input beyond an enumeration guard, or
-one whose certificate nests deeper than the recursion limit allows to
-replay or write), 3 a search budget ran out, 4 an internal cross-check
-mismatch.
+not a prime below 2**64, an input beyond an enumeration guard, a JSON
+file nested too deeply to read, or an input whose certificate nests too
+deeply to write as JSON), 3 a search budget ran out, 4 an internal
+cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RecursionError:  # replaying or writing a certificate recurses per level
+    except RecursionError:  # json.dumps(indent=2) recurses once per certificate level
         print("error: certificate nested deeper than the recursion limit", file=sys.stderr)
         return EXIT_PARSE
     except CrossCheckError as exc:

@@ -113,17 +113,6 @@ class SimplicialComplex:
         if not is_antichain(self.facets):
             raise ValueError("facets do not form an antichain")
 
-    @classmethod
-    def from_faces(cls, ground_set: Iterable, faces: Iterable) -> SimplicialComplex:
-        gs = tuple(str(v) for v in ground_set)
-        maximal = reduce_to_maximal(frozenset(map(str, f)) for f in faces)
-        return cls(gs, maximal)
-
-    @classmethod
-    def simplex(cls, vertices: Iterable) -> SimplicialComplex:
-        vs = tuple(str(v) for v in vertices)
-        return cls(vs, frozenset({frozenset(vs)}))
-
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.ground_set)}
@@ -178,10 +167,6 @@ class SimplicialComplex:
                 f"face enumeration over {len(self.ground_set)} vertices exceeds the guard"
             )
         return submasks(self.facet_masks)
-
-    def faces(self) -> set[frozenset[str]]:
-        """Every face, the empty set included (unless void)."""
-        return set(map(self.labels, self.face_masks()))
 
     def faces_by_dimension(self) -> dict[int, list[frozenset[str]]]:
         """Faces grouped by dimension (-1 upward), deterministically ordered."""

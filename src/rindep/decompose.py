@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Container, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .graphs import bits
-from .hypergraphs import reduce_to_maximal
+from .hypergraphs import is_antichain, reduce_to_maximal
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -18,15 +18,6 @@ DEFAULT_SHELL_BUDGET = 2_000_000
 
 def _canon_sets(sets: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(s)) for s in sets))
-
-
-def _link_facets(facets: frozenset[frozenset[str]], v: str) -> frozenset[frozenset[str]]:
-    # facets containing v stay facets after removing it (antichain preserved)
-    return frozenset(f - {v} for f in facets if v in f)
-
-
-def _deletion_facets(facets: frozenset[frozenset[str]], v: str) -> frozenset[frozenset[str]]:
-    return reduce_to_maximal({f - {v} if v in f else f for f in facets})
 
 
 def certificate_search(
@@ -84,7 +75,80 @@ def certificate_search(
 
 
 @dataclass(frozen=True)
-class SheddingNode:
+class CertificateNode:
+    """One node of a certificate tree: a family of labelled sets and, at an
+    inner node, the branch vertex with the certificates of the two families
+    it splits the family into.  Subclasses name the four JSON keys of these
+    fields; both conversions walk the tree on an explicit stack."""
+
+    sets: tuple[tuple[str, ...], ...]
+    branch: str | None = None
+    first: CertificateNode | None = None
+    second: CertificateNode | None = None
+    keys: ClassVar[tuple[str, str, str, str]]
+
+    def to_json_dict(self) -> dict:
+        sets_key, branch_key, first_key, second_key = self.keys
+        out: dict = {}
+        stack = [(self, out)]
+        while stack:
+            node, data = stack.pop()
+            data[sets_key] = [list(s) for s in node.sets]
+            if node.branch is not None:
+                data[branch_key] = node.branch
+                data[first_key], data[second_key] = {}, {}
+                stack += [(node.first, data[first_key]), (node.second, data[second_key])]
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> CertificateNode:
+        sets_key, branch_key, first_key, second_key = cls.keys
+        # a pre-order (node, first, second) read backwards meets every node
+        # after both its children, whose nodes then lie on top of ``built``
+        preorder, stack = [], [data]
+        while stack:
+            preorder.append(stack.pop())
+            if branch_key in preorder[-1]:
+                stack += [preorder[-1][second_key], preorder[-1][first_key]]
+        built: list[CertificateNode] = []
+        for d in reversed(preorder):
+            sets = _canon_sets(map(str, s) for s in d[sets_key])
+            if branch_key in d:
+                built.append(cls(sets, str(d[branch_key]), built.pop(), built.pop()))
+            else:
+                built.append(cls(sets))
+        return built[0]
+
+
+def replay(
+    cert: CertificateNode, sets: Iterable[frozenset[str]], parts: Callable, leaf_sizes: Container[int]
+) -> bool:
+    """Check a certificate tree against the family ``sets`` at its root,
+    node by node on an explicit stack.  Every node must store the canonical
+    form of the family its parent computed (at the root, ``sets``), as
+    distinct sets forming an antichain.  A leaf must hold a number of sets
+    in ``leaf_sizes``; at an inner node, ``parts(family, branch)`` must
+    return the two families its children store, not None."""
+    stack = [(cert, sets)]
+    while stack:
+        node, expected = stack.pop()
+        if node is None or node.sets != _canon_sets(expected):
+            return False
+        family = frozenset(map(frozenset, node.sets))
+        if len(family) != len(node.sets) or not is_antichain(family):
+            return False
+        if node.branch is None:
+            if len(family) not in leaf_sizes:
+                return False
+            continue
+        children = parts(family, node.branch)
+        if children is None:
+            return False
+        stack += [(node.first, children[0]), (node.second, children[1])]
+    return True
+
+
+class SheddingNode(CertificateNode):
     """One node of a shedding-tree certificate.
 
     Leaves are simplices (a single facet, the empty facet included); inner
@@ -92,34 +156,7 @@ class SheddingNode:
     the deletion at that vertex.
     """
 
-    facets: tuple[tuple[str, ...], ...]
-    vertex: str | None = None
-    link: SheddingNode | None = None
-    deletion: SheddingNode | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.vertex is None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"facets": [list(f) for f in self.facets]}
-        if not self.is_leaf:
-            out["vertex"] = self.vertex
-            out["link"] = self.link.to_json_dict()
-            out["del"] = self.deletion.to_json_dict()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> SheddingNode:
-        facets = tuple(sorted(tuple(sorted(map(str, f))) for f in data["facets"]))
-        if "vertex" not in data:
-            return cls(facets)
-        return cls(
-            facets,
-            str(data["vertex"]),
-            cls.from_json_dict(data["link"]),
-            cls.from_json_dict(data["del"]),
-        )
+    keys = ("facets", "vertex", "link", "del")
 
 
 @dataclass(frozen=True)
@@ -129,10 +166,6 @@ class VDResult:
     decomposable: bool | None
     certificate: SheddingNode | None
     explored: int
-
-    @property
-    def budget_exceeded(self) -> bool:
-        return self.decomposable is None
 
 
 def _shed(facets: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -166,33 +199,24 @@ def is_vertex_decomposable(
     return VDResult(*certificate_search(root, bit_order, _shed, budget, k.ground_set, SheddingNode))
 
 
+def _shed_sets(
+    facets: frozenset[frozenset[str]], v: str
+) -> tuple[frozenset[frozenset[str]], frozenset[frozenset[str]]] | None:
+    """(link, deletion) at ``v`` on labelled facets, or None unless ``v``
+    sheds: some facet holds it, and every facet that loses it lies inside a
+    facet without it.  On an antichain that says the deletion's maximal
+    sets are facets, namely the facets without ``v``."""
+    link = frozenset(f - {v} for f in facets if v in f)
+    rest = frozenset(f for f in facets if v not in f)
+    if link and all(any(l <= f for f in rest) for l in link):
+        return link, rest
+    return None
+
+
 def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> bool:
     """Replay a shedding tree against ``k``, recomputing every local
     condition from the facets stored in the certificate."""
-    if cert.facets != _canon_sets(k.facets):
-        return False
-
-    def check(node: SheddingNode) -> bool:
-        facets = frozenset(frozenset(f) for f in node.facets)
-        if len(facets) != len(node.facets):
-            return False
-        if node.is_leaf:
-            return len(facets) == 1
-        v = node.vertex
-        if not any(v in f for f in facets):
-            return False
-        if node.link is None or node.deletion is None:
-            return False
-        del_facets = _deletion_facets(facets, v)
-        if not del_facets <= facets:
-            return False
-        if node.link.facets != _canon_sets(_link_facets(facets, v)):
-            return False
-        if node.deletion.facets != _canon_sets(del_facets):
-            return False
-        return check(node.link) and check(node.deletion)
-
-    return check(cert)
+    return replay(cert, k.facets, _shed_sets, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +230,6 @@ class ShellingResult:
     shellable: bool | None
     order: tuple[frozenset[str], ...] | None
     explored: int
-
-    @property
-    def budget_exceeded(self) -> bool:
-        return self.shellable is None
 
 
 def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResult:

@@ -64,10 +64,6 @@ class BettiProfile:
             return self.reduced[i]
         return 0
 
-    @property
-    def trivial(self) -> bool:
-        return all(b == 0 for b in self.reduced)
-
 
 def _pivots(columns: list[dict], p: int | None, cleared: Container[int] = ()) -> dict[int, dict]:
     """Column reduction of a sparse integer matrix, keyed by pivot row; the

@@ -89,10 +89,6 @@ class ChordalityResult:
     witness: Hypergraph | None
     minors_visited: int
 
-    @property
-    def budget_exceeded(self) -> bool:
-        return self.chordal is None
-
 
 def _minor_children(vs: int, edges: frozenset[int]):
     """Delete-then-contract children of a mask minor, vertex by vertex in

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, minimal_nonfaces
-from .decompose import _canon_sets, certificate_search
+from .decompose import CertificateNode, certificate_search, replay
 from .graphs import Graph
 from .hypergraphs import Hypergraph, con_r, is_antichain, minimal_vertex_covers
 
@@ -133,8 +133,7 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
 # vertex-splittable recursion
 
 
-@dataclass(frozen=True)
-class SplitNode:
+class SplitNode(CertificateNode):
     """One node of a splitting certificate.
 
     Leaves are the zero ideal, the unit ideal, or a principal ideal; inner
@@ -143,34 +142,7 @@ class SplitNode:
     remainder part (generators avoiding the pivot).
     """
 
-    generators: tuple[tuple[str, ...], ...]
-    pivot: str | None = None
-    quotient: SplitNode | None = None
-    remainder: SplitNode | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.pivot is None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"generators": [list(g) for g in self.generators]}
-        if not self.is_leaf:
-            out["pivot"] = self.pivot
-            out["quotient"] = self.quotient.to_json_dict()
-            out["remainder"] = self.remainder.to_json_dict()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> SplitNode:
-        gens = tuple(sorted(tuple(sorted(map(str, g))) for g in data["generators"]))
-        if "pivot" not in data:
-            return cls(gens)
-        return cls(
-            gens,
-            str(data["pivot"]),
-            cls.from_json_dict(data["quotient"]),
-            cls.from_json_dict(data["remainder"]),
-        )
+    keys = ("generators", "pivot", "quotient", "remainder")
 
 
 @dataclass(frozen=True)
@@ -180,10 +152,6 @@ class SplitResult:
     splittable: bool | None
     certificate: SplitNode | None
     explored: int
-
-    @property
-    def budget_exceeded(self) -> bool:
-        return self.splittable is None
 
 
 def _split_parts(
@@ -231,25 +199,4 @@ def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -
 def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
     """Replay a splitting certificate, recomputing every pivot condition
     from the generators recorded at each node."""
-    if cert.generators != _canon_sets(i.generators):
-        return False
-
-    def check(node: SplitNode) -> bool:
-        gens = frozenset(frozenset(g) for g in node.generators)
-        if len(gens) != len(node.generators) or not is_antichain(gens):
-            return False
-        if node.is_leaf:
-            return len(gens) <= 1
-        if node.quotient is None or node.remainder is None:
-            return False
-        parts = _split_parts(gens, node.pivot)
-        if parts is None:
-            return False
-        quotients, remainder = parts
-        if node.quotient.generators != _canon_sets(quotients):
-            return False
-        if node.remainder.generators != _canon_sets(remainder):
-            return False
-        return check(node.quotient) and check(node.remainder)
-
-    return check(cert)
+    return replay(cert, i.generators, _split_parts, (0, 1))

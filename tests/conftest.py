@@ -18,7 +18,7 @@ from rindep.decompose import DEFAULT_VD_BUDGET, SheddingNode, VDResult
 from rindep.graphs import Graph
 from rindep.homology import CMReport, SCMReport, _betti, field_name
 from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, ChordalityResult, Hypergraph
-from rindep.ideals import DEFAULT_SPLIT_BUDGET, SplitNode, SplitResult
+from rindep.ideals import DEFAULT_SPLIT_BUDGET, MonomialIdeal, SplitNode, SplitResult
 
 # the same examples on every run, so that a red run can be reproduced
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -40,12 +40,32 @@ def recursion_limit(frames: int):
         sys.setrecursionlimit(old)
 
 
+def complex_from_faces(ground_set, faces) -> SimplicialComplex:
+    """The complex on ``ground_set`` generated by ``faces``: only the
+    inclusion-maximal ones are kept as facets."""
+    sets = {frozenset(map(str, f)) for f in faces}
+    facets = frozenset(f for f in sets if not any(f < g for g in sets))
+    return SimplicialComplex(tuple(map(str, ground_set)), facets)
+
+
+def faces_of(k: SimplicialComplex) -> set[frozenset[str]]:
+    """Every face of ``k``, the empty set included (unless void)."""
+    return set(map(k.labels, k.face_masks()))
+
+
 def path_complex(n: int):
     """Facets {i, i+1} on the labels "0".."n-1": a shedding tree nests
     about n levels deep."""
     verts = [str(i) for i in range(n)]
     facets = frozenset(frozenset(verts[i : i + 2]) for i in range(n - 1))
     return SimplicialComplex(tuple(verts), facets)
+
+
+def variable_ideal(n: int) -> MonomialIdeal:
+    """The ideal generated by the variables "x000".."x{n-1}": a splitting
+    certificate nests n levels deep."""
+    names = [f"x{i:03}" for i in range(n)]
+    return MonomialIdeal.from_supports(names, [[v] for v in names])
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -184,14 +204,15 @@ class _BudgetSpent(Exception):
     pass
 
 
+def canon_sets(sets) -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
+
+
 def _labelled_search(root, candidates, children, budget, node):
     """Recursive certificate search over labelled set families: a family
     with at most one member is a leaf; a state is memoized, reserved as
     failed while open, and the budget counts memo entries."""
     memo = {}
-
-    def canon(sets):
-        return tuple(sorted(tuple(sorted(s)) for s in sets))
 
     def solve(sets):
         if sets in memo:
@@ -200,7 +221,7 @@ def _labelled_search(root, candidates, children, budget, node):
             raise _BudgetSpent
         memo[sets] = None
         if len(sets) <= 1:
-            memo[sets] = node(canon(sets))
+            memo[sets] = node(canon_sets(sets))
             return memo[sets]
         for v in candidates(sets):
             parts = children(sets, v)
@@ -212,7 +233,7 @@ def _labelled_search(root, candidates, children, budget, node):
             second = solve(parts[1])
             if second is None:
                 continue
-            memo[sets] = node(canon(sets), v, first, second)
+            memo[sets] = node(canon_sets(sets), v, first, second)
             return memo[sets]
         return None
 
@@ -221,6 +242,22 @@ def _labelled_search(root, candidates, children, budget, node):
     except _BudgetSpent:
         return None, None, len(memo)
     return cert is not None, cert, len(memo)
+
+
+def deletion_facets(facets, v: str) -> frozenset[frozenset[str]]:
+    """Facets of the deletion of ``v``: the maximal sets among the facets
+    with ``v`` removed."""
+    parts = {f - {v} for f in facets}
+    return frozenset(p for p in parts if not any(p < q for q in parts))
+
+
+def split_children(gens, x: str):
+    """(quotients, remainder) at pivot ``x`` by the definition, or None."""
+    quotients = frozenset(g - {x} for g in gens if x in g)
+    remainder = frozenset(g for g in gens if x not in g)
+    if not quotients or not all(any(q <= f for q in quotients) for f in remainder):
+        return None
+    return quotients, remainder
 
 
 def oracle_vd(k, budget: int = DEFAULT_VD_BUDGET, candidate_order=None) -> VDResult:
@@ -234,8 +271,7 @@ def oracle_vd(k, budget: int = DEFAULT_VD_BUDGET, candidate_order=None) -> VDRes
         return [v for v in order if v in support]
 
     def children(facets, v):
-        parts = {f - {v} for f in facets}
-        deletion = frozenset(p for p in parts if not any(p < q for q in parts))
+        deletion = deletion_facets(facets, v)
         if not deletion <= facets:
             return None
         return frozenset(f - {v} for f in facets if v in f), deletion
@@ -247,18 +283,62 @@ def oracle_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     """Vertex splitting by the definition, pivots in the string order of
     the variables that occur."""
 
-    def children(gens, x):
-        quotients = frozenset(g - {x} for g in gens if x in g)
-        remainder = frozenset(g for g in gens if x not in g)
-        if not quotients or not all(any(q <= f for q in quotients) for f in remainder):
-            return None
-        return quotients, remainder
+    def pivots(gens):
+        return sorted(frozenset().union(*gens))
 
-    return SplitResult(
-        *_labelled_search(
-            i.generators, lambda gens: sorted(frozenset().union(*gens)), children, budget, SplitNode
-        )
-    )
+    return SplitResult(*_labelled_search(i.generators, pivots, split_children, budget, SplitNode))
+
+
+def oracle_verify_shedding(k, cert) -> bool:
+    """Recursive replay of a shedding tree: at every inner node the link
+    and the deletion are recomputed by the definition, and the deletion's
+    maximal sets must be facets."""
+    if cert.sets != canon_sets(k.facets):
+        return False
+
+    def check(node) -> bool:
+        facets = frozenset(frozenset(f) for f in node.sets)
+        if len(facets) != len(node.sets):
+            return False
+        if node.branch is None:
+            return len(facets) == 1
+        v = node.branch
+        if not any(v in f for f in facets) or node.first is None or node.second is None:
+            return False
+        deletion = deletion_facets(facets, v)
+        if not deletion <= facets:
+            return False
+        if node.first.sets != canon_sets(f - {v} for f in facets if v in f):
+            return False
+        if node.second.sets != canon_sets(deletion):
+            return False
+        return check(node.first) and check(node.second)
+
+    return check(cert)
+
+
+def oracle_verify_split(i, cert) -> bool:
+    """Recursive replay of a splitting certificate: every pivot condition
+    recomputed by the definition from the generators stored at the node."""
+    if cert.sets != canon_sets(i.generators):
+        return False
+
+    def check(node) -> bool:
+        gens = frozenset(frozenset(g) for g in node.sets)
+        if len(gens) != len(node.sets) or any(a < b for a in gens for b in gens):
+            return False
+        if node.branch is None:
+            return len(gens) <= 1
+        if node.first is None or node.second is None:
+            return False
+        parts = split_children(gens, node.branch)
+        if parts is None:
+            return False
+        if node.first.sets != canon_sets(parts[0]) or node.second.sets != canon_sets(parts[1]):
+            return False
+        return check(node.first) and check(node.second)
+
+    return check(cert)
 
 
 def oracle_shelling_order_ok(order: list[frozenset[str]]) -> bool:

@@ -3,6 +3,9 @@ import random
 
 import pytest
 from conftest import (
+    complex_from_faces,
+    deletion_facets,
+    faces_of,
     oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_r_independent,
@@ -18,7 +21,6 @@ from rindep.complexes import (
     link,
     pure_skeleton,
 )
-from rindep.decompose import _deletion_facets
 from rindep.graphs import (
     complete_graph,
     cycle_graph,
@@ -92,7 +94,7 @@ class TestIndR:
             g = random_graph(rng, 3, 7)
             for r in (1, 2):
                 k = ind_r(g, r)
-                faces = k.faces()
+                faces = faces_of(k)
                 for size in range(len(g) + 1):
                     for combo in itertools.combinations(g.vertices, size):
                         s = frozenset(combo)
@@ -110,8 +112,8 @@ class TestIndR:
         for _ in range(10):
             g = random_graph(rng, 3, 7)
             for r in (1, 2):
-                lower = ind_r(g, r).faces()
-                upper = ind_r(g, r + 1).faces()
+                lower = faces_of(ind_r(g, r))
+                upper = faces_of(ind_r(g, r + 1))
                 assert lower <= upper
 
     def test_complete_graph_skeleton(self):
@@ -175,33 +177,33 @@ class TestLinkAndDelete:
         with pytest.raises(ValueError):
             link(k, ["v1", "v2"])  # an edge of the graph is a non-face here
 
-    # vertex deletion lives in the shedding verifier, on labelled facets
+    # vertex deletion as the shedding oracles compute it, on labelled facets
 
     def test_delete_vertex_drops_ground(self):
-        k = SimplicialComplex.from_faces("abc", [("a", "b")])
-        assert _deletion_facets(k.facets, "c") == k.facets  # a ghost vertex
+        k = complex_from_faces("abc", [("a", "b")])
+        assert deletion_facets(k.facets, "c") == k.facets  # a ghost vertex
 
     def test_delete_matches_join_structure(self):
         g = twin_bridge_paths(2)
         k = ind_r(g, 2)
         sub = ind_r(induced_subgraph(g, ["1", "2", "a", "b"]), 2)
         expected = {f | fs("4") for f in sub.facets}
-        assert _deletion_facets(k.facets, "3") == expected
+        assert deletion_facets(k.facets, "3") == expected
 
     def test_delete_triangle_boundary_vertex(self):
-        k = SimplicialComplex.from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-        assert _deletion_facets(k.facets, "a") == {fs("b", "c")}
+        k = complex_from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        assert deletion_facets(k.facets, "a") == {fs("b", "c")}
 
     def test_membership_against_definitions(self):
         rng = random.Random(67)
         for _ in range(12):
             g = random_graph(rng, 3, 6)
             k = ind_r(g, rng.choice((1, 2)))
-            faces = sorted(k.faces(), key=k.face_key)
+            faces = sorted(faces_of(k), key=k.face_key)
             face = rng.choice(faces)
             lk = link(k, face)
-            all_faces = k.faces()
-            lk_faces = lk.faces()
+            all_faces = faces_of(k)
+            lk_faces = faces_of(lk)
             for size in range(len(k.ground_set) + 1):
                 for combo in itertools.combinations(k.ground_set, size):
                     s = frozenset(combo)
@@ -211,7 +213,7 @@ class TestLinkAndDelete:
 
 class TestSkeletons:
     def test_top_skeleton_of_pure_complex_is_identity(self):
-        k = SimplicialComplex.from_faces("abcd", [("a", "b", "c"), ("b", "c", "d")])
+        k = complex_from_faces("abcd", [("a", "b", "c"), ("b", "c", "d")])
         assert pure_skeleton(k, 2) == k
 
     def test_half_apex_skeletons(self):
@@ -235,7 +237,7 @@ class TestSkeletons:
 
 class TestFVector:
     def test_triangle_boundary(self):
-        k = SimplicialComplex.from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        k = complex_from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert f_vector(k) == [1, 3, 3]
 
     def test_demo_r2_vertex_count(self):

@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 from conftest import (
+    complex_from_faces,
     oracle_is_shellable,
     oracle_shelling_order_ok,
     path_complex,
@@ -40,9 +41,9 @@ def random_complex(rng, n_max=6, facet_cap=7):
     for _ in range(rng.randint(1, facet_cap + 3)):
         size = rng.randint(1, n)
         raw.append(frozenset(rng.sample(verts, size)))
-    k = SimplicialComplex.from_faces(verts, raw)
+    k = complex_from_faces(verts, raw)
     if len(k.facets) > facet_cap:
-        k = SimplicialComplex.from_faces(verts, k.sorted_facets()[:facet_cap])
+        k = complex_from_faces(verts, k.sorted_facets()[:facet_cap])
     return k
 
 
@@ -58,7 +59,7 @@ class TestSheddingVertex:
         assert sheds(k, "5")
 
     def test_simplex_vertex_never_sheds(self):
-        k = SimplicialComplex.simplex("ab")
+        k = complex_from_faces("ab", ["ab"])
         assert not sheds(k, "a")
 
     def test_definitional_inclusion(self):
@@ -86,11 +87,11 @@ class TestVertexDecomposability:
             checked += 1
 
     def test_glued_simplices_are_not_decomposable(self):
-        k = SimplicialComplex.from_faces("abcdef", [("a", "b", "c", "d"), ("c", "d", "e", "f")])
+        k = complex_from_faces("abcdef", [("a", "b", "c", "d"), ("c", "d", "e", "f")])
         assert is_vertex_decomposable(k).decomposable is False
 
     def test_simplices_and_empty_complex_are_base_cases(self):
-        assert is_vertex_decomposable(SimplicialComplex.simplex("abc")).decomposable
+        assert is_vertex_decomposable(complex_from_faces("abc", ["abc"])).decomposable
         empty = SimplicialComplex(("a",), frozenset({frozenset()}))
         assert is_vertex_decomposable(empty).decomposable
 
@@ -111,7 +112,7 @@ class TestVertexDecomposability:
     def test_budget_exhaustion(self):
         k = ind_r(path_graph(7), 2)
         res = is_vertex_decomposable(k, budget=2)
-        assert res.decomposable is None and res.budget_exceeded
+        assert res.decomposable is None
 
     def test_certificates_verify(self):
         rng = random.Random(113)
@@ -134,6 +135,21 @@ class TestVertexDecomposability:
         assert res.decomposable is True and res.explored == 297
         assert verify_shedding_certificate(k, res.certificate)
 
+    def test_certificate_deeper_than_the_recursion_limit_verifies_and_round_trips(self):
+        k = path_complex(150)
+        cert = is_vertex_decomposable(k).certificate
+        with recursion_limit(50):
+            assert verify_shedding_certificate(k, cert)
+            back = SheddingNode.from_json_dict(cert.to_json_dict())
+            assert verify_shedding_certificate(k, back)
+        assert back == cert
+
+    def test_leaf_sizes(self):
+        void = SimplicialComplex(("a",), frozenset())
+        assert not verify_shedding_certificate(void, SheddingNode(()))
+        two_points = complex_from_faces("ab", ["a", "b"])
+        assert not verify_shedding_certificate(two_points, SheddingNode((("a",), ("b",))))
+
     def test_tampered_certificate_rejected(self):
         k = ind_r(path_graph(6), 2)
         cert = is_vertex_decomposable(k).certificate
@@ -152,9 +168,9 @@ class TestVertexDecomposability:
 
 class TestShellability:
     def test_single_facet_trivial(self):
-        res = is_shellable(SimplicialComplex.simplex("abc"))
+        res = is_shellable(complex_from_faces("abc", ["abc"]))
         assert res.shellable and verify_shelling_certificate(
-            SimplicialComplex.simplex("abc"), res.order
+            complex_from_faces("abc", ["abc"]), res.order
         )
 
     def test_tree_complexes_small(self):
@@ -167,7 +183,7 @@ class TestShellability:
                     assert verify_shelling_certificate(k, res.order)
 
     def test_two_disjoint_edges_not_shellable(self):
-        k = SimplicialComplex.from_faces("abcd", [("a", "b"), ("c", "d")])
+        k = complex_from_faces("abcd", [("a", "b"), ("c", "d")])
         assert is_shellable(k).shellable is False
 
     def test_void_rejected(self):
@@ -177,7 +193,7 @@ class TestShellability:
     def test_budget_exhaustion(self):
         k = ind_r(path_graph(7), 2)
         res = is_shellable(k, budget=1)
-        assert res.shellable is None and res.budget_exceeded
+        assert res.shellable is None
 
     def test_explored_pinned_on_twin_bridge(self):
         res = is_shellable(ind_r(twin_bridge_paths(4), 2))
@@ -186,7 +202,7 @@ class TestShellability:
 
     def test_budget_below_the_full_count_stops_at_the_budget(self):
         rng = random.Random(131)
-        complexes = [ind_r(path_graph(7), 2), SimplicialComplex.from_faces("abcd", ["ab", "cd"])]
+        complexes = [ind_r(path_graph(7), 2), complex_from_faces("abcd", ["ab", "cd"])]
         complexes += [random_complex(rng, n_max=5, facet_cap=6) for _ in range(30)]
         for k in complexes:
             full = is_shellable(k)

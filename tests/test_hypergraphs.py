@@ -186,7 +186,6 @@ class TestChordality:
         h = con_r(path_graph(5), 2)
         res = is_chordal_hypergraph(h, budget=3)
         assert res.chordal is None
-        assert res.budget_exceeded
         assert res.minors_visited == 3
 
     @pytest.mark.parametrize(

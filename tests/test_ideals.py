@@ -3,9 +3,16 @@ import random
 from importlib import resources
 
 import pytest
-from conftest import oracle_minimal_covers, random_graph
+from conftest import (
+    complex_from_faces,
+    faces_of,
+    oracle_minimal_covers,
+    random_graph,
+    recursion_limit,
+    variable_ideal,
+)
 
-from rindep.complexes import SimplicialComplex, ind_r
+from rindep.complexes import ind_r
 from rindep.decompose import is_vertex_decomposable
 from rindep.graphs import (
     CaterpillarSpec,
@@ -68,11 +75,11 @@ class TestMonomialIdeal:
 class TestStanleyReisner:
     def test_boundary_of_simplex(self):
         full = frozenset("abcd")
-        bd = SimplicialComplex.from_faces("abcd", [full - {v} for v in "abcd"])
+        bd = complex_from_faces("abcd", [full - {v} for v in "abcd"])
         assert gen_sets(stanley_reisner(bd)) == {full}
 
     def test_full_simplex_gives_zero_ideal(self):
-        assert stanley_reisner(SimplicialComplex.simplex("abc")).is_zero
+        assert stanley_reisner(complex_from_faces("abc", ["abc"])).is_zero
 
     def test_worked_example_tail(self):
         cg = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
@@ -86,7 +93,7 @@ class TestStanleyReisner:
             g = random_graph(rng, 3, 6)
             k = ind_r(g, rng.choice((1, 2)))
             sr = stanley_reisner(k)
-            faces = k.faces()
+            faces = faces_of(k)
             for gen in sr.generators:
                 assert gen not in faces
                 assert all((gen - {v}) in faces for v in gen)
@@ -212,7 +219,7 @@ class TestVertexSplittable:
         assert verify_split_certificate(dual, res.certificate)
 
     def test_glued_simplices_dual_is_not_splittable(self):
-        k = SimplicialComplex.from_faces("abcdef", [("a", "b", "c", "d"), ("c", "d", "e", "f")])
+        k = complex_from_faces("abcdef", [("a", "b", "c", "d"), ("c", "d", "e", "f")])
         assert is_vertex_splittable(alexander_dual_ideal(stanley_reisner(k))).splittable is False
 
     def test_disjoint_edges_dual_not_splittable(self):
@@ -234,6 +241,22 @@ class TestVertexSplittable:
         data = cert.to_json_dict()
         data["quotient"], data["remainder"] = data["remainder"], data["quotient"]
         assert not verify_split_certificate(dual, SplitNode.from_json_dict(data))
+
+    def test_certificate_deeper_than_the_recursion_limit_verifies_and_round_trips(self):
+        i = variable_ideal(200)
+        res = is_vertex_splittable(i)
+        assert res.splittable is True and res.explored == 201
+        with recursion_limit(60):
+            assert verify_split_certificate(i, res.certificate)
+            back = SplitNode.from_json_dict(res.certificate.to_json_dict())
+            assert verify_split_certificate(i, back)
+        assert back == res.certificate
+
+    def test_leaf_sizes(self):
+        zero = MonomialIdeal.from_supports("ab", [])
+        assert verify_split_certificate(zero, SplitNode(()))
+        two = MonomialIdeal.from_supports("ab", ["a", "b"])
+        assert not verify_split_certificate(two, SplitNode((("a",), ("b",))))
 
     def test_certificate_round_trip(self):
         rng = random.Random(173)

@@ -10,9 +10,12 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import (
+    complex_from_faces,
+    deletion_facets,
     is_simplicial_vertex,
     oracle_chordality,
     oracle_cm,
@@ -22,6 +25,8 @@ from conftest import (
     oracle_scm,
     oracle_split,
     oracle_vd,
+    oracle_verify_shedding,
+    oracle_verify_split,
     reduced_hypergraph,
 )
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +34,6 @@ from hypothesis import strategies as st
 
 from rindep.cli import main
 from rindep.complexes import (
-    SimplicialComplex,
     f_vector,
     ind_r,
     link,
@@ -37,6 +41,7 @@ from rindep.complexes import (
     pure_skeleton,
 )
 from rindep.decompose import (
+    _shed_sets,
     is_shellable,
     is_vertex_decomposable,
     verify_shedding_certificate,
@@ -78,7 +83,7 @@ def _subsets(draw, min_vertices, max_vertices, min_size):
 
 # simple hypergraphs (minimal edges kept) and complexes (maximal faces kept)
 hypergraphs = _subsets(0, 7, 0).map(lambda vs: reduced_hypergraph(*vs))
-antichain_complexes = _subsets(1, 7, 1).map(lambda vs: SimplicialComplex.from_faces(*vs))
+antichain_complexes = _subsets(1, 7, 1).map(lambda vs: complex_from_faces(*vs))
 
 
 @st.composite
@@ -88,7 +93,7 @@ def _scrambled_complexes(draw):
     verts, subsets = draw(_subsets(1, 7, 1))
     labels = draw(st.permutations([str(i) for i in range(2, 14)]))[: len(verts)]
     relabel = dict(zip(verts, labels))
-    return SimplicialComplex.from_faces(labels, [[relabel[v] for v in s] for s in subsets])
+    return complex_from_faces(labels, [[relabel[v] for v in s] for s in subsets])
 
 
 con_r_of_graphs = st.builds(con_r, graphs(8), radii)
@@ -271,6 +276,108 @@ def test_vd_implies_shellable_implies_scm_and_certificates_verify(k):
         split = is_vertex_splittable(dual)
         if split.splittable:
             assert verify_split_certificate(dual, split.certificate)
+
+
+def _preorder(cert) -> list:
+    nodes, stack = [], [cert]
+    while stack:
+        nodes.append(stack.pop())
+        if nodes[-1].branch is not None:
+            stack += [nodes[-1].second, nodes[-1].first]
+    return nodes
+
+
+def _replaced(node, target, new):
+    """``node`` with every occurrence of the subtree ``target`` replaced by
+    ``new``."""
+    if node is target:
+        return new
+    if node.branch is None:
+        return node
+    first, second = _replaced(node.first, target, new), _replaced(node.second, target, new)
+    return replace(node, first=first, second=second)
+
+
+def _unheld(node, j: int, labels) -> str:
+    """A label that no set of ``node`` holds: one of ``labels``, or one
+    outside them."""
+    free = [v for v in labels if not any(v in s for s in node.sets)] + ["zz"]
+    return free[j % len(free)]
+
+
+def _any(node) -> bool:
+    return True
+
+
+def _inner(node) -> bool:
+    return node.branch is not None
+
+
+def _leaf(node) -> bool:
+    return node.branch is None
+
+
+_MUTATIONS = {  # name: (the nodes it applies to, (node, set index, labels) -> mutated node)
+    "children swapped": (_inner, lambda n, j, _: replace(n, first=n.second, second=n.first)),
+    "set dropped": (_any, lambda n, j, _: replace(n, sets=n.sets[:j] + n.sets[j + 1 :])),
+    "set duplicated": (_any, lambda n, j, _: replace(n, sets=n.sets[: j + 1] + n.sets[j:])),
+    "branch held by no set": (
+        _inner, lambda n, j, labels: replace(n, branch=_unheld(n, j, labels))
+    ),
+    "first child missing": (_inner, lambda n, j, _: replace(n, first=None)),
+    "second child missing": (_inner, lambda n, j, _: replace(n, second=None)),
+    "inner node made a leaf": (
+        _inner, lambda n, j, _: replace(n, branch=None, first=None, second=None)
+    ),
+    "leaf with no set": (_leaf, lambda n, j, _: replace(n, sets=())),
+    "leaf with two sets": (
+        _leaf, lambda n, j, _: replace(n, sets=tuple(sorted(n.sets + (("zz",),))))
+    ),
+}
+
+
+@SETTINGS
+@given(complexes, complexes, st.data())
+def test_replay_matches_recursive_oracle_verifiers(k, other, data):
+    """Both verifiers give the verdicts of the recursive oracles on search
+    certificates, against another complex or ideal, and after each mutation
+    at a drawn node."""
+    cases = []
+    vd = is_vertex_decomposable(k)
+    if vd.decomposable:
+        cert = vd.certificate
+        cases.append((verify_shedding_certificate, oracle_verify_shedding, k, other, cert))
+    sr = stanley_reisner(k)
+    i = sr if sr.is_zero else alexander_dual_ideal(sr)
+    split = is_vertex_splittable(i)
+    if split.splittable:
+        wrong = stanley_reisner(other)
+        cases.append((verify_split_certificate, oracle_verify_split, i, wrong, split.certificate))
+    for verify, oracle, target, wrong, cert in cases:
+        assert verify(target, cert) and oracle(target, cert)
+        assert verify(wrong, cert) == oracle(wrong, cert)
+        labels = target.ground_set if verify is verify_shedding_certificate else target.variables
+        for applies, mutate in _MUTATIONS.values():
+            nodes = [n for n in _preorder(cert) if applies(n)]
+            if nodes:
+                node = data.draw(st.sampled_from(nodes))
+                j = data.draw(st.integers(0, max(len(node.sets) - 1, 0)))
+                mutated = _replaced(cert, node, mutate(node, j, labels))
+                assert verify(target, mutated) == oracle(target, mutated)
+
+
+@SETTINGS
+@given(complexes)
+def test_labelled_shedding_condition_matches_definition(k):
+    """A vertex sheds when some facet holds it and the maximal sets of its
+    deletion are facets; the children are its link and that deletion."""
+    for v in k.ground_set:
+        deletion = deletion_facets(k.facets, v)
+        if any(v in f for f in k.facets) and deletion <= k.facets:
+            expected = frozenset(f - {v} for f in k.facets if v in f), deletion
+        else:
+            expected = None
+        assert _shed_sets(k.facets, v) == expected
 
 
 # ---------------------------------------------------------------------------
