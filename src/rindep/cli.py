@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -173,10 +174,13 @@ def run_checks(
     graph: Graph | None = None,
     r: int | None = None,
 ) -> dict:
-    """Run the requested property checks and assemble the report blocks.
+    """Run the requested property checks and assemble the report blocks,
+    from ``field`` to ``timings``.
 
     ``graph`` and ``r`` enable the graph-level checks (the hypergraph route
-    of the splittable check and hypergraph chordality)."""
+    of the splittable check and hypergraph chordality).  A true ``vd``,
+    ``shellable`` or ``splittable`` verdict is recorded only once its
+    certificate has been verified, or the zero-ideal note written."""
     verdicts: dict[str, str] = {}
     certificates: dict[str, object] = {}
     witnesses: dict[str, object] = {}
@@ -190,16 +194,16 @@ def run_checks(
         start = time.perf_counter()
         if prop == "vd":
             res = is_vertex_decomposable(complex_, budgets["vd"])
-            record(prop, res.decomposable)
             if res.decomposable:
                 assert verify_shedding_certificate(complex_, res.certificate)
                 certificates["vd"] = res.certificate.to_json_dict()
+            record(prop, res.decomposable)
         elif prop == "shellable":
             res = is_shellable(complex_, budgets["shell"])
-            record(prop, res.shellable)
             if res.shellable:
                 assert verify_shelling_certificate(complex_, res.order)
                 certificates["shellable"] = [sorted(f) for f in res.order]
+            record(prop, res.shellable)
         elif prop == "cm":
             rep = is_cohen_macaulay(complex_, field)
             record(prop, rep.cohen_macaulay)
@@ -222,19 +226,19 @@ def run_checks(
                 # the full simplex is the one complex with a zero Stanley-Reisner
                 # ideal; zero and unit ideals are both split base cases, so the
                 # verdict is true without taking a dual
-                record(prop, True)
                 extras["splittable"] = {"note": "stanley-reisner ideal is zero (simplex)"}
+                record(prop, True)
             else:
                 if graph is not None and r is not None:
                     dual = dual_of_ind(graph, r, complex_)  # cross-checks both routes
                 else:
                     dual = alexander_dual_ideal(stanley_reisner(complex_))
                 res = is_vertex_splittable(dual, budgets["split"])
-                record(prop, res.splittable)
                 extras["splittable"] = {"dual_ideal": dual.to_json_dict()}
                 if res.splittable:
                     assert verify_split_certificate(dual, res.certificate)
                     certificates["splittable"] = res.certificate.to_json_dict()
+                record(prop, res.splittable)
         elif prop == "chordal-hypergraph":
             if graph is None or r is None:
                 raise GraphParseError("chordal-hypergraph needs a graph input and r")
@@ -247,12 +251,7 @@ def run_checks(
             raise GraphParseError(f"unknown property {prop!r}")
         timings[prop] = round(time.perf_counter() - start, 6)
 
-    report = {
-        "schema_version": 1,
-        "tool": {"name": "rindep", "version": __version__},
-        "field": field_name(field),
-        "verdicts": verdicts,
-    }
+    report = {"field": field_name(field), "verdicts": verdicts}
     if certificates:
         report["certificates"] = certificates
     if witnesses:
@@ -283,13 +282,12 @@ def cmd_check(args) -> int:
         if r is None or r < 1:
             raise GraphParseError("--r is required (a positive integer) for graph inputs")
         complex_ = ind_r(graph, r)
-    blocks = run_checks(complex_, props, _budgets(args), field, graph, r)
     report = {
-        "schema_version": blocks.pop("schema_version"),
-        "tool": blocks.pop("tool"),
+        "schema_version": 1,
+        "tool": {"name": "rindep", "version": __version__},
         "input": {**input_desc, "r": r},
+        **run_checks(complex_, props, _budgets(args), field, graph, r),
     }
-    report.update(blocks)
     _emit(report, args.out)
     if any(v == "budget-exceeded" for v in report["verdicts"].values()):
         return EXIT_BUDGET
@@ -308,52 +306,20 @@ def _r_range(raw: str) -> range:
     return rs
 
 
-def _scan_payloads(args, rs: range, props: list[str], field: int | None) -> list[dict]:
-    budgets = _budgets(args)
-    payloads = []
-    for n in range(1, args.n + 1):
-        index = 0
-        for tree in enumerate_trees(n):
-            if args.family == "caterpillars" and not is_caterpillar(tree):
-                continue
-            for r in rs:
-                payloads.append(
-                    {
-                        "family": args.family,
-                        "n": n,
-                        "index": index,
-                        "r": r,
-                        "vertices": list(tree.vertices),
-                        "edges": [list(e) for e in tree.sorted_edges()],
-                        "props": props,
-                        "budgets": budgets,
-                        "field": field,
-                    }
-                )
-            index += 1
-    return payloads
-
-
-def _scan_worker(payload: dict) -> dict:
-    graph = Graph.from_edges(payload["vertices"], payload["edges"])
-    r = payload["r"]
-    complex_ = ind_r(graph, r)
-    report = run_checks(complex_, payload["props"], payload["budgets"], payload["field"], graph, r)
+def _scan_item(family: str, props: list[str], budgets: dict[str, int], field: int | None, item) -> dict:
+    """One JSON line of ``scan`` for the item ``(n, index, tree, r)``."""
+    n, index, tree, r = item
+    verdicts = run_checks(ind_r(tree, r), props, budgets, field, tree, r)["verdicts"]
     line = {
-        "family": payload["family"],
-        "n": payload["n"],
-        "index": payload["index"],
+        "family": family,
+        "n": n,
+        "index": index,
         "r": r,
-        "edges": payload["edges"],
-        "verdicts": report["verdicts"],
+        "edges": [list(e) for e in tree.sorted_edges()],
+        "verdicts": verdicts,
     }
-    certified = {}
-    for prop in ("vd", "shellable", "splittable"):
-        if report["verdicts"].get(prop) == "true":
-            has_cert = prop in report.get("certificates", {})
-            if prop == "splittable" and not has_cert:
-                has_cert = "note" in report.get("splittable", {})
-            certified[prop] = has_cert
+    # run_checks records these true only with a verified certificate
+    certified = {p: True for p in ("vd", "shellable", "splittable") if verdicts.get(p) == "true"}
     if certified:
         line["certified"] = certified
     return line
@@ -364,14 +330,24 @@ def cmd_scan(args) -> int:
         raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
     # every argument is checked before the first item is built
     rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
-    payloads = _scan_payloads(args, rs, props, field)
+    items = [
+        (n, index, tree, r)
+        for n in range(1, args.n + 1)
+        for index, tree in enumerate(
+            t for t in enumerate_trees(n) if args.family == "trees" or is_caterpillar(t)
+        )
+        for r in rs
+    ]
+    worker = functools.partial(_scan_item, args.family, props, _budgets(args), field)
     # a pool starts all its workers at once, so never more than can run
-    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    workers = min(args.jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(_scan_worker, payloads, chunksize=1))
+            lines = list(pool.map(worker, items, chunksize=1))
     else:
-        lines = [_scan_worker(p) for p in payloads]
+        # popping releases each tree, and what the checks cached on it, after its last item
+        items.reverse()
+        lines = [worker(items.pop()) for _ in range(len(items))]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         counts: dict[str, dict[str, int]] = {}

@@ -18,9 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, r_growth_test
-from .hypergraphs import GuardExceeded, is_antichain, reduce_to_maximal
-
-FACE_ENUMERATION_GUARD = 20  # full face enumeration allowed up to 2^20 subsets
+from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family, reduce_to_maximal
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -104,14 +102,7 @@ class SimplicialComplex:
     facets: frozenset[frozenset[str]]
 
     def __post_init__(self):
-        labels = set(self.ground_set)
-        if len(labels) != len(self.ground_set):
-            raise ValueError("duplicate ground-set labels")
-        for f in self.facets:
-            if not f <= labels:
-                raise ValueError(f"facet {sorted(f)} uses unknown vertices")
-        if not is_antichain(self.facets):
-            raise ValueError("facets do not form an antichain")
+        check_family(self.ground_set, self.facets, "facet")
 
     @cached_property
     def index(self) -> dict[str, int]:

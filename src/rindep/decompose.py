@@ -10,7 +10,7 @@ from typing import Callable, ClassVar, Container, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .graphs import bits
-from .hypergraphs import is_antichain, reduce_to_maximal
+from .hypergraphs import reduce_to_maximal
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -121,21 +121,20 @@ class CertificateNode:
 
 
 def replay(
-    cert: CertificateNode, sets: Iterable[frozenset[str]], parts: Callable, leaf_sizes: Container[int]
+    cert: CertificateNode, sets: frozenset[frozenset[str]], parts: Callable, leaf_sizes: Container[int]
 ) -> bool:
-    """Check a certificate tree against the family ``sets`` at its root,
+    """Check a certificate tree against the antichain ``sets`` at its root,
     node by node on an explicit stack.  Every node must store the canonical
-    form of the family its parent computed (at the root, ``sets``), as
-    distinct sets forming an antichain.  A leaf must hold a number of sets
-    in ``leaf_sizes``; at an inner node, ``parts(family, branch)`` must
-    return the two families its children store, not None."""
+    form of the family its parent computed (at the root, ``sets``).  Each
+    such family is a link, deletion, quotient or remainder of an antichain,
+    so it is again a family of distinct sets forming an antichain.  A leaf
+    must hold a number of sets in ``leaf_sizes``; at an inner node,
+    ``parts(family, branch)`` must return the two families its children
+    store, not None."""
     stack = [(cert, sets)]
     while stack:
-        node, expected = stack.pop()
-        if node is None or node.sets != _canon_sets(expected):
-            return False
-        family = frozenset(map(frozenset, node.sets))
-        if len(family) != len(node.sets) or not is_antichain(family):
+        node, family = stack.pop()
+        if node is None or node.sets != _canon_sets(family):
             return False
         if node.branch is None:
             if len(family) not in leaf_sizes:
@@ -178,25 +177,21 @@ def _shed(facets: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[i
     return None
 
 
-def is_vertex_decomposable(
-    k: SimplicialComplex,
-    budget: int = DEFAULT_VD_BUDGET,
-    candidate_order: Sequence[str] | None = None,
-) -> VDResult:
+def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET) -> VDResult:
     """Exact recursive evaluation: a complex is vertex decomposable when it
     is a simplex, or some vertex sheds (deletion facets stay facets) with a
     decomposable link and deletion.
 
     Verdicts are memoized on the facet masks (``certificate_search``); the
-    budget counts memo entries.  ``candidate_order`` overrides the ground-set
-    vertex order (the verdict itself is order independent).
+    budget counts memo entries.  Candidate vertices are tried in ground-set
+    order, and the first that sheds with certified children is the branch;
+    the verdict itself does not depend on the order.
     """
     if k.is_void:
         raise ValueError("void complex")
-    order = k.ground_set if candidate_order is None else candidate_order
-    bit_order = [k.index[v] for v in order if v in k.index]
     root = frozenset(k.facet_masks)
-    return VDResult(*certificate_search(root, bit_order, _shed, budget, k.ground_set, SheddingNode))
+    order = list(range(len(k.ground_set)))
+    return VDResult(*certificate_search(root, order, _shed, budget, k.ground_set, SheddingNode))
 
 
 def _shed_sets(

@@ -279,11 +279,6 @@ def twin_bridge_paths(r: int) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _tree_size(t: tuple) -> int:
-    return 1 + sum(_tree_size(c) for c in t)
-
-
-@lru_cache(maxsize=None)
 def _rooted_trees(n: int) -> tuple[tuple, ...]:
     if n == 1:
         return ((),)
@@ -326,15 +321,15 @@ def _forest_to_graph(n: int, roots: list[tuple], root_edge: bool) -> Graph:
     return Graph.from_edges([str(i) for i in range(1, n + 1)], edges)
 
 
-def enumerate_trees(n: int, limit: int = TREE_ENUMERATION_LIMIT) -> Iterator[Graph]:
+def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of trees on n vertices.
 
     Unicentroidal trees are rooted at the centroid (all child subtrees have
     fewer than n/2 vertices); bicentroidal trees are two half-trees joined by
     an edge.  Each class appears exactly once.
     """
-    if not 1 <= n <= limit:
-        raise ValueError(f"n must be between 1 and {limit}")
+    if not 1 <= n <= TREE_ENUMERATION_LIMIT:
+        raise ValueError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
     if n == 1:
         yield Graph.from_edges(["1"], [])
         return

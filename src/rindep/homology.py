@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Container
 
-from .complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
+from .complexes import SimplicialComplex, mask_order, submasks
 
 
 def parse_field(spec: str) -> int | None:
@@ -193,7 +193,12 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     Faces are scanned in (dimension, label) order, so a false verdict always
     carries the lexicographically first witness.  Links that agree up to an
     order-preserving relabelling are eliminated once per call."""
-    return _cohen_macaulay(k, field, {})
+    if k.is_void:
+        raise ValueError("void complex")
+    if not k.is_pure():
+        smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
+        return CMReport(False, field_name(field), smallest, None, "non-pure")
+    return _cohen_macaulay(k, k.face_masks(), field, {})
 
 
 def _relabelled(facets: list[int]) -> tuple[int, ...]:
@@ -213,16 +218,15 @@ def _relabelled(facets: list[int]) -> tuple[int, ...]:
     return tuple(sorted(facets))
 
 
-def _cohen_macaulay(k: SimplicialComplex, field: int | None, memo: dict) -> CMReport:
-    """``is_cohen_macaulay`` with the link Betti numbers memoized in ``memo``."""
+def _cohen_macaulay(k: SimplicialComplex, faces: set[int], field: int | None, memo: dict) -> CMReport:
+    """Reisner's criterion on the pure complex with face masks ``faces``
+    over the ground set of ``k``; its facets are its largest faces.  The
+    link Betti numbers are memoized in ``memo``."""
     name = field_name(field)
-    if k.is_void:
-        raise ValueError("void complex")
-    if not k.is_pure():
-        smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
-        return CMReport(False, name, smallest, None, "non-pure")
-    facets = k.facet_masks
-    for face in sorted(k.face_masks(), key=mask_order):
+    faces = sorted(faces, key=mask_order)
+    top = faces[-1].bit_count()
+    facets = [f for f in faces if f.bit_count() == top]
+    for face in faces:
         # the link's facets are the facets through the face, minus the face
         key = _relabelled([f ^ face for f in facets if f & face == face])
         betti = memo.get(key)
@@ -266,14 +270,17 @@ def is_scm(k: SimplicialComplex, field: int | None = None) -> SCMReport:
     name = field_name(field)
     if k.is_void:
         raise ValueError("void complex")
+    faces = k.face_masks() if k.dimension > 0 else set()  # no skeleton below dimension 1
     facet_sizes = {f.bit_count() for f in k.facet_masks}
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # link facets -> Betti numbers
     reports: dict[int, CMReport] = {}
-    for m in range(k.dimension or 0, 0, -1):
+    for m in range(k.dimension, 0, -1):
         above = reports.get(m + 1)
         if m + 1 not in facet_sizes and above is not None and above.cohen_macaulay:
             reports[m] = CMReport(True, name)
         else:
-            reports[m] = _cohen_macaulay(pure_skeleton(k, m), field, memo)
+            # the pure m-skeleton is generated by the faces with m+1 vertices
+            skeleton = submasks(f for f in faces if f.bit_count() == m + 1)
+            reports[m] = _cohen_macaulay(k, skeleton, field, memo)
     verdict = all(rep.cohen_macaulay for rep in reports.values())
     return SCMReport(verdict, name, tuple(sorted(reports.items())))

@@ -11,6 +11,7 @@ from typing import Iterable
 from .graphs import Graph, bits, r_growth_test
 
 DEFAULT_MINOR_BUDGET = 2_000_000
+FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
 
 
 class GuardExceeded(RuntimeError):
@@ -40,6 +41,21 @@ def is_antichain(sets: Iterable[frozenset[str]]) -> bool:
     )
 
 
+def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
+    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets`` form
+    an antichain over them; ``member`` names one set in the messages."""
+    known = set(labels)
+    if len(known) != len(labels):
+        twice = next(v for i, v in enumerate(labels) if v in labels[:i])
+        raise ValueError(f"label {twice!r} appears twice under the {member}s")
+    for s in sets:
+        if not s <= known:
+            raise ValueError(f"{member} {sorted(s)} uses unknown labels")
+    if not is_antichain(sets):
+        inner = next(a for a in sets if any(a < b for b in sets))
+        raise ValueError(f"{member} {sorted(inner)} lies inside another {member}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Simple hypergraph: the edge set is an antichain under inclusion."""
@@ -48,14 +64,7 @@ class Hypergraph:
     edges: frozenset[frozenset[str]]
 
     def __post_init__(self):
-        labels = set(self.vertices)
-        if len(labels) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
-        for e in self.edges:
-            if not e <= labels:
-                raise ValueError(f"edge {sorted(e)} uses unknown vertices")
-        if not is_antichain(self.edges):
-            raise ValueError("edge set is not an antichain")
+        check_family(self.vertices, self.edges, "edge")
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,7 +172,7 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     return ChordalityResult(True, None, visited)
 
 
-def minimal_vertex_covers(h: Hypergraph, guard: int = 20) -> frozenset[frozenset[str]]:
+def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
     """All inclusion-minimal sets meeting every edge.
 
     Bitmask candidates grow from the empty set by a vertex of the first edge
@@ -171,7 +180,7 @@ def minimal_vertex_covers(h: Hypergraph, guard: int = 20) -> frozenset[frozenset
     With no edges the empty set is the unique cover; an empty edge cannot be
     met, so the cover family is empty.
     """
-    if len(h.vertices) > guard:
+    if len(h.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded(f"cover enumeration over 2^{len(h.vertices)} vertices")
     idx = {v: i for i, v in enumerate(h.vertices)}
     edges = [sum(1 << idx[v] for v in e) for e in h.edges]

@@ -10,7 +10,7 @@ from typing import Iterable
 from .complexes import SimplicialComplex, ind_r, minimal_nonfaces
 from .decompose import CertificateNode, certificate_search, replay
 from .graphs import Graph
-from .hypergraphs import Hypergraph, con_r, is_antichain, minimal_vertex_covers
+from .hypergraphs import Hypergraph, check_family, con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
 
@@ -37,14 +37,7 @@ class MonomialIdeal:
     generators: frozenset[frozenset[str]]
 
     def __post_init__(self):
-        names = set(self.variables)
-        if len(names) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        for g in self.generators:
-            if not g <= names:
-                raise ValueError(f"generator {sorted(g)} uses unknown variables")
-        if not is_antichain(self.generators):
-            raise ValueError("generators do not form an antichain")
+        check_family(self.variables, self.generators, "generator")
 
     @classmethod
     def from_supports(cls, variables: Iterable, supports: Iterable) -> MonomialIdeal:
@@ -99,16 +92,18 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
 def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
     """Dual of the Stanley-Reisner ideal of the r-independence complex.
 
-    Computed twice, by independent enumerations: as the cover dual of the
-    connected-subset hypergraph's edge ideal, and from the facets of the
-    complex, whose complements generate the dual (Miller-Sturmfels, ch. 1).
-    Any mismatch raises, since the two routes must agree facet for facet.
-    ``k`` is ``ind_r(g, r)`` when the caller has built it already; it is
-    built here otherwise.
+    Computed twice, by independent enumerations: as the minimal vertex
+    covers of the connected-subset hypergraph, whose edges generate the
+    Stanley-Reisner ideal, and as the complements of the facets of the
+    complex (Miller-Sturmfels, ch. 1).  Any mismatch raises, since the two
+    routes must agree facet for facet; the ideal is built once, from the
+    covers.  ``k`` is ``ind_r(g, r)`` when the caller has built it already;
+    it is built here otherwise.
 
     When the graph has no connected (r+1)-subset the complex is the full
     simplex, its Stanley-Reisner ideal is zero, and the dual is rejected
-    just like ``alexander_dual_ideal`` on the zero ideal.
+    just like ``alexander_dual_ideal`` on the zero ideal.  That ideal is
+    never the unit ideal, since every edge has r+1 >= 2 vertices.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -117,16 +112,15 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
         raise ZeroIdealError(
             "every vertex subset is r-independent; the Stanley-Reisner ideal is zero"
         )
-    via_covers = alexander_dual_ideal(MonomialIdeal(h.vertices, h.edges))
+    covers = minimal_vertex_covers(h)
     full = frozenset(g.vertices)
     if k is None:
         k = ind_r(g, r)
-    via_complex = MonomialIdeal(g.vertices, frozenset(full - f for f in k.facets))
-    if via_covers != via_complex:
+    if covers != frozenset(full - f for f in k.facets):
         raise CrossCheckError(
             "cover dual and Stanley-Reisner dual disagree; this is a bug"
         )
-    return via_covers
+    return MonomialIdeal(g.vertices, covers)
 
 
 # ---------------------------------------------------------------------------

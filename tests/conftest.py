@@ -260,15 +260,14 @@ def split_children(gens, x: str):
     return quotients, remainder
 
 
-def oracle_vd(k, budget: int = DEFAULT_VD_BUDGET, candidate_order=None) -> VDResult:
+def oracle_vd(k, budget: int = DEFAULT_VD_BUDGET) -> VDResult:
     """Vertex decomposability by the definition: a vertex sheds when the
-    maximal sets of the deletion are facets; candidates in ground-set order
-    (or ``candidate_order``)."""
-    order = tuple(candidate_order) if candidate_order is not None else k.ground_set
+    maximal sets of the deletion are facets; candidates in ground-set
+    order."""
 
     def candidates(facets):
         support = frozenset().union(*facets)
-        return [v for v in order if v in support]
+        return [v for v in k.ground_set if v in support]
 
     def children(facets, v):
         deletion = deletion_facets(facets, v)

@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package, and every
 public method and property of a public class, has a caller in the package or
-the benchmark, so no API exists only for the tests.
+the benchmark, so no API exists only for the tests; and every private
+module-level function has a caller there, so none is dead.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body.  So it misses a
@@ -37,19 +38,33 @@ def _public(body: list, kinds: tuple) -> list:
     return [node for node in body if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
+def _orphans(definitions: list) -> list[str]:
+    """The names of the ``(name, node)`` definitions that only their own
+    body uses in the package and the benchmark."""
+    used = sum((_references(ast.parse(path.read_text())) for path in CALLERS), Counter())
+    return [name for name, node in definitions if used[node.name] == _references(node)[node.name]]
+
+
+def _module_bodies() -> list:
+    return [(path.stem, ast.parse(path.read_text()).body) for path in PACKAGE]
+
+
 def test_every_public_definition_has_a_caller_outside_tests():
-    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
-    used = sum(map(_references, trees.values()), Counter())
     definitions = []
-    for path in PACKAGE:
-        for node in _public(trees[path].body, (ast.FunctionDef, ast.ClassDef)):
-            definitions.append((f"{path.stem}.{node.name}", node))
+    for module, body in _module_bodies():
+        for node in _public(body, (ast.FunctionDef, ast.ClassDef)):
+            definitions.append((f"{module}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
                 for member in _public(node.body, (ast.FunctionDef,)):
-                    definitions.append((f"{path.stem}.{node.name}.{member.name}", member))
-    orphans = [
-        name
-        for name, node in definitions
-        if used[node.name] == _references(node)[node.name]  # only its own body uses it
+                    definitions.append((f"{module}.{node.name}.{member.name}", member))
+    assert _orphans(definitions) == []
+
+
+def test_every_private_module_function_has_a_caller():
+    definitions = [
+        (f"{module}.{node.name}", node)
+        for module, body in _module_bodies()
+        for node in body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
     ]
-    assert orphans == []
+    assert _orphans(definitions) == []

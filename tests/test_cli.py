@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import networkx as nx
 import pytest
 from conftest import oracle_ind_r_facets, path_complex, recursion_limit
 
@@ -13,7 +14,7 @@ from rindep.cli import (
     build_generator,
     main,
 )
-from rindep.graphs import parse_edge_list
+from rindep.graphs import Graph, is_caterpillar, parse_edge_list
 
 GENERATOR_TOKENS = [
     "fig1",
@@ -284,14 +285,23 @@ class TestScan:
 
     def test_caterpillar_family_counts(self, capsys):
         code, out, _ = run_cli(
-            capsys, "scan", "--family", "caterpillars", "--n", "6", "--r", "1..2",
+            capsys, "scan", "--family", "caterpillars", "--n", "8", "--r", "1..2",
             "--props", "vd",
         )
         lines = [json.loads(line) for line in out.strip().splitlines()]
         summary = lines[-1]["summary"]
-        # caterpillar classes on 1..6 vertices: 1,1,1,2,3,6 -> 14 graphs x 2 r values
-        assert summary["items"] == 28
-        assert summary["verdicts"]["vd"] == {"true": 28}
+        # caterpillar classes on 1..8 vertices: 1,1,1,2,3,6,10,20 -> 44 graphs x 2 r
+        # values; from 7 vertices on, some trees are not caterpillars
+        assert summary["items"] == 88
+        assert summary["verdicts"]["vd"] == {"true": 88}
+        # the indices of each n run 0..count-1 over distinct caterpillar classes
+        for n, count in enumerate((1, 1, 1, 2, 3, 6, 10, 20), start=1):
+            edges = {line["index"]: line["edges"] for line in lines[:-1] if line["n"] == n}
+            assert sorted(edges) == list(range(count))
+            graphs = [Graph.from_edges(map(str, range(1, n + 1)), e) for e in edges.values()]
+            assert all(map(is_caterpillar, graphs))
+            as_nx = [nx.Graph(list(g.edges)) for g in graphs]
+            assert not any(nx.is_isomorphic(a, b) for a, b in itertools.combinations(as_nx, 2))
 
     def test_parallel_matches_serial(self, capsys):
         argv = ["scan", "--family", "trees", "--n", "5", "--r", "1..2", "--props", "vd,shellable"]
