@@ -142,7 +142,7 @@ def _graph_input(args) -> tuple[Graph, dict]:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, default=lambda o: o.to_json_dict())
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -175,7 +175,7 @@ def run_checks(
     r: int | None = None,
 ) -> dict:
     """Run the requested property checks and assemble the report blocks,
-    from ``field`` to ``timings``.
+    from ``field`` to ``timings``; ``_emit`` renders the objects in them.
 
     ``graph`` and ``r`` enable the graph-level checks (the hypergraph route
     of the splittable check and hypergraph chordality).  A true ``vd``,
@@ -196,7 +196,7 @@ def run_checks(
             res = is_vertex_decomposable(complex_, budgets["vd"])
             if res.decomposable:
                 assert verify_shedding_certificate(complex_, res.certificate)
-                certificates["vd"] = res.certificate.to_json_dict()
+                certificates["vd"] = res.certificate
             record(prop, res.decomposable)
         elif prop == "shellable":
             res = is_shellable(complex_, budgets["shell"])
@@ -208,11 +208,11 @@ def run_checks(
             rep = is_cohen_macaulay(complex_, field)
             record(prop, rep.cohen_macaulay)
             if not rep.cohen_macaulay:
-                witnesses["cm"] = rep.to_json_dict()
+                witnesses["cm"] = rep
         elif prop == "scm":
             rep = is_scm(complex_, field)
             record(prop, rep.sequentially_cohen_macaulay)
-            extras["scm"] = rep.to_json_dict()
+            extras["scm"] = rep
             if not rep.sequentially_cohen_macaulay:
                 first_bad = rep.failing_dimensions()[0]
                 bad = dict(rep.skeletons)[first_bad]
@@ -234,10 +234,10 @@ def run_checks(
                 else:
                     dual = alexander_dual_ideal(stanley_reisner(complex_))
                 res = is_vertex_splittable(dual, budgets["split"])
-                extras["splittable"] = {"dual_ideal": dual.to_json_dict()}
+                extras["splittable"] = {"dual_ideal": dual}
                 if res.splittable:
                     assert verify_split_certificate(dual, res.certificate)
-                    certificates["splittable"] = res.certificate.to_json_dict()
+                    certificates["splittable"] = res.certificate
                 record(prop, res.splittable)
         elif prop == "chordal-hypergraph":
             if graph is None or r is None:
@@ -246,7 +246,7 @@ def run_checks(
             record(prop, res.chordal)
             extras["chordal-hypergraph"] = {"minors_visited": res.minors_visited}
             if res.chordal is False:
-                witnesses["chordal-hypergraph"] = res.witness.to_json_dict()
+                witnesses["chordal-hypergraph"] = res.witness
         else:
             raise GraphParseError(f"unknown property {prop!r}")
         timings[prop] = round(time.perf_counter() - start, 6)
@@ -356,9 +356,8 @@ def cmd_scan(args) -> int:
         for line in lines:
             print(json.dumps(line, separators=(",", ":")), file=out)
             for prop, verdict in line["verdicts"].items():
-                counts.setdefault(prop, {})[verdict] = (
-                    counts.setdefault(prop, {}).get(verdict, 0) + 1
-                )
+                tally = counts.setdefault(prop, {})
+                tally[verdict] = tally.get(verdict, 0) + 1
                 if verdict == "false":
                     counterexamples.append(
                         {"n": line["n"], "index": line["index"], "r": line["r"], "prop": prop}

@@ -1,5 +1,6 @@
 """Simplicial complexes in facet representation: higher independence
-complexes, links, skeletons, face enumeration, and minimal non-faces.
+complexes, links, skeletons, face enumeration, and minimal non-faces (the
+minimal vertex covers of the facet complements).
 
 Conventions: the void complex has no faces at all (empty facet family), the
 empty complex has the single facet {} (its only face), and a simplex is any
@@ -18,7 +19,14 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, r_growth_test
-from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family, reduce_to_maximal
+from .hypergraphs import (
+    FACE_ENUMERATION_GUARD,
+    GuardExceeded,
+    Hypergraph,
+    check_family,
+    minimal_vertex_covers,
+    reduce_to_maximal,
+)
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -229,20 +237,12 @@ def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
 def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
-    Each candidate is a face plus one vertex above its largest index, so
-    every subset is tested at most once, and only next to the faces.
+    A set is a non-face exactly when it lies in no facet, that is, when it
+    meets every facet complement: these are the minimal vertex covers of
+    the complements, and the empty set alone when the complex is void.
     """
-    if k.is_void:
-        return frozenset({frozenset()})
-    faces = k.face_masks()
-    n = len(k.ground_set)
-    out = []
-    for f in faces:
-        for i in range(f.bit_length(), n):
-            cand = f | 1 << i
-            if cand not in faces and all(cand ^ 1 << j in faces for j in bits(cand)):
-                out.append(k.labels(cand))
-    return frozenset(out)
+    ground = frozenset(k.ground_set)
+    return minimal_vertex_covers(Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets)))
 
 
 def f_vector(k: SimplicialComplex) -> list[int]:

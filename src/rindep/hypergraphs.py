@@ -1,5 +1,6 @@
 """Simple hypergraphs, the connected-subset hypergraph of a graph,
-exhaustive chordality checking over mask minors, and vertex covers."""
+exhaustive chordality checking over mask minors, and minimal vertex covers
+by Berge's rule: the one transversal routine, behind duals and non-faces."""
 
 from __future__ import annotations
 
@@ -173,30 +174,22 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
 
 
 def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
-    """All inclusion-minimal sets meeting every edge.
+    """All inclusion-minimal sets meeting every edge, by Berge's rule.
 
-    Bitmask candidates grow from the empty set by a vertex of the first edge
-    they miss, so each minimal cover is reached through its own subsets.
-    With no edges the empty set is the unique cover; an empty edge cannot be
-    met, so the cover family is empty.
+    The edges are taken one at a time in mask order.  The covers of the
+    edges so far that meet the next edge stay; each other cover grows by
+    one vertex of that edge in turn, and a grown set is dropped when it
+    contains a cover that stayed.  Only those can make it non-minimal: a
+    grown set holds one vertex of the edge, so it cannot contain another
+    grown set without being it.  With no edges the empty set is the unique
+    cover; an empty edge cannot be met, so the cover family is empty.
     """
     if len(h.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded(f"cover enumeration over 2^{len(h.vertices)} vertices")
     idx = {v: i for i, v in enumerate(h.vertices)}
-    edges = [sum(1 << idx[v] for v in e) for e in h.edges]
-
-    def missed(s: int) -> int | None:
-        return next((e for e in edges if not s & e), None)
-
-    covers, seen, stack = [], {0}, [0]
-    while stack:
-        s = stack.pop()
-        e = missed(s)
-        if e is None:
-            if all(missed(s ^ 1 << i) is not None for i in bits(s)):
-                covers.append(frozenset(h.vertices[i] for i in bits(s)))
-            continue
-        grown = {s | 1 << i for i in bits(e)} - seen
-        seen |= grown
-        stack.extend(grown)
-    return frozenset(covers)
+    covers = [0]
+    for e in sorted(sum(1 << idx[v] for v in edge) for edge in h.edges):
+        hit = [c for c in covers if c & e]
+        grown = [c | 1 << i for c in covers if not c & e for i in bits(e)]
+        covers = hit + [g for g in grown if all(c & ~g for c in hit)]
+    return frozenset(frozenset(h.vertices[i] for i in bits(c)) for c in covers)

@@ -54,19 +54,13 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return frozenset() in self.generators
 
-    def var_key(self, s: frozenset[str]) -> tuple[int, ...]:
-        idx = {v: i for i, v in enumerate(self.variables)}
-        return tuple(sorted(idx[v] for v in s))
-
-    def sorted_generators(self) -> list[frozenset[str]]:
-        return sorted(self.generators, key=lambda s: (len(s), self.var_key(s)))
-
     def to_json_dict(self) -> dict:
+        """Generators in (size, variable order), each in variable order."""
+        idx = {v: i for i, v in enumerate(self.variables)}
+        keyed = sorted((len(g), sorted(idx[v] for v in g)) for g in self.generators)
         return {
             "variables": list(self.variables),
-            "generators": [
-                [v for v in self.variables if v in g] for g in self.sorted_generators()
-            ],
+            "generators": [[self.variables[i] for i in key] for _, key in keyed],
         }
 
 
@@ -92,13 +86,12 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
 def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
     """Dual of the Stanley-Reisner ideal of the r-independence complex.
 
-    Computed twice, by independent enumerations: as the minimal vertex
-    covers of the connected-subset hypergraph, whose edges generate the
-    Stanley-Reisner ideal, and as the complements of the facets of the
-    complex (Miller-Sturmfels, ch. 1).  Any mismatch raises, since the two
-    routes must agree facet for facet; the ideal is built once, from the
-    covers.  ``k`` is ``ind_r(g, r)`` when the caller has built it already;
-    it is built here otherwise.
+    Computed twice, by enumerations that share no code: Berge's rule gives
+    the minimal vertex covers of ``con_r``, whose edges generate the
+    Stanley-Reisner ideal, and ``maximal_sets`` the facets of the complex,
+    whose complements generate the dual (Miller-Sturmfels, ch. 1).  Any
+    mismatch raises; the ideal is built once, from the covers.  ``k`` is
+    ``ind_r(g, r)`` when the caller has built it already, else built here.
 
     When the graph has no connected (r+1)-subset the complex is the full
     simplex, its Stanley-Reisner ideal is zero, and the dual is rejected

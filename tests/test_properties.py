@@ -1,6 +1,7 @@
 """Property tests of the bitmask kernel and the searches against
 brute-force oracles and the public API and verifiers, a fuzz test of the
-CLI's exit codes, and byte-stability of reports across hash seeds and jobs."""
+CLI's exit codes, and byte-stability of reports across hash seeds and jobs
+and against pinned digests."""
 
 import contextlib
 import io
@@ -16,11 +17,13 @@ from pathlib import Path
 from conftest import (
     complex_from_faces,
     deletion_facets,
+    faces_of,
     is_simplicial_vertex,
     oracle_chordality,
     oracle_cm,
     oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
+    oracle_minimal_covers,
     oracle_reduced_betti,
     oracle_scm,
     oracle_split,
@@ -29,7 +32,7 @@ from conftest import (
     oracle_verify_split,
     reduced_hypergraph,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rindep.cli import main
@@ -39,6 +42,7 @@ from rindep.complexes import (
     ind_r,
     link,
     maximal_sets,
+    minimal_nonfaces,
     pure_skeleton,
 )
 from rindep.decompose import (
@@ -50,7 +54,12 @@ from rindep.decompose import (
 )
 from rindep.graphs import Graph, bits, r_growth_test
 from rindep.homology import is_cohen_macaulay, is_scm, reduced_homology
-from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, con_r, is_chordal_hypergraph
+from rindep.hypergraphs import (
+    DEFAULT_MINOR_BUDGET,
+    con_r,
+    is_chordal_hypergraph,
+    minimal_vertex_covers,
+)
 from rindep.ideals import (
     alexander_dual_ideal,
     is_vertex_splittable,
@@ -146,6 +155,34 @@ def test_maximal_sets_emits_each_set_once(n_fits):
     n, fits = n_fits
     found = maximal_sets(n, fits)
     assert len(found) == len(set(found))
+
+
+@SETTINGS
+@given(_subsets(0, 8, 0).map(lambda vs: reduced_hypergraph(*vs)))
+@example(reduced_hypergraph("abc", []))
+@example(reduced_hypergraph("ab", [()]))
+@example(reduced_hypergraph("abcdef", ["a", "bc", "cde", "bd"]))
+def test_minimal_vertex_covers_match_power_set_oracle(h):
+    """Berge's rule on clutters with edges of mixed sizes, no edges, the
+    empty edge and vertices in no edge."""
+    assert minimal_vertex_covers(h) == oracle_minimal_covers(h.vertices, h.edges)
+
+
+@SETTINGS
+@given(_subsets(0, 8, 0).map(lambda vs: complex_from_faces(*vs)))
+@example(SimplicialComplex(("a", "b"), frozenset()))
+@example(complex_from_faces("ab", [()]))
+@example(complex_from_faces("abcde", ["abc", "cd"]))
+def test_minimal_nonfaces_match_definition(k):
+    """The covers of the facet complements are the sets that are not faces
+    while every set one vertex smaller is: on the void complex, on the
+    complex whose one face is empty and with vertices in no facet."""
+    faces = faces_of(k)
+    subsets = [frozenset(c) for n in range(len(k.ground_set) + 1)
+               for c in itertools.combinations(k.ground_set, n)]
+    assert minimal_nonfaces(k) == {
+        s for s in subsets if s not in faces and all(s - {v} in faces for v in s)
+    }
 
 
 @SETTINGS
@@ -537,20 +574,39 @@ print(json.dumps({
     "H:2": run(["check", "--gen", "H:2", "--r", "3", "--props", props]),
     "scan": run(scan + ["--jobs", "1"]),
     "scan-jobs-2": run(scan + ["--jobs", "2"]),
+    "ghost": run(["check", "--complex", "ghost.json", "--props", "splittable,vd"]),
 }))
 """
 
+# a complex file read through the Stanley-Reisner route; "g" lies in no facet
+_GHOST = {
+    "ground_set": list("abcdefg"),
+    "facets": [list(f) for f in ("abc", "bcd", "de", "ae", "af")],
+}
 
-def test_reports_identical_across_hash_seeds_and_jobs():
+# SHA-256 of each report above (without ``timings``), taken before minimal
+# covers moved to Berge's rule; a change to any report byte fails here
+_PINNED = {
+    "G:3": "4458f2b02dc4b796f211faf3ca43014ab8557e1c0a181970f7f9975e40497a4d",
+    "H:2": "abbc178dd4a6612fa4643794e74828fd0a545fd8da1b6f78eb6e8bba805fe4bc",
+    "scan": "3637994d1e60ca92ae7d2f86d924196bc22297a59394d263116774782162116c",
+    "scan-jobs-2": "3637994d1e60ca92ae7d2f86d924196bc22297a59394d263116774782162116c",
+    "ghost": "13aed4f8d2c7fafa7afaa452f7a46182b054958bb2a2544eb0a9d00afa80c7e4",
+}
+
+
+def test_reports_identical_across_hash_seeds_and_jobs(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
+    (tmp_path / "ghost.json").write_text(json.dumps(_GHOST))
     hashes = []
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", _HASH_REPORTS],
+            [sys.executable, "-c", _HASH_REPORTS], cwd=tmp_path,
             env=env, capture_output=True, text=True, check=True, timeout=300,
         ).stdout
         hashes.append(json.loads(out))
     assert hashes[0]["scan"] == hashes[0]["scan-jobs-2"]
     assert hashes[0] == hashes[1] == hashes[2]
+    assert hashes[0] == _PINNED
