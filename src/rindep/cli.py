@@ -13,7 +13,6 @@ cross-check mismatch.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -342,6 +341,8 @@ def cmd_scan(args) -> int:
     # a pool starts all its workers at once, so never more than can run
     workers = min(args.jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
+        import concurrent.futures  # only a pool needs it, and it is slow to import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(pool.map(worker, items, chunksize=1))
     else:

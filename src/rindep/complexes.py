@@ -7,18 +7,17 @@ empty complex has the single facet {} (its only face), and a simplex is any
 complex with exactly one facet.
 
 Internally a face is an ``int`` bitmask over the ground-set index (bit i is
-vertex ``ground_set[i]``); labels appear only in the public dataclasses and
+vertex ``ground_set[i]``); labels appear only in the public records and
 return values.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .graphs import Graph, bits, r_growth_test
+from .graphs import Graph, bits, r_growth_test, record
 from .hypergraphs import (
     FACE_ENUMERATION_GUARD,
     GuardExceeded,
@@ -97,7 +96,7 @@ def _complex_of(ground: tuple[str, ...], facet_masks: Iterable[int]) -> Simplici
     )
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """Complex identified by its ground set and facet antichain.
 

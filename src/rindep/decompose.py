@@ -5,11 +5,10 @@ verifiers."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, ClassVar, Container, Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits
+from .graphs import bits, record
 from .hypergraphs import reduce_to_maximal
 
 DEFAULT_VD_BUDGET = 500_000
@@ -74,7 +73,7 @@ def certificate_search(
             stack.pop()
 
 
-@dataclass(frozen=True)
+@record
 class CertificateNode:
     """One node of a certificate tree: a family of labelled sets and, at an
     inner node, the branch vertex with the certificates of the two families
@@ -158,7 +157,7 @@ class SheddingNode(CertificateNode):
     keys = ("facets", "vertex", "link", "del")
 
 
-@dataclass(frozen=True)
+@record
 class VDResult:
     """``decomposable`` is None when the search budget ran out."""
 
@@ -218,7 +217,7 @@ def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> boo
 # shellability
 
 
-@dataclass(frozen=True)
+@record
 class ShellingResult:
     """``shellable`` is None when the search budget ran out."""
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -23,7 +22,57 @@ class GraphParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen record like ``dataclass(frozen=True)``, from
+    generic methods rather than generated code.  The fields are the class's
+    own annotations in order, less ``ClassVar`` ones; a field's class
+    attribute is its default, and defaults come last.  ``__init__`` takes
+    fields by position or keyword, then runs any ``__post_init__``.  Records
+    compare and hash by class and field values.  Instances keep a
+    ``__dict__`` (for ``cached_property`` and pickling), but assigning or
+    deleting an attribute raises."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(n for n, a in annotations.items() if not str(a).startswith(("ClassVar", "typing.ClassVar")))
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    required = len(names) - len(defaults)
+    if any(n in cls.__dict__ for n in names[:required]):
+        raise TypeError(f"{cls.__name__}: fields with defaults must come last")
+    post_init = getattr(cls, "__post_init__", None)
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        given = dict(zip(names, args))
+        values = {**dict(zip(names[required:], defaults)), **given, **kwargs}
+        if len(args) > len(names) or kwargs.keys() & given.keys() or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
+                            f"by position and {sorted(kwargs)} by keyword")
+        return tuple(values[n] for n in names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= len(names):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args + defaults[len(args) - required :]))
+        if post_init is not None:
+            post_init(self)
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, n) for n in names)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def refuse(self, name: str, *value):
+        raise AttributeError(f"cannot assign or delete {name!r}: {type(self).__name__} is frozen")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@record
 class Graph:
     """Simple undirected graph; ``vertices`` fixes a stable label order.
 
@@ -62,6 +111,10 @@ class Graph:
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << self.index[w] for w in self.adjacency[v]) for v in self.vertices)
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
@@ -133,8 +186,7 @@ def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
     For any mask s it says whether the component of i in ``s | 1 << i`` has
     at most r vertices.  That component only grows with s, so the test is
     antitone in s, as ``complexes.maximal_sets`` requires."""
-    idx = g.index
-    adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in g.vertices]
+    adj = g.neighbour_masks
 
     def fits(s: int, i: int) -> bool:
         comp, frontier = 1 << i, adj[i] & s
@@ -172,7 +224,7 @@ def is_caterpillar(g: Graph) -> bool:
 # generators
 
 
-@dataclass(frozen=True)
+@record
 class CaterpillarSpec:
     """Spine of length ``spine_length`` with ``leaf_counts[i]`` legs at spine
     vertex i+1."""

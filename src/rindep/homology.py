@@ -4,11 +4,11 @@ via pure skeletons."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Container
 
 from .complexes import SimplicialComplex, mask_order, submasks
+from .graphs import record
 
 
 def parse_field(spec: str) -> int | None:
@@ -50,7 +50,7 @@ def field_name(p: int | None) -> str:
     return "Q" if p is None else f"GF({p})"
 
 
-@dataclass(frozen=True)
+@record
 class BettiProfile:
     """Reduced Betti numbers; ``reduced[i]`` is the rank in degree i-1, so
     the list starts with the degree -1 entry."""
@@ -161,7 +161,7 @@ def reduced_homology(k: SimplicialComplex, field: int | None = None) -> BettiPro
     return BettiProfile(_betti(k.face_masks(), field), name)
 
 
-@dataclass(frozen=True)
+@record
 class CMReport:
     """Cohen-Macaulayness verdict with a machine-checkable witness.
 
@@ -238,7 +238,7 @@ def _cohen_macaulay(k: SimplicialComplex, faces: set[int], field: int | None, me
     return CMReport(True, name)
 
 
-@dataclass(frozen=True)
+@record
 class SCMReport:
     """Per-skeleton Cohen-Macaulay verdicts for m = 1..dim."""
 

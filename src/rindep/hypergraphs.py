@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, bits, r_growth_test
+from .graphs import Graph, bits, record
 
 DEFAULT_MINOR_BUDGET = 2_000_000
 FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
@@ -57,7 +56,7 @@ def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], membe
         raise ValueError(f"{member} {sorted(inner)} lies inside another {member}")
 
 
-@dataclass(frozen=True)
+@record
 class Hypergraph:
     """Simple hypergraph: the edge set is an antichain under inclusion."""
 
@@ -76,18 +75,27 @@ class Hypergraph:
 
 def con_r(g: Graph, r: int) -> Hypergraph:
     """Hypergraph on V(g) whose edges are the (r+1)-subsets inducing a
-    connected subgraph.  Uniform edge size makes it simple automatically."""
+    connected subgraph.  Uniform edge size makes it simple automatically.
+
+    Each connected set grows once from its lowest vertex (Wernicke's ESU):
+    it takes its candidates in turn, each child keeping the candidates
+    above the one it took plus that vertex's neighbours above the lowest
+    vertex that neither lie in the set nor neighbour it."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    # an (r+1)-set is connected exactly when its first vertex does not fit
-    # the other r, which are r-independent as any r vertices are
-    fits = r_growth_test(g, r)
-    sets = itertools.combinations(range(len(g.vertices)), r + 1)
-    edges = (c for c in sets if not fits(sum(1 << i for i in c[1:]), c[0]))
-    return Hypergraph(g.vertices, frozenset(frozenset(g.vertices[i] for i in c) for c in edges))
+    adj = g.neighbour_masks
+    # (set, candidates, the set with its neighbours, the vertices above its lowest)
+    level = [(1 << v, adj[v] & -2 << v, 1 << v | adj[v], -2 << v) for v in range(len(g.vertices))]
+    for _ in range(min(r, len(g.vertices))):  # no connected set is larger
+        level = [
+            (grown | 1 << i, cands >> i + 1 << i + 1 | adj[i] & above & ~reached, reached | adj[i], above)
+            for grown, cands, reached, above in level
+            for i in bits(cands)
+        ]
+    return Hypergraph(g.vertices, frozenset(frozenset(g.vertices[i] for i in bits(s[0])) for s in level))
 
 
-@dataclass(frozen=True)
+@record
 class ChordalityResult:
     """Outcome of the exhaustive minor search.
 
@@ -185,7 +193,7 @@ def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
     cover; an empty edge cannot be met, so the cover family is empty.
     """
     if len(h.vertices) > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded(f"cover enumeration over 2^{len(h.vertices)} vertices")
+        raise GuardExceeded(f"cover enumeration over {len(h.vertices)} vertices exceeds the guard")
     idx = {v: i for i, v in enumerate(h.vertices)}
     covers = [0]
     for e in sorted(sum(1 << idx[v] for v in edge) for edge in h.edges):

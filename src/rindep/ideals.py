@@ -4,12 +4,11 @@ recursion with replayable certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, minimal_nonfaces
 from .decompose import CertificateNode, certificate_search, replay
-from .graphs import Graph
+from .graphs import Graph, record
 from .hypergraphs import Hypergraph, check_family, con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
@@ -27,7 +26,7 @@ class CrossCheckError(RuntimeError):
     """Two independent computation paths disagreed; always a bug."""
 
 
-@dataclass(frozen=True)
+@record
 class MonomialIdeal:
     """Square-free monomial ideal: generators are supports, kept as an
     antichain under divisibility (= inclusion).  No generators is the zero
@@ -132,7 +131,7 @@ class SplitNode(CertificateNode):
     keys = ("generators", "pivot", "quotient", "remainder")
 
 
-@dataclass(frozen=True)
+@record
 class SplitResult:
     """``splittable`` is None when the search budget ran out."""
 

@@ -1,5 +1,10 @@
+import concurrent.futures
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -90,6 +95,14 @@ class TestBuild:
     def test_beyond_enumeration_guard_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "build", "--gen", "path:21", "--r", "2")
         assert code == EXIT_PARSE and out == "" and "guard" in err
+
+    def test_cover_enumeration_beyond_guard_names_the_guard(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        ground = [f"v{i}" for i in range(21)]
+        path.write_text(json.dumps({"ground_set": ground, "facets": [ground[0:3], ground[2:5]]}))
+        code, out, err = run_cli(capsys, "check", "--complex", str(path), "--props", "splittable")
+        assert code == EXIT_PARSE and out == ""
+        assert "cover enumeration over 21 vertices exceeds the guard" in err
 
 
 class TestGeneratorRoundTrip:
@@ -333,7 +346,7 @@ class TestScan:
 
         argv = ["scan", "--family", "trees", "--n", "3", "--r", "1..2", "--props", "vd"]
         _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
         assert (code, out, created) == (EXIT_OK, serial, workers)
@@ -520,3 +533,21 @@ class TestEnvOverrides:
         monkeypatch.setenv("RINDEP_FIELD", "gf:3")
         _, out, _ = run_cli(capsys, "check", "--gen", "fig1", "--r", "1", "--props", "homology")
         assert json.loads(out)["field"] == "GF(3)"
+
+
+def test_start_up_imports_no_pool_or_dataclass_machinery():
+    """Importing the CLI and building its parser, the cost every call pays,
+    loads none of the modules that only a process pool or generated
+    dataclass methods need."""
+    script = (
+        "import sys; before = set(sys.modules); import rindep.cli; rindep.cli.make_parser(); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    added = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "rindep.cli" in added
+    heavy = ("dataclasses", "concurrent.futures", "logging", "inspect")
+    assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []

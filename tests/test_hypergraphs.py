@@ -77,6 +77,10 @@ class TestConR:
         with pytest.raises(ValueError):
             con_r(demo_graph(), 0)
 
+    def test_r_beyond_the_vertex_count_gives_no_edges(self):
+        # the growth stops at the vertex count, not after r rounds
+        assert con_r(demo_graph(), 10**12).edges == frozenset()
+
 
 class TestMinorOperations:
     def test_delete_single_edge(self):

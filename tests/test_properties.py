@@ -11,9 +11,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 from conftest import (
     complex_from_faces,
     deletion_facets,
@@ -31,6 +31,7 @@ from conftest import (
     oracle_verify_shedding,
     oracle_verify_split,
     reduced_hypergraph,
+    to_networkx,
 )
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,20 @@ minor_budgets = st.one_of(st.just(DEFAULT_MINOR_BUDGET), st.integers(1, 50))
 @given(graphs(), radii)
 def test_ind_r_facets_match_power_set_oracle(g, r):
     assert set(ind_r(g, r).facets) == oracle_ind_r_facets(g, r)
+
+
+@SETTINGS
+@given(graphs(), st.integers(1, 4))
+def test_con_r_edges_are_the_connected_subsets(g, r):
+    """ESU growth finds exactly the (r+1)-subsets that networkx calls
+    connected."""
+    nxg = to_networkx(g)
+    connected = {
+        frozenset(c)
+        for c in itertools.combinations(g.vertices, r + 1)
+        if nx.is_connected(nxg.subgraph(c))
+    }
+    assert set(con_r(g, r).edges) == connected
 
 
 @st.composite
@@ -324,6 +339,12 @@ def _preorder(cert) -> list:
         if nodes[-1].branch is not None:
             stack += [nodes[-1].second, nodes[-1].first]
     return nodes
+
+
+def replace(node, **changes):
+    """A copy of the certificate node ``node`` with ``changes`` to its fields."""
+    fields = {"sets": node.sets, "branch": node.branch, "first": node.first, "second": node.second}
+    return type(node)(**{**fields, **changes})
 
 
 def _replaced(node, target, new):
