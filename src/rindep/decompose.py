@@ -219,7 +219,9 @@ def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> boo
 
 @record
 class ShellingResult:
-    """``shellable`` is None when the search budget ran out."""
+    """``shellable`` is None when the search budget ran out; ``explored``
+    counts the facet prefixes visited, those of vertex-link searches
+    included."""
 
     shellable: bool | None
     order: tuple[frozenset[str], ...] | None
@@ -241,19 +243,37 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     Every shellable complex admits such a shelling (any shelling can be
     rearranged into one), so restricting the space changes no verdict while
     making exhaustion feasible on complexes far from pure.
+
+    Every link of a shellable complex is shellable (Bjorner-Wachs,
+    *Shellable nonpure complexes and posets I*, 1996, Prop. 10.14).  So at
+    its first backtrack the search runs itself once on each vertex link
+    other than the empty one and a cone point's, fewest facets first; the
+    first link that cannot be shelled makes the verdict False.  The rule
+    only cuts orders that cannot be completed, so a True verdict returns
+    the same order as the plain search, and a search that never backtracks
+    runs no link.  The budget and ``explored`` count the prefix-sets of the
+    link searches too.
     """
     if k.is_void:
         raise ValueError("void complex has no facets to shell")
-    facets = k.sorted_facets()
-    n = len(facets)
+    shellable, order, explored = shelling_search(k.facet_masks, budget)
+    return ShellingResult(shellable, order and tuple(map(k.labels, order)), explored)
+
+
+def shelling_search(masks: Iterable[int], budget: int) -> tuple[bool | None, list[int] | None, int]:
+    """``is_shellable`` on an antichain of facet masks: (verdict, order,
+    prefix-sets visited), the verdict None when the budget ran out.  The
+    candidates come in (dimension descending, ground-set order)."""
+    masks = sorted(masks, key=lambda m: (-m.bit_count(), bits(m)))
+    n = len(masks)
     if budget < 1:
-        return ShellingResult(None, None, 0)
+        return None, None, 0
     if n == 1:
-        return ShellingResult(True, tuple(facets), 1)
-    masks = [k.mask(f) for f in facets]
+        return True, masks, 1
     # holding[v]: the facets containing vertex v
     holding = [
-        sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1) for v in range(len(k.ground_set))
+        sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1)
+        for v in range(max(masks).bit_length())
     ]
     # near[c]: for each vertex x, (the facets F_l with F_c \ F_l = {x},
     # holding[x]); F_c may follow the placed set P when no placed facet holds
@@ -269,12 +289,11 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
 
     # weakly decreasing dimensions force each size class to be exhausted
     # before the next smaller one starts, so the candidates at depth d are
-    # the size class of cand[d]
-    cand = sorted(range(n), key=lambda i: (-len(facets[i]), k.face_key(facets[i])))
+    # the size class of facet d
     by_size: dict[int, list[tuple]] = {}
-    for c in cand:
-        by_size.setdefault(len(facets[c]), []).append((c, 1 << c, near[c]))
-    at_depth = [by_size[len(facets[c])] for c in cand]
+    for c, fc in enumerate(masks):
+        by_size.setdefault(fc.bit_count(), []).append((c, 1 << c, near[c]))
+    at_depth = [by_size[fc.bit_count()] for fc in masks]
 
     # depth-first in the order of a recursive search: one candidate iterator
     # per placed prefix, the prefix itself in ``path`` and as ``used``
@@ -297,19 +316,26 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
                 continue
             visited += 1
             if visited > budget:
-                return ShellingResult(None, None, visited - 1)
+                return None, None, visited - 1
             path.append(c)
             used |= bit
             if len(path) == n:
-                return ShellingResult(True, tuple(facets[i] for i in path), visited)
+                return True, [masks[i] for i in path], visited
             stack.append(iter(at_depth[len(path)]))
             break
         else:
             stack.pop()
             if stack:
+                if not dead:  # the first backtrack: try to refute through a link
+                    links = [[f ^ 1 << v for f in masks if f >> v & 1] for v in range(len(holding))]
+                    for link in sorted((l for l in links if 0 < len(l) < n), key=len):
+                        shellable, _, seen = shelling_search(link, budget - visited)
+                        visited += seen
+                        if not shellable:
+                            return shellable, None, visited
                 dead.add(used)
                 used ^= 1 << path.pop()
-    return ShellingResult(False, None, visited)
+    return False, None, visited
 
 
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:

@@ -14,7 +14,13 @@ import networkx as nx
 from hypothesis import settings
 
 from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
-from rindep.decompose import DEFAULT_VD_BUDGET, SheddingNode, VDResult
+from rindep.decompose import (
+    DEFAULT_SHELL_BUDGET,
+    DEFAULT_VD_BUDGET,
+    SheddingNode,
+    ShellingResult,
+    VDResult,
+)
 from rindep.graphs import Graph
 from rindep.homology import CMReport, SCMReport, _betti, field_name
 from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, ChordalityResult, Hypergraph
@@ -358,6 +364,67 @@ def oracle_is_shellable(facets: list[frozenset[str]]) -> bool:
     return any(
         oracle_shelling_order_ok(list(perm)) for perm in itertools.permutations(facets)
     )
+
+
+def oracle_plain_shelling(k, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResult:
+    """The shelling search without the vertex-link rule: plain depth-first
+    over prefixes of weakly decreasing dimension, dead prefix-sets memoized,
+    candidates in (dimension descending, ground-set order)."""
+    facets = k.sorted_facets()
+    n = len(facets)
+    if budget < 1:
+        return ShellingResult(None, None, 0)
+    if n == 1:
+        return ShellingResult(True, tuple(facets), 1)
+    masks = [k.mask(f) for f in facets]
+    holding = [
+        sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1) for v in range(len(k.ground_set))
+    ]
+    near = []
+    for fc in masks:
+        by_x: dict[int, int] = {}
+        for l, fl in enumerate(masks):
+            x = fc & ~fl
+            if x.bit_count() == 1:
+                by_x[x] = by_x.get(x, 0) | 1 << l
+        near.append([(ls, holding[x.bit_length() - 1]) for x, ls in by_x.items()])
+    cand = sorted(range(n), key=lambda i: (-len(facets[i]), k.face_key(facets[i])))
+    by_size: dict[int, list[tuple]] = {}
+    for c in cand:
+        by_size.setdefault(len(facets[c]), []).append((c, 1 << c, near[c]))
+    at_depth = [by_size[len(facets[c])] for c in cand]
+    dead: set[int] = set()
+    visited = 1
+    path: list[int] = []
+    used = 0
+    stack = [iter(at_depth[0])]
+    while stack:
+        for c, bit, groups in stack[-1]:
+            if used & bit or used | bit in dead:
+                continue
+            holders = used
+            for ls, held in groups:
+                if used & ls:
+                    holders &= held
+                    if not holders:
+                        break
+            if holders:
+                continue
+            visited += 1
+            if visited > budget:
+                return ShellingResult(None, None, visited - 1)
+            path.append(c)
+            used |= bit
+            if len(path) == n:
+                return ShellingResult(True, tuple(facets[i] for i in path), visited)
+            stack.append(iter(at_depth[len(path)]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                dead.add(used)
+                used ^= 1 << path.pop()
+    return ShellingResult(False, None, visited)
 
 
 def oracle_rank_over_q(rows: list[list[int]]) -> int:

@@ -24,6 +24,7 @@ from rindep.decompose import (
 )
 from rindep.graphs import (
     Graph,
+    cycle_graph,
     enumerate_trees,
     path_graph,
     twin_bridge_paths,
@@ -199,11 +200,16 @@ class TestShellability:
     def test_explored_pinned_on_twin_bridge(self):
         res = is_shellable(ind_r(twin_bridge_paths(4), 2))
         assert res.shellable is False
-        assert res.explored == 218448
+        # a count of work: 12 prefixes, two shellable 11-facet links (12
+        # states each), then the link of vertex 3 fails in 66 states; the
+        # plain search exhausted 218,448 prefix-sets
+        assert res.explored == 112
 
     def test_budget_below_the_full_count_stops_at_the_budget(self):
         rng = random.Random(131)
         complexes = [ind_r(path_graph(7), 2), complex_from_faces("abcd", ["ab", "cd"])]
+        # the link rule settles both, so some budgets run out inside a link
+        complexes += [ind_r(twin_bridge_paths(4), 2), ind_r(cycle_graph(10), 2)]
         complexes += [random_complex(rng, n_max=5, facet_cap=6) for _ in range(30)]
         for k in complexes:
             full = is_shellable(k)

@@ -24,6 +24,7 @@ from conftest import (
     oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_minimal_covers,
+    oracle_plain_shelling,
     oracle_reduced_betti,
     oracle_scm,
     oracle_split,
@@ -330,6 +331,24 @@ def test_vd_implies_shellable_implies_scm_and_certificates_verify(k):
         split = is_vertex_splittable(dual)
         if split.splittable:
             assert verify_split_certificate(dual, split.certificate)
+
+
+@SETTINGS
+@given(complexes)
+def test_link_rule_keeps_the_plain_search_verdict_and_order(k):
+    sh, plain = is_shellable(k), oracle_plain_shelling(k)
+    assert (sh.shellable, sh.order) == (plain.shellable, plain.order)
+    if plain.shellable and plain.explored == len(k.facets) + 1:  # never backtracked
+        assert sh.explored == plain.explored
+
+
+@SETTINGS
+@given(graphs(8), radii)
+def test_chordal_con_r_implies_shellable_ind_r(g, r):
+    # Ind_r(G) is the independence complex of con_r(G), and the independence
+    # complex of a chordal clutter is shellable (Woodroofe)
+    if is_chordal_hypergraph(con_r(g, r)).chordal:
+        assert is_shellable(ind_r(g, r)).shellable is True
 
 
 def _preorder(cert) -> list:
