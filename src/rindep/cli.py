@@ -58,10 +58,9 @@ from .hypergraphs import DEFAULT_MINOR_BUDGET, GuardExceeded, con_r, is_chordal_
 from .ideals import (
     DEFAULT_SPLIT_BUDGET,
     CrossCheckError,
-    alexander_dual_ideal,
     dual_of_ind,
+    facet_dual,
     is_vertex_splittable,
-    stanley_reisner,
     verify_split_certificate,
 )
 
@@ -91,9 +90,11 @@ def _budget(raw: str) -> int:
 def build_generator(token: str) -> Graph:
     """Named graph generators: fig1, path:n, cycle:n, complete:n, star:n,
     caterpillar:m1,...,ml, H:r, G:r."""
-    name, _, arg = token.partition(":")
+    name, colon, arg = token.partition(":")
     try:
         if name == "fig1":
+            if colon:
+                raise ValueError("fig1 takes no argument")
             return demo_graph()
         if name == "path":
             return path_graph(int(arg))
@@ -228,10 +229,8 @@ def run_checks(
                 extras["splittable"] = {"note": "stanley-reisner ideal is zero (simplex)"}
                 record(prop, True)
             else:
-                if graph is not None and r is not None:
-                    dual = dual_of_ind(graph, r, complex_)  # cross-checks both routes
-                else:
-                    dual = alexander_dual_ideal(stanley_reisner(complex_))
+                # a graph's dual is cross-checked against the covers of con_r
+                dual = facet_dual(complex_) if graph is None else dual_of_ind(graph, r, complex_)
                 res = is_vertex_splittable(dual, budgets["split"])
                 extras["splittable"] = {"dual_ideal": dual}
                 if res.splittable:

@@ -1,6 +1,5 @@
 """Simplicial complexes in facet representation: higher independence
-complexes, links, skeletons, face enumeration, and minimal non-faces (the
-minimal vertex covers of the facet complements).
+complexes, links, skeletons and face enumeration.
 
 Conventions: the void complex has no faces at all (empty facet family), the
 empty complex has the single facet {} (its only face), and a simplex is any
@@ -18,14 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, r_growth_test, record
-from .hypergraphs import (
-    FACE_ENUMERATION_GUARD,
-    GuardExceeded,
-    Hypergraph,
-    check_family,
-    minimal_vertex_covers,
-    reduce_to_maximal,
-)
+from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -185,12 +177,10 @@ class SimplicialComplex:
 def complex_from_json_dict(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "ground_set" not in data or "facets" not in data:
         raise ValueError("complex JSON needs 'ground_set' and 'facets'")
-    try:
-        gs = tuple(str(v) for v in data["ground_set"])
-        facets = frozenset(frozenset(map(str, f)) for f in data["facets"])
-    except TypeError as exc:  # a number or null where a list belongs
-        raise ValueError(f"complex JSON: {exc}") from exc
-    return SimplicialComplex(gs, facets)
+    gs, facets = data["ground_set"], data["facets"]
+    if not (isinstance(gs, list) and isinstance(facets, list) and all(isinstance(f, list) for f in facets)):
+        raise ValueError("complex JSON needs 'ground_set' as a list and 'facets' as a list of lists")
+    return SimplicialComplex(tuple(map(str, gs)), frozenset(frozenset(map(str, f)) for f in facets))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +203,16 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
 
 def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     """Link of a face: maximal sets disjoint from it whose union with it is a
-    face.  Ground set loses the face's vertices."""
+    face.  Ground set loses the face's vertices.
+
+    Its facets are the facets of ``k`` through the face F, less F, and need
+    no reduction to an antichain: for distinct facets G1 and G2 through F,
+    G1 minus F inside G2 minus F would put G1 inside G2."""
     f = frozenset(map(str, face))
     if not k.has_face(f):
         raise ValueError(f"{sorted(f)} is not a face")
     ground = tuple(v for v in k.ground_set if v not in f)
-    facets = reduce_to_maximal(g - f for g in k.facets if f <= g)
-    return SimplicialComplex(ground, facets)
+    return SimplicialComplex(ground, frozenset(g - f for g in k.facets if f <= g))
 
 
 def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
@@ -231,17 +224,6 @@ def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
         frozenset(c) for f in k.facets if len(f) >= m + 1 for c in itertools.combinations(f, m + 1)
     }
     return SimplicialComplex(k.ground_set, frozenset(faces))
-
-
-def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
-    """Inclusion-minimal subsets of the ground set that are not faces.
-
-    A set is a non-face exactly when it lies in no facet, that is, when it
-    meets every facet complement: these are the minimal vertex covers of
-    the complements, and the empty set alone when the complex is void.
-    """
-    ground = frozenset(k.ground_set)
-    return minimal_vertex_covers(Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets)))
 
 
 def f_vector(k: SimplicialComplex) -> list[int]:

@@ -9,7 +9,6 @@ from typing import Callable, ClassVar, Container, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .graphs import bits, record
-from .hypergraphs import reduce_to_maximal
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -338,6 +337,16 @@ def shelling_search(masks: Iterable[int], budget: int) -> tuple[bool | None, lis
     return False, None, visited
 
 
+def _reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
+    """Antichain of inclusion-maximal members of ``sets``."""
+    by_size = sorted(set(sets), key=len, reverse=True)
+    maximal: list[frozenset[str]] = []
+    for s in by_size:
+        if not any(s <= m for m in maximal):
+            maximal.append(s)
+    return frozenset(maximal)
+
+
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:
     """Check a facet ordering directly against the definition: each facet
     must meet the union of its predecessors in a pure subcomplex of exactly
@@ -354,7 +363,7 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
         if not fk:
             return False  # the empty facet can only come alone
         intersections = [fj & fk for fj in seq[:t]]
-        maximal = reduce_to_maximal(intersections)
+        maximal = _reduce_to_maximal(intersections)
         if any(len(m) != len(fk) - 1 for m in maximal):
             return False
     return True

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -116,9 +115,6 @@ class Graph:
     def neighbour_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << self.index[w] for w in self.adjacency[v]) for v in self.vertices)
 
-    def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -126,46 +122,6 @@ class Graph:
         idx = self.index
         pairs = [tuple(sorted(e, key=idx.__getitem__)) for e in self.edges]
         return sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]]))
-
-
-def _check_subset(g: Graph, s: Iterable[str]) -> frozenset[str]:
-    sub = frozenset(s)
-    unknown = sub - set(g.vertices)
-    if unknown:
-        raise ValueError(f"unknown vertex labels: {sorted(unknown)}")
-    return sub
-
-
-def induced_subgraph(g: Graph, s: Iterable[str]) -> Graph:
-    """Subgraph on the vertex subset ``s`` with all edges inside it."""
-    sub = _check_subset(g, s)
-    verts = tuple(v for v in g.vertices if v in sub)
-    return Graph(verts, frozenset(e for e in g.edges if e <= sub))
-
-
-def connected_components(g: Graph) -> list[frozenset[str]]:
-    """Partition of the vertex set into components, ordered by first vertex."""
-    seen: set[str] = set()
-    parts: list[frozenset[str]] = []
-    adj = g.adjacency
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return parts
-
-
-def is_connected(g: Graph) -> bool:
-    return len(g.vertices) <= 1 or len(connected_components(g)) == 1
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -205,19 +161,24 @@ def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
     return fits
 
 
-def is_tree(g: Graph) -> bool:
-    return len(g.vertices) >= 1 and len(g.edges) == len(g.vertices) - 1 and is_connected(g)
-
-
 def is_caterpillar(g: Graph) -> bool:
-    """True iff ``g`` is a tree whose non-leaf vertices induce a path."""
-    if not is_tree(g):
+    """True iff ``g`` is a tree whose non-leaf vertices each have at most two
+    non-leaf neighbours, so that they induce a path (the non-leaf vertices
+    of a tree induce a subtree).  A tree has at least one vertex and one
+    edge fewer than vertices, and a breadth-first search over the neighbour
+    masks from vertex 0 reaches every vertex."""
+    n, adj = len(g.vertices), g.neighbour_masks
+    if not n or len(g.edges) != n - 1:
         return False
-    internal = [v for v in g.vertices if g.degree(v) >= 2]
-    if not internal:
-        return True
-    spine = induced_subgraph(g, internal)
-    return is_connected(spine) and all(spine.degree(v) <= 2 for v in internal)
+    reached = frontier = 1
+    while frontier:
+        reach = 0
+        for i in bits(frontier):
+            reach |= adj[i]
+        frontier = reach & ~reached
+        reached |= frontier
+    inner = sum(1 << i for i, a in enumerate(adj) if a.bit_count() >= 2)
+    return reached == (1 << n) - 1 and all((adj[i] & inner).bit_count() <= 2 for i in bits(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +400,10 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise GraphParseError("graph JSON needs 'vertices' and 'edges'")
+    vertices, edges = data["vertices"], data["edges"]
+    if not (isinstance(vertices, list) and isinstance(edges, list) and all(isinstance(e, list) for e in edges)):
+        raise GraphParseError("graph JSON needs 'vertices' as a list and 'edges' as a list of lists")
     try:
-        return Graph.from_edges(data["vertices"], data["edges"])
-    except (ValueError, TypeError) as exc:
+        return Graph.from_edges(vertices, edges)
+    except ValueError as exc:  # an edge of other than two labels, or a loop
         raise GraphParseError(str(exc)) from exc

@@ -1,6 +1,6 @@
 """Simple hypergraphs, the connected-subset hypergraph of a graph,
 exhaustive chordality checking over mask minors, and minimal vertex covers
-by Berge's rule: the one transversal routine, behind duals and non-faces."""
+by Berge's rule, which give the dual ideal of ``ind_r`` from ``con_r``."""
 
 from __future__ import annotations
 
@@ -16,16 +16,6 @@ FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
 
 class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured size guard."""
-
-
-def reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Antichain of inclusion-maximal members of ``sets``."""
-    by_size = sorted(set(sets), key=len, reverse=True)
-    maximal: list[frozenset[str]] = []
-    for s in by_size:
-        if not any(s <= m for m in maximal):
-            maximal.append(s)
-    return frozenset(maximal)
 
 
 def is_antichain(sets: Iterable[frozenset[str]]) -> bool:

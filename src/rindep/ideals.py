@@ -1,25 +1,22 @@
-"""Square-free monomial ideals as support antichains: Stanley-Reisner ideals,
-Alexander duals via minimal vertex covers, and the vertex-splittable
-recursion with replayable certificates."""
+"""Square-free monomial ideals as support antichains: the Alexander dual of
+a Stanley-Reisner ideal, generated by the facet complements, and the
+vertex-splittable recursion with replayable certificates."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, ind_r, minimal_nonfaces
+from .complexes import SimplicialComplex, ind_r
 from .decompose import CertificateNode, certificate_search, replay
 from .graphs import Graph, record
-from .hypergraphs import Hypergraph, check_family, con_r, minimal_vertex_covers
+from .hypergraphs import check_family, con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
 
 
 class ZeroIdealError(ValueError):
-    """The zero ideal was passed where a proper ideal is required."""
-
-
-class UnitIdealError(ValueError):
-    """The unit ideal was passed where a proper ideal is required."""
+    """The Alexander dual of the zero ideal was asked for; it is not given
+    a convention."""
 
 
 class CrossCheckError(RuntimeError):
@@ -45,14 +42,6 @@ class MonomialIdeal:
             frozenset(frozenset(map(str, s)) for s in supports),
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    @property
-    def is_unit(self) -> bool:
-        return frozenset() in self.generators
-
     def to_json_dict(self) -> dict:
         """Generators in (size, variable order), each in variable order."""
         idx = {v: i for i, v in enumerate(self.variables)}
@@ -63,23 +52,22 @@ class MonomialIdeal:
         }
 
 
-def stanley_reisner(k: SimplicialComplex) -> MonomialIdeal:
-    """Ideal generated by the minimal non-faces of ``k``."""
+def facet_dual(k: SimplicialComplex) -> MonomialIdeal:
+    """Alexander dual of the Stanley-Reisner ideal of ``k``, over its whole
+    ground set: the ideal generated by the facet complements
+    (Miller-Sturmfels, ch. 1), which form an antichain as the facets do.
+
+    The void complex has no Stanley-Reisner ideal, and a single facet on
+    the whole ground set has the zero ideal, whose dual is rejected rather
+    than given a convention.  A single facet that misses some vertex of the
+    ground set has a principal dual.
+    """
     if k.is_void:
         raise ValueError("void complex has no Stanley-Reisner ideal")
-    return MonomialIdeal(k.ground_set, minimal_nonfaces(k))
-
-
-def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
-    """Dual ideal: generators are the minimal vertex covers of the generator
-    hypergraph.  Zero and unit inputs are rejected outright rather than
-    given a convention."""
-    if i.is_zero:
-        raise ZeroIdealError("the zero ideal has no Alexander dual here")
-    if i.is_unit:
-        raise UnitIdealError("the unit ideal has no Alexander dual here")
-    covers = minimal_vertex_covers(Hypergraph(i.variables, i.generators))
-    return MonomialIdeal(i.variables, covers)
+    full = frozenset(k.ground_set)
+    if k.facets == {full}:
+        raise ZeroIdealError("a simplex on its whole ground set has the zero Stanley-Reisner ideal")
+    return MonomialIdeal(k.ground_set, frozenset(full - f for f in k.facets))
 
 
 def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
@@ -88,31 +76,22 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
     Computed twice, by enumerations that share no code: Berge's rule gives
     the minimal vertex covers of ``con_r``, whose edges generate the
     Stanley-Reisner ideal, and ``maximal_sets`` the facets of the complex,
-    whose complements generate the dual (Miller-Sturmfels, ch. 1).  Any
-    mismatch raises; the ideal is built once, from the covers.  ``k`` is
-    ``ind_r(g, r)`` when the caller has built it already, else built here.
+    whose complements generate the dual (``facet_dual``).  Any mismatch
+    raises.  ``k`` is ``ind_r(g, r)`` when the caller has built it already,
+    else built here.
 
     When the graph has no connected (r+1)-subset the complex is the full
-    simplex, its Stanley-Reisner ideal is zero, and the dual is rejected
-    just like ``alexander_dual_ideal`` on the zero ideal.  That ideal is
-    never the unit ideal, since every edge has r+1 >= 2 vertices.
+    simplex, and ``facet_dual`` rejects the dual of its zero ideal.  The
+    Stanley-Reisner ideal is never the unit ideal, since every edge of
+    ``con_r`` has r+1 >= 2 vertices.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    h = con_r(g, r)
-    if not h.edges:
-        raise ZeroIdealError(
-            "every vertex subset is r-independent; the Stanley-Reisner ideal is zero"
-        )
-    covers = minimal_vertex_covers(h)
-    full = frozenset(g.vertices)
-    if k is None:
-        k = ind_r(g, r)
-    if covers != frozenset(full - f for f in k.facets):
+    covers = minimal_vertex_covers(con_r(g, r))
+    dual = facet_dual(ind_r(g, r) if k is None else k)
+    if covers != dual.generators:
         raise CrossCheckError(
             "cover dual and Stanley-Reisner dual disagree; this is a bug"
         )
-    return MonomialIdeal(g.vertices, covers)
+    return dual
 
 
 # ---------------------------------------------------------------------------

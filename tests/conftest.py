@@ -23,8 +23,19 @@ from rindep.decompose import (
 )
 from rindep.graphs import Graph
 from rindep.homology import CMReport, SCMReport, _betti, field_name
-from rindep.hypergraphs import DEFAULT_MINOR_BUDGET, ChordalityResult, Hypergraph
-from rindep.ideals import DEFAULT_SPLIT_BUDGET, MonomialIdeal, SplitNode, SplitResult
+from rindep.hypergraphs import (
+    DEFAULT_MINOR_BUDGET,
+    ChordalityResult,
+    Hypergraph,
+    minimal_vertex_covers,
+)
+from rindep.ideals import (
+    DEFAULT_SPLIT_BUDGET,
+    MonomialIdeal,
+    SplitNode,
+    SplitResult,
+    ZeroIdealError,
+)
 
 # the same examples on every run, so that a red run can be reproduced
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -79,6 +90,108 @@ def to_networkx(g: Graph) -> nx.Graph:
     out.add_nodes_from(g.vertices)
     out.add_edges_from(tuple(e) for e in g.edges)
     return out
+
+
+# ---------------------------------------------------------------------------
+# labelled graph helpers: the definitions the mask code is checked against
+
+
+def degree(g: Graph, v: str) -> int:
+    return len(g.adjacency[v])
+
+
+def induced_subgraph(g: Graph, s) -> Graph:
+    """Subgraph on the vertex subset ``s`` with all edges inside it."""
+    sub = frozenset(s)
+    unknown = sub - set(g.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertex labels: {sorted(unknown)}")
+    verts = tuple(v for v in g.vertices if v in sub)
+    return Graph(verts, frozenset(e for e in g.edges if e <= sub))
+
+
+def connected_components(g: Graph) -> list[frozenset[str]]:
+    """Partition of the vertex set into components, ordered by first vertex."""
+    seen: set[str] = set()
+    parts: list[frozenset[str]] = []
+    adj = g.adjacency
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        parts.append(frozenset(comp))
+    return parts
+
+
+def is_connected(g: Graph) -> bool:
+    return len(g.vertices) <= 1 or len(connected_components(g)) == 1
+
+
+def is_tree(g: Graph) -> bool:
+    return len(g.vertices) >= 1 and len(g.edges) == len(g.vertices) - 1 and is_connected(g)
+
+
+def oracle_is_caterpillar(g: Graph) -> bool:
+    """A tree whose non-leaf vertices induce a path: a connected subgraph in
+    which every vertex has at most two neighbours, checked on labels."""
+    if not is_tree(g):
+        return False
+    internal = [v for v in g.vertices if degree(g, v) >= 2]
+    if not internal:
+        return True
+    spine = induced_subgraph(g, internal)
+    return is_connected(spine) and all(degree(spine, v) <= 2 for v in internal)
+
+
+# ---------------------------------------------------------------------------
+# the Stanley-Reisner route to the dual ideal: minimal non-faces, then their
+# minimal vertex covers
+
+
+class UnitIdealError(ValueError):
+    """The unit ideal was passed where a proper ideal is required."""
+
+
+def is_zero(i: MonomialIdeal) -> bool:
+    return not i.generators
+
+
+def is_unit(i: MonomialIdeal) -> bool:
+    return frozenset() in i.generators
+
+
+def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
+    """Inclusion-minimal subsets of the ground set that are not faces: the
+    minimal vertex covers of the facet complements, and the empty set alone
+    when the complex is void."""
+    ground = frozenset(k.ground_set)
+    return minimal_vertex_covers(Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets)))
+
+
+def stanley_reisner(k: SimplicialComplex) -> MonomialIdeal:
+    """Ideal generated by the minimal non-faces of ``k``."""
+    if k.is_void:
+        raise ValueError("void complex has no Stanley-Reisner ideal")
+    return MonomialIdeal(k.ground_set, minimal_nonfaces(k))
+
+
+def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
+    """Dual ideal: generators are the minimal vertex covers of the generator
+    hypergraph.  Zero and unit inputs are rejected outright rather than
+    given a convention."""
+    if is_zero(i):
+        raise ZeroIdealError("the zero ideal has no Alexander dual here")
+    if is_unit(i):
+        raise UnitIdealError("the unit ideal has no Alexander dual here")
+    return MonomialIdeal(i.variables, minimal_vertex_covers(Hypergraph(i.variables, i.generators)))
 
 
 def random_graph(rng: random.Random, n_min: int = 3, n_max: int = 7) -> Graph:

@@ -4,10 +4,11 @@ the benchmark, so no API exists only for the tests; and every private
 module-level function has a caller there, so none is dead.
 
 The scan matches names, not objects: a member counts as called when any
-object's attribute of that name is used outside its own body.  So it misses a
-member whose name another object also uses (a ``faces`` method next to a
-``faces`` variable, a ``budget_exceeded`` property next to a report key of
-that name), and such members need a look by hand."""
+object's attribute of that name is used outside its own body, and a bare name
+(a variable or parameter) does not count for a member.  So it still misses a
+member whose name another object's attribute also uses (a ``faces`` method
+next to a ``faces`` attribute elsewhere), and such members need a look by
+hand."""
 
 import ast
 from collections import Counter
@@ -18,12 +19,14 @@ PACKAGE = sorted((ROOT / "src" / "rindep").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
-def _references(tree: ast.AST) -> Counter:
-    """Names, attribute names and dotted strings (``bench/spans.py`` names
-    the functions it traces as "module.function") used in ``tree``."""
+def _references(tree: ast.AST, bare: bool = True) -> Counter:
+    """Attribute names and dotted strings (``bench/spans.py`` names the
+    functions it traces as "module.function") used in ``tree``, and bare
+    names unless ``bare`` is false: a class member is reached only through
+    an attribute."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -38,11 +41,12 @@ def _public(body: list, kinds: tuple) -> list:
     return [node for node in body if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
-def _orphans(definitions: list) -> list[str]:
+def _orphans(definitions: list, bare: bool = True) -> list[str]:
     """The names of the ``(name, node)`` definitions that only their own
-    body uses in the package and the benchmark."""
-    used = sum((_references(ast.parse(path.read_text())) for path in CALLERS), Counter())
-    return [name for name, node in definitions if used[node.name] == _references(node)[node.name]]
+    body uses in the package and the benchmark, bare names counted as for
+    ``_references``."""
+    used = sum((_references(ast.parse(path.read_text()), bare) for path in CALLERS), Counter())
+    return [name for name, node in definitions if used[node.name] == _references(node, bare)[node.name]]
 
 
 def _module_bodies() -> list:
@@ -50,14 +54,14 @@ def _module_bodies() -> list:
 
 
 def test_every_public_definition_has_a_caller_outside_tests():
-    definitions = []
+    definitions, members = [], []
     for module, body in _module_bodies():
         for node in _public(body, (ast.FunctionDef, ast.ClassDef)):
             definitions.append((f"{module}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
                 for member in _public(node.body, (ast.FunctionDef,)):
-                    definitions.append((f"{module}.{node.name}.{member.name}", member))
-    assert _orphans(definitions) == []
+                    members.append((f"{module}.{node.name}.{member.name}", member))
+    assert _orphans(definitions) + _orphans(members, bare=False) == []
 
 
 def test_every_private_module_function_has_a_caller():

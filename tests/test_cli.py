@@ -20,6 +20,7 @@ from rindep.cli import (
     main,
 )
 from rindep.graphs import Graph, is_caterpillar, parse_edge_list
+from rindep.hypergraphs import GuardExceeded, Hypergraph, minimal_vertex_covers
 
 GENERATOR_TOKENS = [
     "fig1",
@@ -78,6 +79,10 @@ class TestBuild:
         code, _, err = run_cli(capsys, "build", "--gen", "nonsense:3", "--r", "1")
         assert code == EXIT_PARSE
 
+    def test_argument_to_a_generator_that_takes_none(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--gen", "fig1:banana", "--r", "1")
+        assert code == EXIT_PARSE and out == "" and "fig1 takes no argument" in err
+
     def test_graph_file_input(self, capsys, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("vertex z\na b\nb c\n")
@@ -96,13 +101,21 @@ class TestBuild:
         code, out, err = run_cli(capsys, "build", "--gen", "path:21", "--r", "2")
         assert code == EXIT_PARSE and out == "" and "guard" in err
 
-    def test_cover_enumeration_beyond_guard_names_the_guard(self, capsys, tmp_path):
+    def test_cover_enumeration_beyond_guard_names_the_guard(self):
+        ground = [f"v{i}" for i in range(21)]
+        wide = Hypergraph(tuple(ground), frozenset({frozenset(ground[0:3]), frozenset(ground[2:5])}))
+        with pytest.raises(GuardExceeded, match="cover enumeration over 21 vertices exceeds the guard"):
+            minimal_vertex_covers(wide)
+
+    def test_complex_file_beyond_the_guard_takes_the_dual_without_covers(self, capsys, tmp_path):
+        # two triangles sharing a vertex, among 21: the dual is the facet
+        # complements, and the link of the shared vertex is disconnected
         path = tmp_path / "wide.json"
         ground = [f"v{i}" for i in range(21)]
         path.write_text(json.dumps({"ground_set": ground, "facets": [ground[0:3], ground[2:5]]}))
-        code, out, err = run_cli(capsys, "check", "--complex", str(path), "--props", "splittable")
-        assert code == EXIT_PARSE and out == ""
-        assert "cover enumeration over 21 vertices exceeds the guard" in err
+        code, out, _ = run_cli(capsys, "check", "--complex", str(path), "--props", "splittable,vd")
+        assert code == EXIT_OK
+        assert json.loads(out)["verdicts"] == {"splittable": "false", "vd": "false"}
 
 
 class TestGeneratorRoundTrip:
@@ -477,6 +490,22 @@ class TestMalformedFiles:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_PARSE and "error" in err
 
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            ({"vertices": "abc", "edges": ["ab", "bc"]}, ("build", "--input", "s.json", "--r", "1")),
+            ({"vertices": "abc", "edges": [["a", "b"]]}, ("build", "--input", "s.json", "--r", "1")),
+            ({"vertices": ["a", "b", "c"], "edges": ["ab", "bc"]}, ("build", "--input", "s.json", "--r", "1")),
+            ({"ground_set": "abc", "facets": ["ab", "c"]}, ("check", "--complex", "s.json", "--props", "vd")),
+            ({"ground_set": "abc", "facets": [["a", "b"]]}, ("check", "--complex", "s.json", "--props", "vd")),
+            ({"ground_set": ["a", "b", "c"], "facets": ["ab", "c"]}, ("verify", "s.json", "good.json")),
+        ],
+    )
+    def test_strings_where_lists_belong_are_parse_errors(self, capsys, files, data, argv):
+        (files / "s.json").write_text(json.dumps(data))
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == "" and "list" in err
 
     def test_certificate_deeper_than_the_recursion_limit_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "path.json"

@@ -6,6 +6,8 @@ from conftest import (
     complex_from_faces,
     deletion_facets,
     faces_of,
+    induced_subgraph,
+    is_connected,
     oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_r_independent,
@@ -26,8 +28,6 @@ from rindep.graphs import (
     cycle_graph,
     demo_graph,
     half_apex_clique,
-    induced_subgraph,
-    is_connected,
     path_graph,
     twin_bridge_paths,
 )

@@ -3,7 +3,18 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import ahu_canonical_key, prufer_decode, random_graph, to_networkx
+from conftest import (
+    ahu_canonical_key,
+    connected_components,
+    degree,
+    induced_subgraph,
+    is_connected,
+    is_tree,
+    oracle_is_caterpillar,
+    prufer_decode,
+    random_graph,
+    to_networkx,
+)
 
 from rindep.complexes import ind_r
 from rindep.hypergraphs import Hypergraph, is_chordal_hypergraph
@@ -12,15 +23,11 @@ from rindep.graphs import (
     Graph,
     GraphParseError,
     complete_graph,
-    connected_components,
     cycle_graph,
     demo_graph,
     enumerate_trees,
     half_apex_clique,
-    induced_subgraph,
     is_caterpillar,
-    is_connected,
-    is_tree,
     make_caterpillar,
     parse_edge_list,
     parse_graph_json,
@@ -152,9 +159,9 @@ class TestGenerators:
 
     def test_caterpillar_degenerations(self):
         p = make_caterpillar(CaterpillarSpec(5, (0, 0, 0, 0, 0)))
-        assert is_tree(p) and all(p.degree(v) <= 2 for v in p.vertices)
+        assert is_tree(p) and all(degree(p, v) <= 2 for v in p.vertices)
         star = make_caterpillar(CaterpillarSpec(1, (4,)))
-        assert len(star) == 5 and star.degree("a1") == 4
+        assert len(star) == 5 and degree(star, "a1") == 4
 
     def test_caterpillar_spec_validation(self):
         with pytest.raises(ValueError):
@@ -191,7 +198,7 @@ class TestGenerators:
 
     def test_twin_bridge_degree_a(self):
         for r in (2, 3, 4):
-            assert twin_bridge_paths(r).degree("a") == 3
+            assert degree(twin_bridge_paths(r), "a") == 3
 
     def test_generators_are_chordal(self):
         for r in (2, 3, 4):
@@ -285,6 +292,37 @@ class TestCaterpillarRecognition:
 
     def test_stars_are(self):
         assert is_caterpillar(star_graph(5))
+
+    def test_counts_over_all_trees(self):
+        # caterpillars on n = 1..10 vertices; OEIS A005418 from n = 4 on
+        counts = [sum(map(is_caterpillar, enumerate_trees(n))) for n in range(1, 11)]
+        assert counts == [1, 1, 1, 2, 3, 6, 10, 20, 36, 72]
+
+    def test_matches_the_labelled_definition(self):
+        """Random trees, and trees with an edge added (a cycle), an edge
+        removed (a forest) or an isolated vertex added, on shuffled labels,
+        and random graphs, against the definition on labels."""
+        rng = random.Random(19)
+        samples = [Graph((), frozenset()), Graph.from_edges(["a"], []), cycle_graph(3)]
+        for _ in range(500):
+            n = rng.randint(2, 10)
+            edges = {tuple(sorted(e)) for e in prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)), n)}
+            shape = rng.choice(("tree", "cycle", "forest", "isolated", "random"))
+            if shape == "cycle" and n > 2:
+                edges.add(rng.choice(sorted(set(itertools.combinations(range(n), 2)) - edges)))
+            elif shape == "forest":
+                edges.remove(rng.choice(sorted(edges)))
+            elif shape == "isolated":
+                n += 1
+            elif shape == "random":
+                samples.append(random_graph(rng, 1, 9))
+                continue
+            labels = [f"v{i}" for i in range(n)]
+            rng.shuffle(labels)
+            samples.append(Graph.from_edges(labels, ((labels[u], labels[v]) for u, v in edges)))
+        verdicts = [is_caterpillar(g) for g in samples]
+        assert verdicts == [oracle_is_caterpillar(g) for g in samples]
+        assert 100 <= sum(verdicts) <= len(samples) - 100
 
 
 class TestFormats:

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     contract_vertex,
     delete_vertex,
+    induced_subgraph,
     is_simplicial_vertex,
     oracle_minimal_covers,
     random_graph,
@@ -17,7 +18,6 @@ from rindep.graphs import (
     cycle_graph,
     demo_graph,
     enumerate_trees,
-    induced_subgraph,
     make_caterpillar,
     path_graph,
     star_graph,

@@ -5,19 +5,25 @@ from importlib import resources
 import pytest
 from conftest import (
     complex_from_faces,
+    UnitIdealError,
+    alexander_dual_ideal,
     faces_of,
+    induced_subgraph,
+    is_connected,
+    is_unit,
+    is_zero,
     oracle_minimal_covers,
     random_graph,
     recursion_limit,
+    stanley_reisner,
     variable_ideal,
 )
 
-from rindep.complexes import ind_r
+from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import is_vertex_decomposable
 from rindep.graphs import (
     CaterpillarSpec,
     demo_graph,
-    induced_subgraph,
     make_caterpillar,
     path_graph,
     twin_bridge_paths,
@@ -26,12 +32,10 @@ from rindep.ideals import (
     CrossCheckError,
     MonomialIdeal,
     SplitNode,
-    UnitIdealError,
     ZeroIdealError,
-    alexander_dual_ideal,
     dual_of_ind,
+    facet_dual,
     is_vertex_splittable,
-    stanley_reisner,
     verify_split_certificate,
 )
 
@@ -63,8 +67,8 @@ class TestMonomialIdeal:
     def test_special_values(self):
         zero = MonomialIdeal.from_supports("ab", [])
         unit = MonomialIdeal.from_supports("ab", [()])
-        assert zero.is_zero and not zero.is_unit
-        assert unit.is_unit and len(unit.generators) == 1
+        assert is_zero(zero) and not is_unit(zero)
+        assert is_unit(unit) and len(unit.generators) == 1
 
     def test_membership(self):
         i = MonomialIdeal.from_supports("abc", [("a", "b")])
@@ -79,7 +83,7 @@ class TestStanleyReisner:
         assert gen_sets(stanley_reisner(bd)) == {full}
 
     def test_full_simplex_gives_zero_ideal(self):
-        assert stanley_reisner(complex_from_faces("abc", ["abc"])).is_zero
+        assert is_zero(stanley_reisner(complex_from_faces("abc", ["abc"])))
 
     def test_worked_example_tail(self):
         cg = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
@@ -118,7 +122,7 @@ class TestAlexanderDual:
         done = 0
         while done < 100:
             i = random_antichain(rng)
-            if i.is_zero or i.is_unit:
+            if is_zero(i) or is_unit(i):
                 continue
             assert alexander_dual_ideal(alexander_dual_ideal(i)) == i
             done += 1
@@ -127,7 +131,7 @@ class TestAlexanderDual:
         rng = random.Random(151)
         for _ in range(20):
             i = random_antichain(rng, n_max=6)
-            if i.is_zero or i.is_unit:
+            if is_zero(i) or is_unit(i):
                 continue
             expected = oracle_minimal_covers(i.variables, i.generators)
             assert gen_sets(alexander_dual_ideal(i)) == expected
@@ -138,10 +142,30 @@ class TestAlexanderDual:
             g = random_graph(rng, 3, 6)
             k = ind_r(g, rng.choice((1, 2)))
             sr = stanley_reisner(k)
-            if sr.is_zero:
+            if is_zero(sr):
                 continue
             full = frozenset(k.ground_set)
             assert gen_sets(alexander_dual_ideal(sr)) == {full - f for f in k.facets}
+
+
+class TestFacetDual:
+    # the Stanley-Reisner route is compared on random complexes in
+    # test_properties.test_facet_dual_is_the_dual_of_the_stanley_reisner_ideal
+    def test_void_complex_has_no_dual(self):
+        with pytest.raises(ValueError, match="void complex has no Stanley-Reisner ideal"):
+            facet_dual(SimplicialComplex(("a", "b"), frozenset()))
+
+    @pytest.mark.parametrize("ground", ["", "a", "abc"])
+    def test_simplex_on_the_whole_ground_set_has_the_zero_ideal(self, ground):
+        with pytest.raises(ZeroIdealError):
+            facet_dual(complex_from_faces(ground, [ground]))
+
+    @pytest.mark.parametrize(
+        "ground, facet, generator", [("abc", "ab", "c"), ("abcd", "ac", "bd"), ("ab", "", "ab")]
+    )
+    def test_single_facet_with_ghost_vertices_has_a_principal_dual(self, ground, facet, generator):
+        dual = facet_dual(complex_from_faces(ground, [facet]))
+        assert dual.variables == tuple(ground) and gen_sets(dual) == {frozenset(generator)}
 
 
 class TestDualOfInd:
@@ -153,8 +177,6 @@ class TestDualOfInd:
 
     def test_connected_graph_on_r_plus_one_vertices(self):
         rng = random.Random(163)
-        from rindep.graphs import is_connected
-
         found = 0
         while found < 8:
             g = random_graph(rng, 3, 5)
@@ -280,7 +302,7 @@ class TestDualOracleEquivalence:
                 k = ind_r(g, r)
                 vd = is_vertex_decomposable(k).decomposable
                 sr = stanley_reisner(k)
-                split = True if sr.is_zero else is_vertex_splittable(
+                split = True if is_zero(sr) else is_vertex_splittable(
                     alexander_dual_ideal(sr)
                 ).splittable
                 assert vd == split

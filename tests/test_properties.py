@@ -15,10 +15,13 @@ from pathlib import Path
 
 import networkx as nx
 from conftest import (
+    alexander_dual_ideal,
     complex_from_faces,
     deletion_facets,
     faces_of,
     is_simplicial_vertex,
+    is_zero,
+    minimal_nonfaces,
     oracle_chordality,
     oracle_cm,
     oracle_ind_hypergraph_facets,
@@ -32,6 +35,7 @@ from conftest import (
     oracle_verify_shedding,
     oracle_verify_split,
     reduced_hypergraph,
+    stanley_reisner,
     to_networkx,
 )
 from hypothesis import HealthCheck, example, given, settings
@@ -44,7 +48,6 @@ from rindep.complexes import (
     ind_r,
     link,
     maximal_sets,
-    minimal_nonfaces,
     pure_skeleton,
 )
 from rindep.decompose import (
@@ -62,12 +65,7 @@ from rindep.hypergraphs import (
     is_chordal_hypergraph,
     minimal_vertex_covers,
 )
-from rindep.ideals import (
-    alexander_dual_ideal,
-    is_vertex_splittable,
-    stanley_reisner,
-    verify_split_certificate,
-)
+from rindep.ideals import facet_dual, is_vertex_splittable, verify_split_certificate
 
 SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -202,6 +200,31 @@ def test_minimal_nonfaces_match_definition(k):
 
 
 @SETTINGS
+@given(_subsets(0, 8, 0).map(lambda vs: complex_from_faces(*vs)))
+@example(SimplicialComplex(("a", "b"), frozenset()))
+@example(SimplicialComplex((), frozenset({frozenset()})))
+@example(complex_from_faces("ab", [()]))
+@example(complex_from_faces("abcd", ["ac"]))
+@example(complex_from_faces("abc", ["abc"]))
+def test_facet_dual_is_the_dual_of_the_stanley_reisner_ideal(k):
+    """The facet complements are the minimal vertex covers of the minimal
+    non-faces, vertices in no facet included, and both routes reject the
+    void complex (no ideal) and a simplex on its whole ground set (the zero
+    ideal) with the same error."""
+    try:
+        expected = alexander_dual_ideal(stanley_reisner(k))
+    except ValueError as exc:
+        try:
+            facet_dual(k)
+        except ValueError as got:
+            assert type(got) is type(exc)
+        else:
+            raise AssertionError("facet_dual took a dual the other route rejects")
+        return
+    assert facet_dual(k) == expected
+
+
+@SETTINGS
 @given(graphs(7), radii)
 def test_rational_betti_match_dense_oracle_and_bound_prime_fields(g, r):
     k = ind_r(g, r)
@@ -324,7 +347,7 @@ def test_certificate_search_matches_labelled_oracles(k, budget, reverse):
     vd = is_vertex_decomposable(k, **kw)
     assert vd == oracle_vd(k, **kw)
     sr = stanley_reisner(k)
-    for i in [sr] if sr.is_zero else [sr, alexander_dual_ideal(sr)]:
+    for i in [sr] if is_zero(sr) else [sr, alexander_dual_ideal(sr)]:
         assert is_vertex_splittable(i, **kw) == oracle_split(i, **kw)
 
 
@@ -340,7 +363,7 @@ def test_vd_implies_shellable_implies_scm_and_certificates_verify(k):
         assert verify_shelling_certificate(k, sh.order)
         assert is_scm(k).sequentially_cohen_macaulay
     sr = stanley_reisner(k)
-    if not sr.is_zero:
+    if not is_zero(sr):
         dual = alexander_dual_ideal(sr)
         split = is_vertex_splittable(dual)
         if split.splittable:
@@ -441,7 +464,7 @@ def test_replay_matches_recursive_oracle_verifiers(k, other, data):
         cert = vd.certificate
         cases.append((verify_shedding_certificate, oracle_verify_shedding, k, other, cert))
     sr = stanley_reisner(k)
-    i = sr if sr.is_zero else alexander_dual_ideal(sr)
+    i = sr if is_zero(sr) else alexander_dual_ideal(sr)
     split = is_vertex_splittable(i)
     if split.splittable:
         wrong = stanley_reisner(other)
@@ -629,27 +652,35 @@ print(json.dumps({
     "scan": run(scan + ["--jobs", "1"]),
     "scan-jobs-2": run(scan + ["--jobs", "2"]),
     "ghost": run(["check", "--complex", "ghost.json", "--props", "splittable,vd"]),
+    "simplex-ghost": run(["check", "--complex", "simplex-ghost.json", "--props", "splittable,vd"]),
+    "empty": run(["check", "--complex", "empty.json", "--props", "splittable,vd"]),
     "cycle:12": run(["check", "--gen", "cycle:12", "--r", "2", "--props", "cm,scm"]),
     "G:4": run(["check", "--gen", "G:4", "--r", "4", "--props", "homology,scm"]),
 }))
 """
 
-# a complex file read through the Stanley-Reisner route; "g" lies in no facet
-_GHOST = {
-    "ground_set": list("abcdefg"),
-    "facets": [list(f) for f in ("abc", "bcd", "de", "ae", "af")],
+# complex files, whose dual ideal keeps the vertices in no facet ("ghosts"):
+# "g" here, "b" and "d" beside a single facet, and both vertices of the
+# empty complex
+_COMPLEX_FILES = {
+    "ghost.json": {"ground_set": list("abcdefg"), "facets": [list(f) for f in ("abc", "bcd", "de", "ae", "af")]},
+    "simplex-ghost.json": {"ground_set": list("abcd"), "facets": [["a", "c"]]},
+    "empty.json": {"ground_set": ["a", "b"], "facets": [[]]},
 }
 
 # SHA-256 of each report above (without ``timings``), taken before minimal
-# covers moved to Berge's rule, and for the two false SCM verdicts before the
-# Reisner loop kept only the facets a skeleton needs; a change to any report
-# byte fails here
+# covers moved to Berge's rule, for the two false SCM verdicts before the
+# Reisner loop kept only the facets a skeleton needs, and for the single facet
+# and the empty complex before complex files took the facet-complement dual;
+# a change to any report byte fails here
 _PINNED = {
     "G:3": "4458f2b02dc4b796f211faf3ca43014ab8557e1c0a181970f7f9975e40497a4d",
     "H:2": "abbc178dd4a6612fa4643794e74828fd0a545fd8da1b6f78eb6e8bba805fe4bc",
     "scan": "3637994d1e60ca92ae7d2f86d924196bc22297a59394d263116774782162116c",
     "scan-jobs-2": "3637994d1e60ca92ae7d2f86d924196bc22297a59394d263116774782162116c",
     "ghost": "13aed4f8d2c7fafa7afaa452f7a46182b054958bb2a2544eb0a9d00afa80c7e4",
+    "simplex-ghost": "229fe976478112925bc9b430a1e731c63d18492819a1af0afd4ff5a3e76b3554",
+    "empty": "316b9e6648acaf86abcde4e16bcf2ec66b84653aa45fb32f5acb68123ff4b934",
     "cycle:12": "46be31b0ca85242e979502a37520029c89b3fd5d5a5816f77170af400c804ec2",
     "G:4": "0353b6613af66c9ce45a20b2bb10f774654a2aa5e68ba1e023cc48f93661fd2d",
 }
@@ -657,7 +688,8 @@ _PINNED = {
 
 def test_reports_identical_across_hash_seeds_and_jobs(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    (tmp_path / "ghost.json").write_text(json.dumps(_GHOST))
+    for name, data in _COMPLEX_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     hashes = []
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
