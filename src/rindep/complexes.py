@@ -6,8 +6,8 @@ empty complex has the single facet {} (its only face), and a simplex is any
 complex with exactly one facet.
 
 Internally a face is an ``int`` bitmask over the ground-set index (bit i is
-vertex ``ground_set[i]``); labels appear only in the public records and
-return values.
+vertex ``ground_set[i]``, as ``graphs.masks_of`` and ``graphs.sets_of``
+convert); labels appear only in the public records and return values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .graphs import Graph, bits, r_growth_test, record
+from .graphs import Graph, bits, masks_of, r_growth_test, record, sets_of
 from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family
 
 
@@ -82,12 +82,6 @@ def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
     return out
 
 
-def _complex_of(ground: tuple[str, ...], facet_masks: Iterable[int]) -> SimplicialComplex:
-    return SimplicialComplex(
-        ground, frozenset(frozenset(ground[i] for i in bits(m)) for m in facet_masks)
-    )
-
-
 @record
 class SimplicialComplex:
     """Complex identified by its ground set and facet antichain.
@@ -104,16 +98,9 @@ class SimplicialComplex:
         check_family(self.ground_set, self.facets, "facet")
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.ground_set)}
-
-    @cached_property
     def facet_masks(self) -> tuple[int, ...]:
         """Facets as bitmasks over the ground-set index, ascending."""
-        return tuple(sorted(map(self.mask, self.facets)))
-
-    def mask(self, face: Iterable[str]) -> int:
-        return sum(1 << self.index[v] for v in set(face))
+        return tuple(sorted(masks_of(self.ground_set, self.facets)))
 
     def labels(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground_set[i] for i in bits(mask))
@@ -139,17 +126,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
 
-    def face_key(self, face: frozenset[str]) -> tuple[int, ...]:
-        idx = self.index
-        return tuple(sorted(idx[v] for v in face))
-
-    def sorted_facets(self) -> list[frozenset[str]]:
-        return sorted(self.facets, key=self.face_key)
-
-    def has_face(self, face: Iterable[str]) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
     def face_masks(self) -> set[int]:
         """Every face as a bitmask, the empty face included (unless void)."""
         if len(self.ground_set) > FACE_ENUMERATION_GUARD:
@@ -158,19 +134,11 @@ class SimplicialComplex:
             )
         return submasks(self.facet_masks)
 
-    def faces_by_dimension(self) -> dict[int, list[frozenset[str]]]:
-        """Faces grouped by dimension (-1 upward), deterministically ordered."""
-        grouped: dict[int, list[frozenset[str]]] = {}
-        for m in sorted(self.face_masks(), key=mask_order):
-            grouped.setdefault(m.bit_count() - 1, []).append(self.labels(m))
-        return grouped
-
     def to_json_dict(self) -> dict:
+        """Each facet in ground-set order, the facets by their index tuples."""
         return {
             "ground_set": list(self.ground_set),
-            "facets": [
-                [v for v in self.ground_set if v in f] for f in self.sorted_facets()
-            ],
+            "facets": [[self.ground_set[i] for i in bits(m)] for m in sorted(self.facet_masks, key=bits)],
         }
 
 
@@ -194,7 +162,7 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
         raise ValueError("r must be a positive integer")
     if len(g.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded("vertex set exceeds the enumeration guard")
-    return _complex_of(g.vertices, maximal_sets(len(g.vertices), r_growth_test(g, r)))
+    return SimplicialComplex(g.vertices, sets_of(g.vertices, maximal_sets(len(g), r_growth_test(g, r))))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +177,7 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     no reduction to an antichain: for distinct facets G1 and G2 through F,
     G1 minus F inside G2 minus F would put G1 inside G2."""
     f = frozenset(map(str, face))
-    if not k.has_face(f):
+    if not any(f <= g for g in k.facets):
         raise ValueError(f"{sorted(f)} is not a face")
     ground = tuple(v for v in k.ground_set if v not in f)
     return SimplicialComplex(ground, frozenset(g - f for g in k.facets if f <= g))

@@ -28,7 +28,9 @@ def certificate_search(
     with certificates makes ``node(sets, labels[i], first, second)``.  Every
     state entered takes a memo slot, failed until it succeeds (a state met
     again while open fails); the budget counts slots.  Returns (verdict,
-    certificate, slots); the verdict is None when the budget ran out."""
+    certificate, slots); the verdict is None when the budget ran out.  A state
+    whose members all hold i fails with its first child at i, the state less
+    i: every other split only carries i along, so that child decides it."""
     memo: dict[frozenset[int], object] = {}
 
     @functools.cache  # one search meets each facet in many states
@@ -43,6 +45,8 @@ def certificate_search(
                 continue
             first = yield children[0]
             if first is None:
+                if all(m >> i & 1 for m in state):  # its first child, the state less i, decides it
+                    return None
                 continue
             second = yield children[1]
             if second is not None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 TREE_ENUMERATION_LIMIT = 10
 
@@ -108,20 +108,15 @@ class Graph:
         return {v: frozenset(ns) for v, ns in nbrs.items()}
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << self.index[w] for w in self.adjacency[v]) for v in self.vertices)
+        return tuple(masks_of(self.vertices, self.adjacency.values()))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        idx = self.index
-        pairs = [tuple(sorted(e, key=idx.__getitem__)) for e in self.edges]
-        return sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]]))
+        pairs = sorted(map(bits, masks_of(self.vertices, self.edges)))
+        return [(self.vertices[i], self.vertices[j]) for i, j in pairs]
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -132,6 +127,18 @@ def bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def masks_of(labels: Sequence[str], sets: Iterable[Iterable[str]]) -> list[int]:
+    """Each of ``sets`` as a bitmask, bit i being ``labels[i]``: the one place
+    a label becomes a bit."""
+    index = {v: i for i, v in enumerate(labels)}
+    return [sum(1 << index[v] for v in s) for s in sets]
+
+
+def sets_of(labels: Sequence[str], masks: Iterable[int]) -> frozenset[frozenset[str]]:
+    """The labelled sets of ``masks``: the inverse of ``masks_of``."""
+    return frozenset(frozenset(labels[i] for i in bits(m)) for m in masks)
 
 
 def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import and_
+from operator import and_, or_
 from typing import Container
 
 from .complexes import SimplicialComplex, mask_order, submasks
-from .graphs import record
+from .graphs import bits, record
 
 
 def parse_field(spec: str) -> int | None:
@@ -204,25 +204,17 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     if k.is_void:
         raise ValueError("void complex")
     if not k.is_pure():
-        smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
+        smallest = k.labels(min(k.facet_masks, key=mask_order))
         return CMReport(False, field_name(field), smallest, None, "non-pure")
     return _cohen_macaulay(k, sorted(k.face_masks(), key=mask_order), k.dimension, field, {})
 
 
 def _relabelled(facets: list[int]) -> tuple[int, ...]:
-    """Facet masks moved onto the low bits in vertex order, then sorted.
-    The move keeps every boundary sign, so the key fixes the Betti numbers."""
-    support = 0
-    for f in facets:
-        support |= f
-    gaps = ~support & (1 << support.bit_length()) - 1
-    while gaps:  # squeeze out the lowest run of vertices in no facet
-        start = gaps & -gaps
-        end = (gaps + start) & -(gaps + start)
-        width = end.bit_length() - start.bit_length()
-        low = start - 1
-        facets = [f >> width & ~low | f & low for f in facets]
-        gaps = (gaps ^ (end - start)) >> width
+    """Facet masks with each vertex in no facet deleted (top down, so lower bits
+    stay put), then sorted; that keeps every boundary sign, so the key fixes the Betti numbers."""
+    support = reduce(or_, facets)
+    for i in reversed(bits(~support & (1 << support.bit_length()) - 1)):  # no facet holds vertex i
+        facets = [f >> 1 & -1 << i | f & (1 << i) - 1 for f in facets]
     return tuple(sorted(facets))
 
 

@@ -8,7 +8,7 @@ import itertools
 from collections import deque
 from typing import Iterable
 
-from .graphs import Graph, bits, record
+from .graphs import Graph, bits, masks_of, record, sets_of
 
 DEFAULT_MINOR_BUDGET = 2_000_000
 FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
@@ -82,7 +82,7 @@ def con_r(g: Graph, r: int) -> Hypergraph:
             for grown, cands, reached, above in level
             for i in bits(cands)
         ]
-    return Hypergraph(g.vertices, frozenset(frozenset(g.vertices[i] for i in bits(s[0])) for s in level))
+    return Hypergraph(g.vertices, sets_of(g.vertices, (s[0] for s in level)))
 
 
 @record
@@ -134,11 +134,7 @@ def _has_simplicial_mask(vs: int, edges: frozenset[int]) -> bool:
 
 
 def _labelled(h: Hypergraph, vs: int, edges: frozenset[int]) -> Hypergraph:
-    labels = [str(v) for v in h.vertices]
-    return Hypergraph(
-        tuple(labels[i] for i in bits(vs)),
-        frozenset(frozenset(labels[i] for i in bits(e)) for e in edges),
-    )
+    return Hypergraph(tuple(h.vertices[i] for i in bits(vs)), sets_of(h.vertices, edges))
 
 
 def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:
@@ -151,8 +147,7 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     counts distinct minors visited and exceeding it yields an explicit
     inconclusive result, never a silent answer.
     """
-    idx = {v: i for i, v in enumerate(h.vertices)}
-    root = ((1 << len(h.vertices)) - 1, frozenset(sum(1 << idx[v] for v in e) for e in h.edges))
+    root = ((1 << len(h.vertices)) - 1, frozenset(masks_of(h.vertices, h.edges)))
     queue = deque([root])
     seen = {root}
     visited = 0
@@ -184,10 +179,9 @@ def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
     """
     if len(h.vertices) > FACE_ENUMERATION_GUARD:
         raise GuardExceeded(f"cover enumeration over {len(h.vertices)} vertices exceeds the guard")
-    idx = {v: i for i, v in enumerate(h.vertices)}
     covers = [0]
-    for e in sorted(sum(1 << idx[v] for v in edge) for edge in h.edges):
+    for e in sorted(masks_of(h.vertices, h.edges)):
         hit = [c for c in covers if c & e]
         grown = [c | 1 << i for c in covers if not c & e for i in bits(e)]
         covers = hit + [g for g in grown if all(c & ~g for c in hit)]
-    return frozenset(frozenset(h.vertices[i] for i in bits(c)) for c in covers)
+    return sets_of(h.vertices, covers)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, ind_r
+from .complexes import SimplicialComplex, ind_r, mask_order
 from .decompose import CertificateNode, certificate_search, replay
-from .graphs import Graph, record
+from .graphs import Graph, bits, masks_of, record
 from .hypergraphs import check_family, con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
@@ -44,11 +44,10 @@ class MonomialIdeal:
 
     def to_json_dict(self) -> dict:
         """Generators in (size, variable order), each in variable order."""
-        idx = {v: i for i, v in enumerate(self.variables)}
-        keyed = sorted((len(g), sorted(idx[v] for v in g)) for g in self.generators)
+        masks = sorted(masks_of(self.variables, self.generators), key=mask_order)
         return {
             "variables": list(self.variables),
-            "generators": [[self.variables[i] for i in key] for _, key in keyed],
+            "generators": [[self.variables[i] for i in bits(m)] for m in masks],
         }
 
 
@@ -155,8 +154,7 @@ def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -
     (``certificate_search``), pivots in the string order of the variables.
     Zero, unit, and principal ideals are the base cases; the budget counts
     memo entries."""
-    index = {v: j for j, v in enumerate(i.variables)}
-    root = frozenset(sum(1 << index[v] for v in g) for g in i.generators)
+    root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
     return SplitResult(*certificate_search(root, pivots, _split, budget, i.variables, SplitNode))
 

@@ -4,6 +4,7 @@ paths they check."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import random
 import sys
@@ -21,7 +22,7 @@ from rindep.decompose import (
     ShellingResult,
     VDResult,
 )
-from rindep.graphs import Graph
+from rindep.graphs import Graph, bits, masks_of
 from rindep.homology import CMReport, SCMReport, _betti, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -35,6 +36,7 @@ from rindep.ideals import (
     SplitNode,
     SplitResult,
     ZeroIdealError,
+    _split,
 )
 
 # the same examples on every run, so that a red run can be reproduced
@@ -68,6 +70,26 @@ def complex_from_faces(ground_set, faces) -> SimplicialComplex:
 def faces_of(k: SimplicialComplex) -> set[frozenset[str]]:
     """Every face of ``k``, the empty set included (unless void)."""
     return set(map(k.labels, k.face_masks()))
+
+
+def has_face(k: SimplicialComplex, face) -> bool:
+    """Whether ``face`` lies inside some facet of ``k``."""
+    f = frozenset(face)
+    return any(f <= g for g in k.facets)
+
+
+def sorted_facets(k: SimplicialComplex) -> list[frozenset[str]]:
+    """The facets of ``k`` in the order of their ground-set index tuples."""
+    return sorted(k.facets, key=lambda f: sorted(map(k.ground_set.index, f)))
+
+
+def faces_by_dimension(k: SimplicialComplex) -> dict[int, list[frozenset[str]]]:
+    """Faces grouped by dimension (-1 upward), each group in ground-set
+    index order."""
+    grouped: dict[int, list[frozenset[str]]] = {}
+    for m in sorted(k.face_masks(), key=mask_order):
+        grouped.setdefault(m.bit_count() - 1, []).append(k.labels(m))
+    return grouped
 
 
 def path_complex(n: int):
@@ -330,7 +352,9 @@ def canon_sets(sets) -> tuple[tuple[str, ...], ...]:
 def _labelled_search(root, candidates, children, budget, node):
     """Recursive certificate search over labelled set families: a family
     with at most one member is a leaf; a state is memoized, reserved as
-    failed while open, and the budget counts memo entries."""
+    failed while open, and the budget counts memo entries.  As in the
+    package search, a family whose members all hold the branch fails when
+    its first child does."""
     memo = {}
 
     def solve(sets):
@@ -347,6 +371,8 @@ def _labelled_search(root, candidates, children, budget, node):
             if parts is None:
                 continue
             first = solve(parts[0])
+            if first is None and all(v in s for s in sets):
+                return None
             if first is None:
                 continue
             second = solve(parts[1])
@@ -361,6 +387,58 @@ def _labelled_search(root, candidates, children, budget, node):
     except _BudgetSpent:
         return None, None, len(memo)
     return cert is not None, cert, len(memo)
+
+
+def uncut_certificate_search(root, order, split, budget, labels, node) -> tuple:
+    """``decompose.certificate_search`` without the rule that fails a state
+    whose members all hold the pivot once its first child fails: every
+    pivot is tried whatever its first child gave."""
+    memo = {}
+
+    @functools.cache
+    def face(m):
+        return tuple(sorted(labels[i] for i in bits(m)))
+
+    def expand(state):
+        support = functools.reduce(int.__or__, state)
+        for i in order:
+            children = split(state, 1 << i) if support >> i & 1 else None
+            if children is None:
+                continue
+            first = yield children[0]
+            if first is None:
+                continue
+            second = yield children[1]
+            if second is not None:
+                memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
+                return memo[state]
+
+    stack, state, value = [], root, None
+    while True:
+        if state is not None:
+            if state in memo:
+                value = memo[state]
+            elif len(memo) >= budget:
+                return None, None, len(memo)
+            elif len(state) <= 1:
+                value = memo[state] = node(tuple(sorted(map(face, state))))
+            else:
+                memo[state] = value = None
+                stack.append(expand(state))
+        if not stack:
+            return value is not None, value, len(memo)
+        try:
+            state = stack[-1].send(value)
+        except StopIteration as done:
+            state, value = None, done.value
+            stack.pop()
+
+
+def uncut_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
+    """``is_vertex_splittable`` by ``uncut_certificate_search``."""
+    root = frozenset(masks_of(i.variables, i.generators))
+    pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
+    return SplitResult(*uncut_certificate_search(root, pivots, _split, budget, i.variables, SplitNode))
 
 
 def deletion_facets(facets, v: str) -> frozenset[frozenset[str]]:
@@ -483,13 +561,13 @@ def oracle_plain_shelling(k, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResu
     """The shelling search without the vertex-link rule: plain depth-first
     over prefixes of weakly decreasing dimension, dead prefix-sets memoized,
     candidates in (dimension descending, ground-set order)."""
-    facets = k.sorted_facets()
+    facets = sorted_facets(k)
     n = len(facets)
     if budget < 1:
         return ShellingResult(None, None, 0)
     if n == 1:
         return ShellingResult(True, tuple(facets), 1)
-    masks = [k.mask(f) for f in facets]
+    masks = masks_of(k.ground_set, facets)
     holding = [
         sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1) for v in range(len(k.ground_set))
     ]
@@ -501,7 +579,7 @@ def oracle_plain_shelling(k, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResu
             if x.bit_count() == 1:
                 by_x[x] = by_x.get(x, 0) | 1 << l
         near.append([(ls, holding[x.bit_length() - 1]) for x, ls in by_x.items()])
-    cand = sorted(range(n), key=lambda i: (-len(facets[i]), k.face_key(facets[i])))
+    cand = sorted(range(n), key=lambda i: (-len(facets[i]), sorted(map(k.ground_set.index, facets[i]))))
     by_size: dict[int, list[tuple]] = {}
     for c in cand:
         by_size.setdefault(len(facets[c]), []).append((c, 1 << c, near[c]))
@@ -565,7 +643,7 @@ def oracle_rank_over_q(rows: list[list[int]]) -> int:
 def oracle_reduced_betti(k) -> list[int]:
     """Reduced Betti numbers over Q, degree -1 upward: every boundary matrix
     rebuilt densely from the labelled faces and ranked with fractions."""
-    grouped = k.faces_by_dimension()
+    grouped = faces_by_dimension(k)
     top = max(grouped)
     ranks = {}
     for d in range(0, top + 1):
@@ -574,7 +652,7 @@ def oracle_reduced_betti(k) -> list[int]:
         idx = {f: i for i, f in enumerate(lower)}
         dense = [[0] * len(upper) for _ in lower]
         for col, face in enumerate(upper):
-            ordered = sorted(face, key=lambda v: k.index[v])
+            ordered = sorted(face, key=k.ground_set.index)
             for j, v in enumerate(ordered):
                 dense[idx[face - {v}]][col] = (-1) ** j
         ranks[d] = oracle_rank_over_q(dense) if lower and upper else 0
@@ -587,7 +665,7 @@ def oracle_cm(k, field: int | None = None) -> CMReport:
     faces in (dimension, label) order."""
     name = field_name(field)
     if not k.is_pure():
-        smallest = min(k.facets, key=lambda f: (len(f), k.face_key(f)))
+        smallest = min(k.facets, key=lambda f: (len(f), sorted(map(k.ground_set.index, f))))
         return CMReport(False, name, smallest, None, "non-pure")
     facets = k.facet_masks
     for face in sorted(k.face_masks(), key=mask_order):

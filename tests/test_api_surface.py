@@ -5,7 +5,9 @@ module-level function has a caller there, so none is dead.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
-(a variable or parameter) does not count for a member.  So it still misses a
+(a variable or parameter) does not count for a member.  A string does not
+count either: ``bench/spans.py`` names the functions it traces as
+"module.function", and tracing a function is not a use of it.  So it still misses a
 member whose name another object's attribute also uses (a ``faces`` method
 next to a ``faces`` attribute elsewhere), and such members need a look by
 hand."""
@@ -20,20 +22,14 @@ CALLERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _references(tree: ast.AST, bare: bool = True) -> Counter:
-    """Attribute names and dotted strings (``bench/spans.py`` names the
-    functions it traces as "module.function") used in ``tree``, and bare
-    names unless ``bare`` is false: a class member is reached only through
-    an attribute."""
+    """Attribute names used in ``tree``, and bare names unless ``bare`` is
+    false: a class member is reached only through an attribute."""
     names = Counter()
     for node in ast.walk(tree):
         if bare and isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            module, dot, name = node.value.partition(".")
-            if dot and module.isidentifier() and name.isidentifier():
-                names[name] += 1
     return names
 
 

@@ -9,6 +9,7 @@ from conftest import (
     path_complex,
     random_graph,
     recursion_limit,
+    sorted_facets,
     to_networkx,
 )
 
@@ -44,13 +45,13 @@ def random_complex(rng, n_max=6, facet_cap=7):
         raw.append(frozenset(rng.sample(verts, size)))
     k = complex_from_faces(verts, raw)
     if len(k.facets) > facet_cap:
-        k = complex_from_faces(verts, k.sorted_facets()[:facet_cap])
+        k = complex_from_faces(verts, sorted_facets(k)[:facet_cap])
     return k
 
 
 def sheds(k, v):
     """The search's shedding condition at ``v``, on the facet masks of ``k``."""
-    return _shed(frozenset(k.facet_masks), 1 << k.index[v]) is not None
+    return _shed(frozenset(k.facet_masks), 1 << k.ground_set.index(v)) is not None
 
 
 class TestSheddingVertex:

@@ -1,6 +1,6 @@
 import json
 import random
-from importlib import resources
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     random_graph,
     recursion_limit,
     stanley_reisner,
+    uncut_split,
     variable_ideal,
 )
 
@@ -26,6 +27,7 @@ from rindep.graphs import (
     demo_graph,
     make_caterpillar,
     path_graph,
+    sets_of,
     twin_bridge_paths,
 )
 from rindep.ideals import (
@@ -293,6 +295,70 @@ class TestVertexSplittable:
             done += 1
 
 
+def antichains(n: int) -> list[frozenset[int]]:
+    """Every non-empty antichain of subsets of range(n), as masks."""
+    out = []
+
+    def grow(s: int, chosen: list[int]) -> None:
+        if s == 1 << n:
+            out.append(frozenset(chosen))
+            return
+        grow(s + 1, chosen)
+        if all(s & ~c and c & ~s for c in chosen):
+            grow(s + 1, chosen + [s])
+
+    grow(0, [])
+    return [a for a in out if a]
+
+
+def assert_same_as_uncut(ideals) -> tuple[int, int]:
+    """The search with the shared-pivot rule gives the verdict and the
+    certificate of the search without it, in no more states; returns the
+    two state totals."""
+    explored = uncut_explored = 0
+    for i in ideals:
+        res, uncut = is_vertex_splittable(i), uncut_split(i)
+        assert (res.splittable, res.certificate) == (uncut.splittable, uncut.certificate)
+        assert res.explored <= uncut.explored
+        explored, uncut_explored = explored + res.explored, uncut_explored + uncut.explored
+    return explored, uncut_explored
+
+
+class TestSharedPivotRule:
+    """A state whose generators all hold the pivot fails with its first
+    child: it has a certificate exactly when its quotient there has one."""
+
+    def test_every_antichain_over_five_variables(self):
+        variables = tuple("abcde")
+        families = antichains(5)
+        assert len(families) == 7580  # the Dedekind number 7581, less the empty family
+        assert_same_as_uncut(MonomialIdeal(variables, sets_of(variables, a)) for a in families)
+
+    def test_random_ideals_with_shared_variables(self):
+        # 1-5 shared variables times the edge ideal of a random graph on
+        # 3-6 more, about a fifth of them not splittable
+        rng = random.Random(211)
+        ideals = []
+        for _ in range(3000):
+            shared, free = rng.randint(1, 5), rng.randint(3, 6)
+            variables = [f"x{j}" for j in range(shared + free)]
+            rng.shuffle(variables)
+            common = frozenset(variables[:shared])
+            edges = {frozenset(rng.sample(variables[shared:], 2)) for _ in range(rng.randint(2, 6))}
+            ideals.append(MonomialIdeal(tuple(variables), frozenset(common | e for e in edges)))
+        explored, uncut = assert_same_as_uncut(ideals)
+        assert explored < uncut
+
+    @pytest.mark.parametrize("n, explored", [(8, 4), (12, 8), (16, 12), (21, 17)])
+    def test_two_triangles_sharing_a_vertex_take_linearly_many_states(self, n, explored):
+        # every generator of the dual holds the n - 5 vertices in no facet,
+        # which took 2^(n - 5) states without the rule
+        ground = tuple(f"v{i}" for i in range(n))
+        k = SimplicialComplex(ground, frozenset({frozenset(ground[0:3]), frozenset(ground[2:5])}))
+        res = is_vertex_splittable(facet_dual(k))
+        assert (res.splittable, res.explored) == (False, explored)
+
+
 class TestDualOracleEquivalence:
     def test_decomposable_iff_dual_splittable(self):
         rng = random.Random(179)
@@ -310,8 +376,7 @@ class TestDualOracleEquivalence:
 
 @pytest.fixture(scope="module")
 def fixture_data():
-    text = resources.files("rindep").joinpath("data/caterpillar_dual_fixture.json").read_text()
-    return json.loads(text)
+    return json.loads((Path(__file__).parent / "data" / "caterpillar_dual_fixture.json").read_text())
 
 
 @pytest.fixture(scope="module")
