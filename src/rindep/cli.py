@@ -58,6 +58,7 @@ from .hypergraphs import DEFAULT_MINOR_BUDGET, GuardExceeded, con_r, is_chordal_
 from .ideals import (
     DEFAULT_SPLIT_BUDGET,
     CrossCheckError,
+    SplitNode,
     dual_of_ind,
     facet_dual,
     is_vertex_splittable,
@@ -386,7 +387,13 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    ok = verify_certificate(complex_, cert)
+    try:
+        if isinstance(cert, dict) and "generators" in cert:  # splitting: replayed on the dual ideal
+            ok = verify_split_certificate(facet_dual(complex_), SplitNode.from_json_dict(cert))
+        else:
+            ok = verify_certificate(complex_, cert)
+    except (KeyError, TypeError, ValueError):  # malformed, or a simplex (zero ideal)
+        ok = False
     print("valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_INVALID
 

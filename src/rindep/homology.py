@@ -8,7 +8,11 @@ j-skeleton of lk(F), j = m - |F|.  Below degree j that link has the homology
 of the complex generated by the facets of lk(F) of dimension at least j, as
 both have the same j-skeleton, so a pure link is eliminated once for every
 skeleton.  When those facets share a vertex the complex is a cone, which is
-acyclic, and F is skipped."""
+acyclic, and F is skipped.
+
+Homology is taken relative to the star of a vertex v, a cone: by the pair's
+long exact sequence H~_i(K) = H_i(K, st v) (Munkres 1984, sections 23-24),
+so only the faces F with F | v not a face are eliminated."""
 
 from __future__ import annotations
 
@@ -105,10 +109,11 @@ def _pivots(columns: list[dict], p: int | None, cleared: Container[int] = ()) ->
     return pivots
 
 
-def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
-    """Boundary matrix columns: for each upper face, alternating-sign
-    incidences with its codimension-one subfaces, signs taken in ground-set
-    order."""
+def _boundary_columns(lower: list[int], upper: list[int], star: Container[int]) -> list[dict[int, int]]:
+    """Boundary matrix columns relative to ``star``: for each upper face,
+    alternating-sign incidences with its codimension-one subfaces not in
+    ``star``, signs taken in ground-set order.  Each such subface must be in
+    ``lower``; a missing one raises KeyError."""
     index = {f: i for i, f in enumerate(lower)}
     cols = []
     for face in upper:
@@ -116,7 +121,8 @@ def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]
         sign, rest = 1, face
         while rest:
             low = rest & -rest
-            col[index[face ^ low]] = sign
+            if face ^ low not in star:
+                col[index[face ^ low]] = sign
             sign, rest = -sign, rest ^ low
         cols.append(col)
     return cols
@@ -136,20 +142,27 @@ def _composition_vanishes(upper: list[dict[int, int]], lower: list[dict[int, int
 
 
 def _betti(faces: set[int], p: int | None) -> tuple[int, ...]:
-    """Reduced Betti numbers, degree -1 upward, of the non-void complex with
-    face bitmasks ``faces``.  Boundaries are reduced from the top down: a
-    face that is the pivot of a reduced boundary one size up has a column
-    that combines earlier columns, so it is cleared without reduction."""
-    levels: dict[int, list[int]] = {}
-    for f in faces:
-        levels.setdefault(f.bit_count(), []).append(f)
-    top = max(levels)  # faces are downward closed: every size 0..top occurs
-    grouped = [sorted(levels[s]) for s in range(top + 1)]
+    """Reduced Betti numbers, degree -1 upward, of the non-void complex K
+    with face bitmasks ``faces``, as the homology of K relative to st v
+    (degree -1 vanishes there, as the empty face lies in st v), where v is
+    the lowest of the vertices in the most faces of top size.  Boundaries
+    are reduced from the top down: a face that is the pivot of a reduced
+    boundary one size up has a column that combines earlier columns, so it
+    is cleared without reduction."""
+    top = max(f.bit_count() for f in faces)
+    if not top:
+        return (1,)  # {∅} has no vertex to take the star of
+    tops = [f for f in faces if f.bit_count() == top]
+    bit = 1 << max(bits(reduce(or_, tops)), key=lambda i: (sum(f >> i & 1 for f in tops), -i))
+    star = {f for f in faces if f | bit in faces}
+    grouped: list[list[int]] = [[] for _ in range(top + 1)]  # sized by K, so no degree is lost
+    for f in sorted(faces - star):
+        grouped[f.bit_count()].append(f)
     ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary out of size s
     upper: list[dict[int, int]] = []
     cleared: Container[int] = ()
     for s in range(top, 0, -1):
-        cols = _boundary_columns(grouped[s - 1], grouped[s])
+        cols = _boundary_columns(grouped[s - 1], grouped[s], star)
         assert _composition_vanishes(upper, cols), "boundary of boundary is nonzero"
         cleared = _pivots(cols, p, cleared)
         ranks[s] = len(cleared)

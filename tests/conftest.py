@@ -9,12 +9,12 @@ import itertools
 import random
 import sys
 from collections import deque
-from fractions import Fraction
+from math import gcd
 
 import networkx as nx
 from hypothesis import settings
 
-from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton, submasks
+from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton
 from rindep.decompose import (
     DEFAULT_SHELL_BUDGET,
     DEFAULT_VD_BUDGET,
@@ -23,7 +23,7 @@ from rindep.decompose import (
     VDResult,
 )
 from rindep.graphs import Graph, bits, masks_of
-from rindep.homology import CMReport, SCMReport, _betti, field_name
+from rindep.homology import CMReport, SCMReport, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
     ChordalityResult,
@@ -619,30 +619,51 @@ def oracle_plain_shelling(k, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResu
 
 
 def oracle_rank_over_q(rows: list[list[int]]) -> int:
-    """Dense Gaussian elimination with exact fractions."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Dense row echelon form of an integer matrix, fraction-free: each row
+    below a pivot is combined with the pivot row to clear its column and
+    divided by the gcd of its entries, so every step is exact over Q."""
+    mat = [list(row) for row in rows]
     rank = 0
-    cols = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(pivot_row, len(mat)) if mat[i][col] != 0), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = 1 / mat[pivot_row][col]
-        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
-        for i in range(len(mat)):
-            if i != pivot_row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[pivot_row])]
-        pivot_row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        a = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            b = mat[i][col]
+            if b:
+                row = [x * a - y * b for x, y in zip(mat[i], mat[rank])]
+                g = gcd(*row) or 1
+                mat[i] = [x // g for x in row]
         rank += 1
     return rank
 
 
-def oracle_reduced_betti(k) -> list[int]:
-    """Reduced Betti numbers over Q, degree -1 upward: every boundary matrix
-    rebuilt densely from the labelled faces and ranked with fractions."""
+def oracle_rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Dense Gaussian elimination over GF(p)."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_reduced_betti(k, field: int | None = None) -> list[int]:
+    """Reduced Betti numbers over Q (``field`` None) or GF(field), degree -1
+    upward: every boundary matrix of the whole complex rebuilt densely from
+    the labelled faces and ranked by dense elimination."""
+    rank = oracle_rank_over_q if field is None else functools.partial(oracle_rank_mod_p, p=field)
     grouped = faces_by_dimension(k)
     top = max(grouped)
     ranks = {}
@@ -655,22 +676,23 @@ def oracle_reduced_betti(k) -> list[int]:
             ordered = sorted(face, key=k.ground_set.index)
             for j, v in enumerate(ordered):
                 dense[idx[face - {v}]][col] = (-1) ** j
-        ranks[d] = oracle_rank_over_q(dense) if lower and upper else 0
+        ranks[d] = rank(dense) if lower and upper else 0
     ranks[top + 1] = 0
     return [len(grouped.get(d, [])) - ranks.get(d, 0) - ranks[d + 1] for d in range(-1, top + 1)]
 
 
 def oracle_cm(k, field: int | None = None) -> CMReport:
-    """Reisner's criterion with the link of every face eliminated afresh,
-    faces in (dimension, label) order."""
+    """Reisner's criterion with the link of every face built as a labelled
+    complex and ranked densely by ``oracle_reduced_betti`` (no production
+    elimination), faces in (dimension, label) order."""
     name = field_name(field)
     if not k.is_pure():
         smallest = min(k.facets, key=lambda f: (len(f), sorted(map(k.ground_set.index, f))))
         return CMReport(False, name, smallest, None, "non-pure")
     facets = k.facet_masks
     for face in sorted(k.face_masks(), key=mask_order):
-        lk = submasks(f ^ face for f in facets if f & face == face)
-        for i, b in enumerate(_betti(lk, field)[:-1]):
+        lk = SimplicialComplex(k.ground_set, frozenset(k.labels(f ^ face) for f in facets if f & face == face))
+        for i, b in enumerate(oracle_reduced_betti(lk, field)[:-1]):
             if b:
                 return CMReport(False, name, k.labels(face), i - 1, "link-homology")
     return CMReport(True, name)

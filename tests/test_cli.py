@@ -445,6 +445,41 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(complex_path), str(cert_path))
         assert code == EXIT_PARSE
 
+    def test_round_trip_splitting(self, capsys, tmp_path):
+        complex_path, report = self._build_and_check(capsys, tmp_path, "splittable")
+        assert report["verdicts"]["splittable"] == "true"
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["certificates"]["splittable"]))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert code == EXIT_OK and out.strip() == "valid"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: {**c, "generators": c["generators"][:-1]},  # drop a generator
+            lambda c: {**c, "pivot": "no-such-variable"},
+            lambda c: {**c, "quotient": c["remainder"], "remainder": c["quotient"]},
+            lambda c: {"generators": 5},
+        ],
+        ids=["dropped-generator", "unknown-pivot", "swapped-parts", "malformed"],
+    )
+    def test_mutated_splitting_rejected(self, capsys, tmp_path, mutate):
+        complex_path, report = self._build_and_check(capsys, tmp_path, "splittable")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(mutate(report["certificates"]["splittable"])))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert code == EXIT_INVALID and out.strip() == "invalid"
+
+    def test_splitting_against_a_simplex_is_invalid(self, capsys, tmp_path):
+        # a simplex on its whole ground set has the zero ideal, with no dual
+        _, report = self._build_and_check(capsys, tmp_path, "splittable")
+        simplex_path = tmp_path / "simplex.json"
+        simplex_path.write_text(json.dumps({"ground_set": ["1", "2"], "facets": [["1", "2"]]}))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["certificates"]["splittable"]))
+        code, out, _ = run_cli(capsys, "verify", str(simplex_path), str(cert_path))
+        assert code == EXIT_INVALID and out.strip() == "invalid"
+
     @pytest.mark.parametrize("cert", [{"order": 5}, {"order": [5]}, [None]])
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, cert):
         complex_path, _ = self._build_and_check(capsys, tmp_path, "vd")

@@ -7,7 +7,7 @@ from conftest import complex_from_faces, oracle_reduced_betti, random_graph
 from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_vertex_decomposable
-from rindep.graphs import half_apex_clique, path_graph, twin_bridge_paths
+from rindep.graphs import bits, half_apex_clique, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -272,3 +272,135 @@ class TestLinkMemo:
             count = 0
             is_scm(k)
             assert count == calls
+
+
+@pytest.fixture
+def columns_built(monkeypatch):
+    """A one-item list that counts the boundary columns built from here on."""
+    count = [0]
+    build = homology._boundary_columns
+
+    def counting(lower, upper, star):
+        count[0] += len(upper)
+        return build(lower, upper, star)
+
+    monkeypatch.setattr(homology, "_boundary_columns", counting)
+    return count
+
+
+class TestBoundaryColumns:
+    """Pinned counts of boundary columns built.  Each complex is eliminated
+    relative to the star of one vertex, so only the faces F with F | v not
+    a face get a column; eliminating every face would build 48,152 and
+    10,670 columns."""
+
+    @pytest.mark.parametrize(
+        "call, columns",
+        [
+            (lambda: is_scm(ind_r(path_graph(12), 2)), 6131),
+            (lambda: reduced_homology(ind_r(path_graph(14), 3)), 401),
+        ],
+        ids=["scm-path12-r2", "homology-path14-r3"],
+    )
+    def test_columns_per_call(self, columns_built, call, columns):
+        call()
+        assert columns_built == [columns]
+
+
+def _star_vertex(k) -> str:
+    """The vertex whose star the elimination takes: the lowest of those in
+    the most faces of top size."""
+    tops = [f for f in k.facets if len(f) == k.dimension + 1]
+    return max(k.ground_set, key=lambda v: sum(v in f for f in tops))
+
+
+class TestRelativeElimination:
+    """Homology relative to a vertex star, on the cases where the star is
+    small, absent or a whole component, each against the dense oracle over
+    the whole complex."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            SimplicialComplex(("a",), frozenset({frozenset()})),
+            complex_from_faces("a", ["a"]),
+            complex_from_faces("abcde", ["abc", "de"]),
+            complex_from_faces("abcdef", ["abc", "de", "f"]),
+            boundary_simplex(4),
+            boundary_simplex(5),
+            complex_from_faces("abcx", ["abx", "cx"]),
+            complex_from_faces("abcdx", ["abx", "bcx", "dx"]),
+            complex_from_faces("abcdx", ["abx", "bcx", "cdx", "dax"]),
+        ],
+        ids=[
+            "empty-face",
+            "vertex",
+            "disconnected",
+            "three-components",
+            "hollow-triangle",
+            "hollow-tetrahedron",
+            "cone-apex-last",
+            "cone-two-edges-and-a-point",
+            "cone-over-square",
+        ],
+    )
+    @pytest.mark.parametrize("field", [None, 2, 3])
+    def test_edge_cases_match_dense_oracle(self, k, field):
+        assert list(reduced_homology(k, field).reduced) == oracle_reduced_betti(k, field)
+
+    def test_disconnected_star_covers_one_component(self):
+        k = complex_from_faces("abcde", ["abc", "de"])
+        assert _star_vertex(k) == "a"
+        assert reduced_homology(k).reduced == (0, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "k", [complex_from_faces("abcx", ["abx", "cx"]), complex_from_faces("abcdx", ["abx", "bcx", "dx"])]
+    )
+    def test_cone_with_another_vertex_chosen_is_eliminated_and_acyclic(self, columns_built, k):
+        # the apex x lies in every facet, but a lower vertex ties with it, so
+        # the star is not the whole cone and some faces are eliminated
+        assert _star_vertex(k) != "x"
+        assert not any(reduced_homology(k).reduced)
+        assert columns_built[0] > 0
+
+    @pytest.mark.parametrize(
+        "k",
+        [complex_from_faces("abcdef", ["abc", "def"]), ind_r(path_graph(8), 2), ind_r(twin_bridge_paths(3), 3)],
+        ids=["two-triangles", "path8-r2", "G3-r3"],
+    )
+    def test_flipped_sign_fails_the_signed_check(self, monkeypatch, k):
+        build = homology._boundary_columns
+        flipped = False
+
+        def flip_one(lower, upper, star):
+            nonlocal flipped
+            cols = build(lower, upper, star)
+            col = next((c for c in cols if len(c) > 1), None)
+            if col is not None and not flipped:
+                row = min(col)
+                col[row] = -col[row]
+                flipped = True
+            return cols
+
+        monkeypatch.setattr(homology, "_boundary_columns", flip_one)
+        with pytest.raises(AssertionError, match="boundary of boundary is nonzero"):
+            reduced_homology(k)
+        assert flipped
+
+    @pytest.mark.parametrize(
+        "k",
+        [complex_from_faces("abcdef", ["abc", "def"]), ind_r(path_graph(7), 2), ind_r(twin_bridge_paths(3), 3)],
+        ids=["two-triangles", "path7-r2", "G3-r3"],
+    )
+    def test_face_missing_from_the_enumeration_fails_loudly(self, k):
+        # a face that is a row of a face outside the star, once removed, is
+        # taken neither for a relative face nor for a star face, even where
+        # its union with v is still a face
+        faces = k.face_masks()
+        v = 1 << k.ground_set.index(_star_vertex(k))
+        relative = [f for f in faces if f | v not in faces]
+        rows = {f & ~(1 << i) for f in relative for i in bits(f)}
+        assert any(f | v in faces for f in rows) and any(f | v not in faces for f in rows)
+        for f in rows:
+            with pytest.raises(KeyError):
+                homology._betti(faces - {f}, None)
