@@ -98,37 +98,52 @@ class ChordalityResult:
     minors_visited: int
 
 
-def _minor_children(vs: int, edges: frozenset[int]):
+def _minor_children(
+    vs: int, members: tuple[int, ...], edges: frozenset[int], contracted: int, shift: int, pairs: set[int]
+):
     """Delete-then-contract children of a mask minor, vertex by vertex in
-    ground-set order.  Deletion drops the edges through the vertex; those
+    ground-set order (``members``, the bits of ``vs``), each with the mask
+    of the vertices contracted on its way.  A child is keyed by its remaining and contracted vertices, ``rest
+    | contracted << shift``.  A key already in ``pairs`` names a minor
+    already generated, so that child is not built, and a vertex whose two
+    keys are both known is skipped; a vertex in no edge marks both keys and
+    yields one child.  Deletion drops the edges through the vertex; those
     edges are an antichain already.  Contraction shrinks them, and only an
     untouched edge can then contain a shrunk one, so reduction to minimal
     edges compares the two groups and runs only when some edge held it."""
-    for i in bits(vs):
+    for i in members:
         b = 1 << i
         rest = vs ^ b
+        deleted_key = rest | contracted << shift
+        contracted_key = deleted_key | b << shift
+        new_deleted, new_contracted = deleted_key not in pairs, contracted_key not in pairs
+        if not (new_deleted or new_contracted):
+            continue
+        pairs.add(deleted_key)
+        pairs.add(contracted_key)
         held = [e for e in edges if e & b]
         if not held:  # deletion and contraction agree
-            yield rest, edges
+            yield rest, edges, contracted
             continue
         kept = [e for e in edges if not e & b]
-        yield rest, frozenset(kept)
-        shrunk = [e ^ b for e in held]
-        yield rest, frozenset(shrunk + [f for f in kept if all(s & ~f for s in shrunk)])
+        if new_deleted:
+            yield rest, frozenset(kept), contracted
+        if new_contracted:
+            shrunk = [e ^ b for e in held]
+            reduced = frozenset(shrunk + [f for f in kept if all(s & ~f for s in shrunk)])
+            yield rest, reduced, contracted | b
 
 
-def _has_simplicial_mask(vs: int, edges: frozenset[int]) -> bool:
+def _has_simplicial_mask(members: tuple[int, ...], edges: frozenset[int]) -> bool:
     """Some vertex is simplicial: every two distinct edges through it
     contain a third edge inside their union minus the vertex.  Reading
     "two edges" as distinct pairs makes the notion agree with graph
     chordality on graphs."""
-    for i in bits(vs):
+    for i in members:
         b = 1 << i
         through = [e for e in edges if e & b]
-        if all(
-            any(not e3 & ~((e1 | e2) ^ b) for e3 in edges)
-            for e1, e2 in itertools.combinations(through, 2)
-        ):
+        outside = (~((e1 | e2) ^ b) for e1, e2 in itertools.combinations(through, 2))
+        if all(any(not e3 & out for e3 in edges) for out in outside):
             return True
     return False
 
@@ -146,23 +161,39 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     witness is turned back into a labelled ``Hypergraph``.  The budget
     counts distinct minors visited and exceeding it yields an explicit
     inconclusive result, never a silent answer.
+
+    Deletion and contraction commute on clutters (Seymour 1976), so the
+    minor reached by deleting a vertex set D and contracting a disjoint set
+    C depends only on (D, C).  Each queued minor carries the C of the path
+    that first found it, and a child whose (D, C) pair was generated before
+    is skipped unbuilt; distinct pairs can still give one minor, so the
+    set of minors stays the authority.  A minor's level is its vertex count
+    and only the next level is generated from the current one, so both sets
+    are emptied when the level being searched changes: the search holds
+    at most two levels, never every minor.
     """
-    root = ((1 << len(h.vertices)) - 1, frozenset(masks_of(h.vertices, h.edges)))
-    queue = deque([root])
-    seen = {root}
+    n = len(h.vertices)
+    full = (1 << n) - 1
+    queue = deque([(full, frozenset(masks_of(h.vertices, h.edges)), 0)])
+    size = n
+    seen: set[tuple[int, frozenset[int]]] = set()  # minors of the level being built
+    pairs: set[int] = set()  # their (remaining, contracted) keys
     visited = 0
     while queue:
-        minor = queue.popleft()
+        vs, edges, contracted = queue.popleft()
         visited += 1
         if visited > budget:
             return ChordalityResult(None, None, visited - 1)
-        vs, edges = minor
-        if vs and not _has_simplicial_mask(vs, edges):
-            return ChordalityResult(False, h if minor == root else _labelled(h, vs, edges), visited)
-        for child in _minor_children(vs, edges):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
+        members = bits(vs)
+        if members and not _has_simplicial_mask(members, edges):
+            return ChordalityResult(False, h if vs == full else _labelled(h, vs, edges), visited)
+        if len(members) != size:
+            size = len(members)
+            seen, pairs = set(), set()
+        for rest, child_edges, child_contracted in _minor_children(vs, members, edges, contracted, n, pairs):
+            if (rest, child_edges) not in seen:
+                seen.add((rest, child_edges))
+                queue.append((rest, child_edges, child_contracted))
     return ChordalityResult(True, None, visited)
 
 

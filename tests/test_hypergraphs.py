@@ -7,6 +7,7 @@ from conftest import (
     delete_vertex,
     induced_subgraph,
     is_simplicial_vertex,
+    oracle_chordality,
     oracle_minimal_covers,
     random_graph,
     reduced_hypergraph,
@@ -15,6 +16,7 @@ from conftest import (
 
 from rindep.graphs import (
     CaterpillarSpec,
+    Graph,
     cycle_graph,
     demo_graph,
     enumerate_trees,
@@ -198,12 +200,39 @@ class TestChordality:
             (path_graph(10), 1, True, 9192),
             (star_graph(9), 2, True, 3550),
             (twin_bridge_paths(3), 2, False, 526),
+            (twin_bridge_paths(4), 2, False, 6670),
+            (twin_bridge_paths(4), 3, False, 1051),
         ],
     )
     def test_minors_visited_pinned(self, graph, r, chordal, visited):
         res = is_chordal_hypergraph(con_r(graph, r))
         assert res.chordal is chordal
         assert res.minors_visited == visited
+
+    @pytest.mark.parametrize("h", [con_r(path_graph(6), 1), con_r(twin_bridge_paths(3), 2)])
+    def test_budget_cut_off_at_every_level_boundary(self, h):
+        # the search forgets a level once it moves on, so a count that slips
+        # there shows as a cut-off one minor early or late
+        level, boundaries = {h}, [0]
+        while level:
+            boundaries.append(boundaries[-1] + len(level))
+            level = {op(m, v) for m in level for v in m.vertices for op in (delete_vertex, contract_vertex)}
+        for c in boundaries[1:]:
+            for budget in (c - 1, c, c + 1):
+                assert is_chordal_hypergraph(h, budget) == oracle_chordality(h, budget)
+
+    def test_every_small_atlas_graph_matches_the_labelled_oracle(self):
+        # every graph on at most 5 vertices, so deep witnesses are compared
+        # in full and not only on a sample
+        checked = 0
+        for g in nx.graph_atlas_g():
+            if g.number_of_nodes() > 5:
+                break
+            for r in (1, 2, 3):
+                h = con_r(Graph.from_edges(g.nodes, g.edges), r)
+                assert is_chordal_hypergraph(h) == oracle_chordality(h)
+                checked += 1
+        assert checked == 159
 
     def test_chordal_graphs_stay_chordal_as_hypergraphs(self):
         rng = random.Random(37)

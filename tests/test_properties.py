@@ -676,6 +676,7 @@ print(json.dumps({
     "G:4": run(["check", "--gen", "G:4", "--r", "4", "--props", "homology,scm"]),
     "build-G:3": run(["build", "--gen", "G:3", "--r", "2"]),
     "scan-vd-n10": run(["scan", "--family", "trees", "--n", "10", "--r", "1", "--props", "vd"]),
+    "G:4-chordal": run(["check", "--gen", "G:4", "--r", "2", "--props", "chordal-hypergraph"]),
 }))
 """
 
@@ -694,7 +695,9 @@ _COMPLEX_FILES = {
 # and the empty complex before complex files took the facet-complement dual,
 # and for the ``build`` of G:3 (ground order 1,2,3,a,b,4,5,6, not string
 # order) and the n<=10 tree scan (labels past "9") before faces and edges
-# were ordered by their masks; a change to any report byte fails here
+# were ordered by their masks, and for the chordality of G:4 at r=2 (witness
+# six levels deep) before the minor search skipped (deleted, contracted)
+# pairs it had generated; a change to any report byte fails here
 _PINNED = {
     "G:3": "4458f2b02dc4b796f211faf3ca43014ab8557e1c0a181970f7f9975e40497a4d",
     "H:2": "abbc178dd4a6612fa4643794e74828fd0a545fd8da1b6f78eb6e8bba805fe4bc",
@@ -707,6 +710,7 @@ _PINNED = {
     "G:4": "0353b6613af66c9ce45a20b2bb10f774654a2aa5e68ba1e023cc48f93661fd2d",
     "build-G:3": "33a2152f3f84d5fae00bd7f75b11df9eaf9107db19d65be1dc2a90cd288d46cd",
     "scan-vd-n10": "c89e908a27ee711bafe7b245a81373ecf265db49c7648ca87c3b6fa7d93d5554",
+    "G:4-chordal": "4402919a62a989a5d1b80f23bd4a1806efd92f25f75bbce7de88420a7a03ba13",
 }
 
 
