@@ -75,6 +75,25 @@ ENV_PREFIX = "RINDEP_"
 
 ALL_PROPS = ("vd", "shellable", "cm", "scm", "homology", "splittable", "chordal-hypergraph")
 
+# each budget is the flag --budget-<name>, the variable RINDEP_BUDGET_<NAME>
+# and the key ``run_checks`` reads
+BUDGETS = {
+    "vd": DEFAULT_VD_BUDGET,
+    "shell": DEFAULT_SHELL_BUDGET,
+    "minor": DEFAULT_MINOR_BUDGET,
+    "split": DEFAULT_SPLIT_BUDGET,
+}
+
+# the generators that take one integer
+_SIZED_GENERATORS = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "star": star_graph,
+    "H": half_apex_clique,
+    "G": twin_bridge_paths,
+}
+
 
 def _env(name: str, fallback):
     # a set variable is a string default, which argparse type-checks like a flag
@@ -93,25 +112,15 @@ def build_generator(token: str) -> Graph:
     caterpillar:m1,...,ml, H:r, G:r."""
     name, colon, arg = token.partition(":")
     try:
+        if name in _SIZED_GENERATORS:
+            return _SIZED_GENERATORS[name](int(arg))
         if name == "fig1":
             if colon:
                 raise ValueError("fig1 takes no argument")
             return demo_graph()
-        if name == "path":
-            return path_graph(int(arg))
-        if name == "cycle":
-            return cycle_graph(int(arg))
-        if name == "complete":
-            return complete_graph(int(arg))
-        if name == "star":
-            return star_graph(int(arg))
         if name == "caterpillar":
             counts = tuple(int(x) for x in arg.split(","))
             return make_caterpillar(CaterpillarSpec(len(counts), counts))
-        if name == "H":
-            return half_apex_clique(int(arg))
-        if name == "G":
-            return twin_bridge_paths(int(arg))
     except ValueError as exc:
         raise GraphParseError(f"bad generator argument {token!r}: {exc}") from exc
     raise GraphParseError(f"unknown generator {token!r}")
@@ -124,21 +133,14 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_graph(path: str, fmt: str) -> Graph:
-    text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "json" if path.endswith(".json") else "edgelist"
-    if fmt == "json":
-        return parse_graph_json(text)
-    return parse_edge_list(text)
-
-
 def _graph_input(args) -> tuple[Graph, dict]:
     if args.gen:
         return build_generator(args.gen), {"kind": "generator", "source": args.gen}
     if not args.input:
         raise GraphParseError("no input: give --gen or --input")
-    graph = load_graph(args.input, args.format)
+    text = Path(args.input).read_text()
+    as_json = args.format == "json" or args.format == "auto" and args.input.endswith(".json")
+    graph = parse_graph_json(text) if as_json else parse_edge_list(text)
     return graph, {"kind": "graph-file", "source": args.input}
 
 
@@ -152,19 +154,12 @@ def _emit(payload, out: str | None) -> None:
 
 def cmd_build(args) -> int:
     graph, _ = _graph_input(args)
-    if args.r < 1:
-        raise GraphParseError("r must be a positive integer")
     _emit(ind_r(graph, args.r).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _budgets(args) -> dict[str, int]:
-    return {
-        "vd": args.budget_vd,
-        "shell": args.budget_shell,
-        "minor": args.budget_minor,
-        "split": args.budget_split,
-    }
+    return {name: getattr(args, f"budget_{name}") for name in BUDGETS}
 
 
 def run_checks(
@@ -261,7 +256,8 @@ def run_checks(
 
 
 def _parse_props(raw: str) -> list[str]:
-    props = [p.strip() for p in raw.split(",") if p.strip()]
+    """The named properties, each once, in the order of first mention."""
+    props = list(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
     for p in props:
         if p not in ALL_PROPS:
             raise GraphParseError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
@@ -411,10 +407,8 @@ def _add_input_args(p: argparse.ArgumentParser, with_complex: bool = False) -> N
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-vd", type=_budget, default=_env("BUDGET_VD", DEFAULT_VD_BUDGET))
-    p.add_argument("--budget-shell", type=_budget, default=_env("BUDGET_SHELL", DEFAULT_SHELL_BUDGET))
-    p.add_argument("--budget-minor", type=_budget, default=_env("BUDGET_MINOR", DEFAULT_MINOR_BUDGET))
-    p.add_argument("--budget-split", type=_budget, default=_env("BUDGET_SPLIT", DEFAULT_SPLIT_BUDGET))
+    for name, default in BUDGETS.items():
+        p.add_argument(f"--budget-{name}", type=_budget, default=_env(f"BUDGET_{name.upper()}", default))
     p.add_argument("--field", default=_env("FIELD", "q"), help="q or gf:p")
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, masks_of, r_growth_test, record, sets_of
-from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family
+from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family, check_guard
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -128,10 +128,7 @@ class SimplicialComplex:
 
     def face_masks(self) -> set[int]:
         """Every face as a bitmask, the empty face included (unless void)."""
-        if len(self.ground_set) > FACE_ENUMERATION_GUARD:
-            raise GuardExceeded(
-                f"face enumeration over {len(self.ground_set)} vertices exceeds the guard"
-            )
+        check_guard(len(self.ground_set), "face")
         return submasks(self.facet_masks)
 
     def to_json_dict(self) -> dict:

@@ -10,9 +10,9 @@ both have the same j-skeleton, so a pure link is eliminated once for every
 skeleton.  When those facets share a vertex the complex is a cone, which is
 acyclic, and F is skipped.
 
-Homology is taken relative to the star of a vertex v, a cone: by the pair's
-long exact sequence H~_i(K) = H_i(K, st v) (Munkres 1984, sections 23-24),
-so only the faces F with F | v not a face are eliminated."""
+Homology is taken relative to the star of a vertex v, a cone: H~_i(K) =
+H_i(K, st v) = H_i(K - v, lk v) by the pair's long exact sequence and
+excision (Munkres 1984, sections 23-24), so no face through v is listed."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import Container
 
 from .complexes import SimplicialComplex, mask_order, submasks
 from .graphs import bits, record
+from .hypergraphs import check_guard
 
 
 def parse_field(spec: str) -> int | None:
@@ -109,11 +110,10 @@ def _pivots(columns: list[dict], p: int | None, cleared: Container[int] = ()) ->
     return pivots
 
 
-def _boundary_columns(lower: list[int], upper: list[int], star: Container[int]) -> list[dict[int, int]]:
-    """Boundary matrix columns relative to ``star``: for each upper face,
-    alternating-sign incidences with its codimension-one subfaces not in
-    ``star``, signs taken in ground-set order.  Each such subface must be in
-    ``lower``; a missing one raises KeyError."""
+def _boundary_columns(lower: list[int], upper: list[int], link: Container[int]) -> list[dict[int, int]]:
+    """Boundary matrix columns relative to ``link``: for each upper face,
+    alternating-sign incidences, signs taken in ground-set order, with its
+    codimension-one subfaces not in ``link``, which must be in ``lower``."""
     index = {f: i for i, f in enumerate(lower)}
     cols = []
     for face in upper:
@@ -121,7 +121,7 @@ def _boundary_columns(lower: list[int], upper: list[int], star: Container[int]) 
         sign, rest = 1, face
         while rest:
             low = rest & -rest
-            if face ^ low not in star:
+            if face ^ low not in link:
                 col[index[face ^ low]] = sign
             sign, rest = -sign, rest ^ low
         cols.append(col)
@@ -141,28 +141,28 @@ def _composition_vanishes(upper: list[dict[int, int]], lower: list[dict[int, int
     return True
 
 
-def _betti(faces: set[int], p: int | None) -> tuple[int, ...]:
+def _betti(generators: tuple[int, ...], p: int | None) -> tuple[int, ...]:
     """Reduced Betti numbers, degree -1 upward, of the non-void complex K
-    with face bitmasks ``faces``, as the homology of K relative to st v
-    (degree -1 vanishes there, as the empty face lies in st v), where v is
-    the lowest of the vertices in the most faces of top size.  Boundaries
-    are reduced from the top down: a face that is the pivot of a reduced
-    boundary one size up has a column that combines earlier columns, so it
-    is cleared without reduction."""
-    top = max(f.bit_count() for f in faces)
+    generated by the face masks ``generators``, as the homology of (K - v,
+    lk v), where v is the lowest of the vertices in the most generators of
+    top size (degree -1 vanishes, as the empty face lies in lk v).
+    Boundaries are reduced from the top down: a face that is the pivot of a
+    reduced boundary one size up has a column that combines earlier
+    columns, so it is cleared without reduction."""
+    top = max(g.bit_count() for g in generators)
     if not top:
         return (1,)  # {∅} has no vertex to take the star of
-    tops = [f for f in faces if f.bit_count() == top]
-    bit = 1 << max(bits(reduce(or_, tops)), key=lambda i: (sum(f >> i & 1 for f in tops), -i))
-    star = {f for f in faces if f | bit in faces}
+    tops = [g for g in generators if g.bit_count() == top]
+    bit = 1 << max(bits(reduce(or_, tops)), key=lambda i: (sum(g >> i & 1 for g in tops), -i))
+    link = submasks(g ^ bit for g in generators if g & bit)
     grouped: list[list[int]] = [[] for _ in range(top + 1)]  # sized by K, so no degree is lost
-    for f in sorted(faces - star):
+    for f in sorted(submasks(g for g in generators if not g & bit) - link):
         grouped[f.bit_count()].append(f)
     ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary out of size s
     upper: list[dict[int, int]] = []
     cleared: Container[int] = ()
     for s in range(top, 0, -1):
-        cols = _boundary_columns(grouped[s - 1], grouped[s], star)
+        cols = _boundary_columns(grouped[s - 1], grouped[s], link)
         assert _composition_vanishes(upper, cols), "boundary of boundary is nonzero"
         cleared = _pivots(cols, p, cleared)
         ranks[s] = len(cleared)
@@ -176,10 +176,10 @@ def _betti(faces: set[int], p: int | None) -> tuple[int, ...]:
 def reduced_homology(k: SimplicialComplex, field: int | None = None) -> BettiProfile:
     """Reduced Betti numbers of ``k``; ``field`` is None for the rationals or
     a prime p for GF(p).  Exact arithmetic throughout."""
-    name = field_name(field)
     if k.is_void:
-        return BettiProfile((), name)
-    return BettiProfile(_betti(k.face_masks(), field), name)
+        return BettiProfile((), field_name(field))
+    check_guard(len(k.ground_set), "face")
+    return BettiProfile(_betti(k.facet_masks, field), field_name(field))
 
 
 @record
@@ -248,7 +248,7 @@ def _cohen_macaulay(k: SimplicialComplex, faces: list[int], m: int, field: int |
         key = _relabelled(link)
         betti = memo.get(key)
         if betti is None:
-            betti = memo[key] = _betti(submasks(key), field)
+            betti = memo[key] = _betti(key, field)
         for i, b in enumerate(betti[: j + 1]):  # degrees -1 .. j - 1
             if b:
                 return CMReport(False, name, k.labels(face), i - 1, "link-homology")

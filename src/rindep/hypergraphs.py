@@ -18,6 +18,12 @@ class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured size guard."""
 
 
+def check_guard(n: int, what: str) -> None:
+    """Refuse an enumeration of ``what`` over ``n`` vertices past the guard."""
+    if n > FACE_ENUMERATION_GUARD:
+        raise GuardExceeded(f"{what} enumeration over {n} vertices exceeds the guard")
+
+
 def is_antichain(sets: Iterable[frozenset[str]]) -> bool:
     """True iff no member of ``sets``, a family of distinct sets, lies
     inside another.  Two distinct sets of one size are never nested, so only
@@ -208,8 +214,7 @@ def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
     grown set without being it.  With no edges the empty set is the unique
     cover; an empty edge cannot be met, so the cover family is empty.
     """
-    if len(h.vertices) > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded(f"cover enumeration over {len(h.vertices)} vertices exceeds the guard")
+    check_guard(len(h.vertices), "cover")
     covers = [0]
     for e in sorted(masks_of(h.vertices, h.edges)):
         hit = [c for c in covers if c & e]

@@ -117,6 +117,14 @@ class TestBuild:
         assert code == EXIT_OK
         assert json.loads(out)["verdicts"] == {"splittable": "false", "vd": "false"}
 
+    @pytest.mark.parametrize("prop", ["homology", "cm", "scm"])
+    def test_complex_file_beyond_the_guard_has_no_homology(self, capsys, tmp_path, prop):
+        path = tmp_path / "wide.json"
+        ground = [f"v{i}" for i in range(21)]
+        path.write_text(json.dumps({"ground_set": ground, "facets": [ground[0:3], ground[3:6]]}))
+        code, out, err = run_cli(capsys, "check", "--complex", str(path), "--props", prop)
+        assert code == EXIT_PARSE and out == "" and "guard" in err
+
 
 class TestGeneratorRoundTrip:
     @pytest.mark.parametrize("token", GENERATOR_TOKENS)
@@ -276,6 +284,31 @@ class TestCheck:
         items = len(out.strip().splitlines()) - 1 if argv[0] == "scan" else 1
         assert len(built) == items
         assert passed and all(k is not None for k in passed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "--gen", "fig1", "--r", "2"), ("scan", "--family", "trees", "--n", "5", "--r", "1..2")],
+        ids=["check", "scan"],
+    )
+    def test_repeated_property_runs_once(self, capsys, monkeypatch, argv):
+        runs = []
+        search = cli.is_vertex_decomposable
+
+        def counting(*args):
+            runs.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(cli, "is_vertex_decomposable", counting)
+        reports = []
+        for props in ("vd", "vd,vd"):
+            code, out, _ = run_cli(capsys, *argv, "--props", props)
+            assert code == EXIT_OK
+            reports.append(out if argv[0] == "scan" else json.loads(out))
+            if argv[0] == "check":
+                assert list(reports[-1].pop("timings")) == ["vd"]
+        items = len(reports[0].strip().splitlines()) - 1 if argv[0] == "scan" else 1
+        assert reports[0] == reports[1]
+        assert len(runs) == 2 * items
 
     def test_missing_r_for_graph_input(self, capsys):
         code, _, err = run_cli(capsys, "check", "--gen", "fig1", "--props", "vd")

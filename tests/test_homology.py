@@ -7,7 +7,7 @@ from conftest import complex_from_faces, oracle_reduced_betti, random_graph
 from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_vertex_decomposable
-from rindep.graphs import bits, half_apex_clique, path_graph, twin_bridge_paths
+from rindep.graphs import half_apex_clique, masks_of, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -15,6 +15,7 @@ from rindep.homology import (
     parse_field,
     reduced_homology,
 )
+from rindep.hypergraphs import GuardExceeded
 
 
 def fs(*labels):
@@ -80,6 +81,14 @@ class TestReducedHomology:
     def test_void_complex(self):
         k = SimplicialComplex(("a",), frozenset())
         assert reduced_homology(k).reduced == ()
+
+    def test_beyond_the_guard_raises(self):
+        # two triangles among 21 vertices: the faces are few, but the
+        # ground set is past the enumeration guard
+        ground = [f"v{i}" for i in range(21)]
+        k = complex_from_faces(ground, [ground[0:3], ground[3:6]])
+        with pytest.raises(GuardExceeded, match="face enumeration over 21 vertices exceeds the guard"):
+            reduced_homology(k)
 
     def test_point_is_acyclic(self):
         k = complex_from_faces("a", ["a"])
@@ -280,9 +289,9 @@ def columns_built(monkeypatch):
     count = [0]
     build = homology._boundary_columns
 
-    def counting(lower, upper, star):
+    def counting(lower, upper, link):
         count[0] += len(upper)
-        return build(lower, upper, star)
+        return build(lower, upper, link)
 
     monkeypatch.setattr(homology, "_boundary_columns", counting)
     return count
@@ -290,9 +299,9 @@ def columns_built(monkeypatch):
 
 class TestBoundaryColumns:
     """Pinned counts of boundary columns built.  Each complex is eliminated
-    relative to the star of one vertex, so only the faces F with F | v not
-    a face get a column; eliminating every face would build 48,152 and
-    10,670 columns."""
+    as the pair (K - v, lk v), so only the faces of K - v outside lk v get
+    a column; eliminating every face would build 48,152 and 10,670
+    columns."""
 
     @pytest.mark.parametrize(
         "call, columns",
@@ -372,9 +381,9 @@ class TestRelativeElimination:
         build = homology._boundary_columns
         flipped = False
 
-        def flip_one(lower, upper, star):
+        def flip_one(lower, upper, link):
             nonlocal flipped
-            cols = build(lower, upper, star)
+            cols = build(lower, upper, link)
             col = next((c for c in cols if len(c) > 1), None)
             if col is not None and not flipped:
                 row = min(col)
@@ -388,19 +397,40 @@ class TestRelativeElimination:
         assert flipped
 
     @pytest.mark.parametrize(
-        "k",
-        [complex_from_faces("abcdef", ["abc", "def"]), ind_r(path_graph(7), 2), ind_r(twin_bridge_paths(3), 3)],
-        ids=["two-triangles", "path7-r2", "G3-r3"],
+        "ground, generators",
+        [
+            ("abcde", ["abc", "ab", "c", "de", "d"]),
+            ("abcdef", ["abc", "abc", "de", "de", "f"]),
+            ("abc", ["ab", "bc", "ca", "ab", "a", "b"]),
+            ("abcx", ["abx", "cx", "bx", "x"]),
+            ("abcdx", ["abx", "bcx", "dx", "bcx", "ax"]),
+        ],
+        ids=["faces-beside-facets", "duplicates", "hollow-triangle", "cone", "cone-two-edges-and-a-point"],
     )
-    def test_face_missing_from_the_enumeration_fails_loudly(self, k):
-        # a face that is a row of a face outside the star, once removed, is
-        # taken neither for a relative face nor for a star face, even where
-        # its union with v is still a face
-        faces = k.face_masks()
+    @pytest.mark.parametrize("field", [None, 2, 3])
+    def test_redundant_generators_match_dense_oracle(self, ground, generators, field):
+        # a face listed beside its facet, or twice, generates nothing new; in
+        # the cones a lower vertex ties with the apex x, so v is not x
+        k = complex_from_faces(ground, generators)
+        assert _star_vertex(k) != "x"
+        masks = tuple(masks_of(tuple(ground), generators))
+        assert list(homology._betti(masks, field)) == oracle_reduced_betti(k, field)
+
+    @pytest.mark.parametrize(
+        "k",
+        [boundary_simplex(4), ind_r(path_graph(8), 2), ind_r(twin_bridge_paths(3), 3)],
+        ids=["hollow-tetrahedron", "path8-r2", "G3-r3"],
+    )
+    def test_no_face_through_the_star_vertex_is_enumerated(self, monkeypatch, k):
+        listed = []
+        enumerate_faces = homology.submasks
+
+        def recording(generators):
+            faces = enumerate_faces(generators)
+            listed.extend(faces)
+            return faces
+
+        monkeypatch.setattr(homology, "submasks", recording)
+        reduced_homology(k)
         v = 1 << k.ground_set.index(_star_vertex(k))
-        relative = [f for f in faces if f | v not in faces]
-        rows = {f & ~(1 << i) for f in relative for i in bits(f)}
-        assert any(f | v in faces for f in rows) and any(f | v not in faces for f in rows)
-        for f in rows:
-            with pytest.raises(KeyError):
-                homology._betti(faces - {f}, None)
+        assert listed and not any(f & v for f in listed)
