@@ -6,14 +6,17 @@ certificate (``verify``), 2 rejected input (a parse or usage error, a
 negative or non-integer budget, a ``--jobs`` below 1, a field order that is
 not a prime below 2**64, an input beyond an enumeration guard, a JSON
 file nested too deeply to read, or an input whose certificate nests too
-deeply to write as JSON), 3 a search budget ran out, 4 an internal
-cross-check mismatch.
+deeply to write as JSON), 3 a search budget ran out, 4 an internal check
+failed (a certificate its verifier rejects, a nonzero boundary of a
+boundary, or two routes to one result that disagree).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -37,7 +40,7 @@ from .decompose import (
     verify_shelling_certificate,
 )
 from .graphs import (
-    CaterpillarSpec,
+    TREE_ENUMERATION_LIMIT,
     Graph,
     GraphParseError,
     complete_graph,
@@ -119,8 +122,7 @@ def build_generator(token: str) -> Graph:
                 raise ValueError("fig1 takes no argument")
             return demo_graph()
         if name == "caterpillar":
-            counts = tuple(int(x) for x in arg.split(","))
-            return make_caterpillar(CaterpillarSpec(len(counts), counts))
+            return make_caterpillar([int(x) for x in arg.split(",")])
     except ValueError as exc:
         raise GraphParseError(f"bad generator argument {token!r}: {exc}") from exc
     raise GraphParseError(f"unknown generator {token!r}")
@@ -174,9 +176,10 @@ def run_checks(
     from ``field`` to ``timings``; ``_emit`` renders the objects in them.
 
     ``graph`` and ``r`` enable the graph-level checks (the hypergraph route
-    of the splittable check and hypergraph chordality).  A true ``vd``,
-    ``shellable`` or ``splittable`` verdict is recorded only once its
-    certificate has been verified, or the zero-ideal note written."""
+    of the splittable check, and hypergraph chordality, which needs them).
+    A true ``vd``, ``shellable`` or ``splittable`` verdict is recorded only
+    once its certificate has been verified, or the zero-ideal note written;
+    a certificate that fails its verifier raises ``CrossCheckError``."""
     verdicts: dict[str, str] = {}
     certificates: dict[str, object] = {}
     witnesses: dict[str, object] = {}
@@ -186,18 +189,22 @@ def run_checks(
     def record(prop: str, value: bool | None) -> None:
         verdicts[prop] = "budget-exceeded" if value is None else str(value).lower()
 
+    def verified(prop: str, ok: bool) -> None:
+        if not ok:
+            raise CrossCheckError(f"the {prop} certificate fails its verifier")
+
     for prop in props:
         start = time.perf_counter()
         if prop == "vd":
             res = is_vertex_decomposable(complex_, budgets["vd"])
             if res.decomposable:
-                assert verify_shedding_certificate(complex_, res.certificate)
+                verified(prop, verify_shedding_certificate(complex_, res.certificate))
                 certificates["vd"] = res.certificate
             record(prop, res.decomposable)
         elif prop == "shellable":
             res = is_shellable(complex_, budgets["shell"])
             if res.shellable:
-                assert verify_shelling_certificate(complex_, res.order)
+                verified(prop, verify_shelling_certificate(complex_, res.order))
                 certificates["shellable"] = [sorted(f) for f in res.order]
             record(prop, res.shellable)
         elif prop == "cm":
@@ -230,19 +237,15 @@ def run_checks(
                 res = is_vertex_splittable(dual, budgets["split"])
                 extras["splittable"] = {"dual_ideal": dual}
                 if res.splittable:
-                    assert verify_split_certificate(dual, res.certificate)
+                    verified(prop, verify_split_certificate(dual, res.certificate))
                     certificates["splittable"] = res.certificate
                 record(prop, res.splittable)
         elif prop == "chordal-hypergraph":
-            if graph is None or r is None:
-                raise GraphParseError("chordal-hypergraph needs a graph input and r")
             res = is_chordal_hypergraph(con_r(graph, r), budgets["minor"])
             record(prop, res.chordal)
             extras["chordal-hypergraph"] = {"minors_visited": res.minors_visited}
             if res.chordal is False:
                 witnesses["chordal-hypergraph"] = res.witness
-        else:
-            raise GraphParseError(f"unknown property {prop!r}")
         timings[prop] = round(time.perf_counter() - start, 6)
 
     report = {"field": field_name(field), "verdicts": verdicts}
@@ -268,6 +271,8 @@ def cmd_check(args) -> int:
     field = parse_field(args.field)
     props = _parse_props(args.props)
     if args.complex:
+        if "chordal-hypergraph" in props:
+            raise GraphParseError("chordal-hypergraph needs a graph input and r")
         complex_ = complex_from_json_dict(_load_json(args.complex))
         graph, r = None, None
         input_desc = {"kind": "complex-file", "source": args.complex}
@@ -321,37 +326,41 @@ def _scan_item(family: str, props: list[str], budgets: dict[str, int], field: in
 
 
 def cmd_scan(args) -> int:
+    """Write each item's line as soon as it is done; a failure mid-scan
+    keeps the lines already written and writes no summary."""
     if args.jobs < 1:
         raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
-    # every argument is checked before the first item is built
+    # every argument, and the output file, is checked before the first item is built
     rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
-    items = [
-        (n, index, tree, r)
-        for n in range(1, args.n + 1)
-        for index, tree in enumerate(
-            t for t in enumerate_trees(n) if args.family == "trees" or is_caterpillar(t)
+    if args.n > TREE_ENUMERATION_LIMIT:
+        raise GraphParseError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        items = (
+            (n, index, tree, r)
+            for n in range(1, args.n + 1)
+            for index, tree in enumerate(
+                t for t in enumerate_trees(n) if args.family == "trees" or is_caterpillar(t)
+            )
+            for r in rs
         )
-        for r in rs
-    ]
-    worker = functools.partial(_scan_item, args.family, props, _budgets(args), field)
-    # a pool starts all its workers at once, so never more than can run
-    workers = min(args.jobs, os.cpu_count() or 1, len(items))
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it, and it is slow to import
+        worker = functools.partial(_scan_item, args.family, props, _budgets(args), field)
+        # a pool starts all its workers at once, so never more than can run
+        head = list(itertools.islice(items, min(args.jobs, os.cpu_count() or 1)))
+        items = itertools.chain(head, items)
+        if len(head) > 1:
+            import concurrent.futures  # only a pool needs it, and it is slow to import
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(worker, items, chunksize=1))
-    else:
-        # popping releases each tree, and what the checks cached on it, after its last item
-        items.reverse()
-        lines = [worker(items.pop()) for _ in range(len(items))]
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=len(head)))
+            lines = pool.map(worker, items, chunksize=1)
+        else:
+            lines = map(worker, items)
         counts: dict[str, dict[str, int]] = {}
         counterexamples = []
-        budget_hits = 0
+        done = budget_hits = 0
         for line in lines:
             print(json.dumps(line, separators=(",", ":")), file=out)
+            done += 1
             for prop, verdict in line["verdicts"].items():
                 tally = counts.setdefault(prop, {})
                 tally[verdict] = tally.get(verdict, 0) + 1
@@ -363,16 +372,13 @@ def cmd_scan(args) -> int:
                     budget_hits += 1
         summary = {
             "summary": {
-                "items": len(lines),
+                "items": done,
                 "verdicts": counts,
                 "counterexamples": counterexamples,
                 "budget_exceeded": budget_hits,
             }
         }
         print(json.dumps(summary, separators=(",", ":")), file=out)
-    finally:
-        if args.out:
-            out.close()
     return EXIT_BUDGET if budget_hits else EXIT_OK
 
 

@@ -192,34 +192,21 @@ def is_caterpillar(g: Graph) -> bool:
 # generators
 
 
-@record
-class CaterpillarSpec:
-    """Spine of length ``spine_length`` with ``leaf_counts[i]`` legs at spine
-    vertex i+1."""
-
-    spine_length: int
-    leaf_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "leaf_counts", tuple(self.leaf_counts))
-        if self.spine_length < 1:
-            raise ValueError("spine_length must be positive")
-        if len(self.leaf_counts) != self.spine_length:
-            raise ValueError("leaf_counts must have one entry per spine vertex")
-        if any(m < 0 for m in self.leaf_counts):
-            raise ValueError("leaf counts must be non-negative")
-
-
-def make_caterpillar(spec: CaterpillarSpec) -> Graph:
-    """Caterpillar with spine ``a1..al`` and legs ``b{i}_{j}`` at ``a{i}``."""
+def make_caterpillar(leaf_counts: Sequence[int]) -> Graph:
+    """Caterpillar with spine ``a1..al``, l = ``len(leaf_counts)``, and
+    ``leaf_counts[i-1]`` legs ``b{i}_{j}`` at ``a{i}``."""
+    if not leaf_counts:
+        raise ValueError("need at least one spine vertex")
+    if any(m < 0 for m in leaf_counts):
+        raise ValueError("leaf counts must be non-negative")
     verts: list[str] = []
     edges: list[tuple[str, str]] = []
-    for i in range(1, spec.spine_length + 1):
+    for i, legs in enumerate(leaf_counts, start=1):
         spine = f"a{i}"
         verts.append(spine)
         if i > 1:
             edges.append((f"a{i - 1}", spine))
-        for j in range(1, spec.leaf_counts[i - 1] + 1):
+        for j in range(1, legs + 1):
             leaf = f"b{i}_{j}"
             verts.append(leaf)
             edges.append((spine, leaf))

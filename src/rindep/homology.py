@@ -16,7 +16,7 @@ excision (Munkres 1984, sections 23-24), so no face through v is listed."""
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 from operator import and_, or_
 from typing import Container
@@ -24,6 +24,7 @@ from typing import Container
 from .complexes import SimplicialComplex, mask_order, submasks
 from .graphs import bits, record
 from .hypergraphs import check_guard
+from .ideals import CrossCheckError
 
 
 def parse_field(spec: str) -> int | None:
@@ -141,6 +142,7 @@ def _composition_vanishes(upper: list[dict[int, int]], lower: list[dict[int, int
     return True
 
 
+@cache
 def _betti(generators: tuple[int, ...], p: int | None) -> tuple[int, ...]:
     """Reduced Betti numbers, degree -1 upward, of the non-void complex K
     generated by the face masks ``generators``, as the homology of (K - v,
@@ -148,7 +150,8 @@ def _betti(generators: tuple[int, ...], p: int | None) -> tuple[int, ...]:
     top size (degree -1 vanishes, as the empty face lies in lk v).
     Boundaries are reduced from the top down: a face that is the pivot of a
     reduced boundary one size up has a column that combines earlier
-    columns, so it is cleared without reduction."""
+    columns, so it is cleared without reduction.  Results are cached for the
+    process, so each distinct (generators, p) is eliminated once."""
     top = max(g.bit_count() for g in generators)
     if not top:
         return (1,)  # {∅} has no vertex to take the star of
@@ -163,13 +166,15 @@ def _betti(generators: tuple[int, ...], p: int | None) -> tuple[int, ...]:
     cleared: Container[int] = ()
     for s in range(top, 0, -1):
         cols = _boundary_columns(grouped[s - 1], grouped[s], link)
-        assert _composition_vanishes(upper, cols), "boundary of boundary is nonzero"
+        if not _composition_vanishes(upper, cols):
+            raise CrossCheckError("boundary of boundary is nonzero")
         cleared = _pivots(cols, p, cleared)
         ranks[s] = len(cleared)
         upper = cols
     counts = [len(level) for level in grouped]
     betti = tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
-    assert min(betti) >= 0, "a rank exceeds the dimension of its kernel"
+    if min(betti) < 0:
+        raise CrossCheckError("a rank exceeds the dimension of its kernel")
     return betti
 
 
@@ -213,13 +218,13 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
 
     Faces are scanned in (dimension, label) order, so a false verdict always
     carries the lexicographically first witness.  Links that agree up to an
-    order-preserving relabelling are eliminated once per call."""
+    order-preserving relabelling are eliminated once per process."""
     if k.is_void:
         raise ValueError("void complex")
     if not k.is_pure():
         smallest = k.labels(min(k.facet_masks, key=mask_order))
         return CMReport(False, field_name(field), smallest, None, "non-pure")
-    return _cohen_macaulay(k, sorted(k.face_masks(), key=mask_order), k.dimension, field, {})
+    return _cohen_macaulay(k, sorted(k.face_masks(), key=mask_order), k.dimension, field)
 
 
 def _relabelled(facets: list[int]) -> tuple[int, ...]:
@@ -231,11 +236,10 @@ def _relabelled(facets: list[int]) -> tuple[int, ...]:
     return tuple(sorted(facets))
 
 
-def _cohen_macaulay(k: SimplicialComplex, faces: list[int], m: int, field: int | None, memo: dict) -> CMReport:
+def _cohen_macaulay(k: SimplicialComplex, faces: list[int], m: int, field: int | None) -> CMReport:
     """Reisner's criterion on the pure m-skeleton of ``k`` by the rules
     above; ``faces`` are the faces of ``k`` in ``mask_order``.  Faces with
-    j <= 0 have nothing to test, as degree -1 vanishes once a vertex exists.
-    Betti numbers are memoized in ``memo``."""
+    j <= 0 have nothing to test, as degree -1 vanishes once a vertex exists."""
     name = field_name(field)
     generators = [f for f in k.facet_masks if f.bit_count() > m]
     for face in faces:
@@ -245,10 +249,7 @@ def _cohen_macaulay(k: SimplicialComplex, faces: list[int], m: int, field: int |
         link = [f ^ face for f in generators if f & face == face]
         if not link or reduce(and_, link):
             continue
-        key = _relabelled(link)
-        betti = memo.get(key)
-        if betti is None:
-            betti = memo[key] = _betti(key, field)
+        betti = _betti(_relabelled(link), field)
         for i, b in enumerate(betti[: j + 1]):  # degrees -1 .. j - 1
             if b:
                 return CMReport(False, name, k.labels(face), i - 1, "link-homology")
@@ -280,22 +281,20 @@ def is_scm(k: SimplicialComplex, field: int | None = None) -> SCMReport:
     """Sequential Cohen-Macaulayness: every pure m-skeleton, m = 1..dim, is
     Cohen-Macaulay.  (The 0-skeleton, a disjoint set of points, is always
     Cohen-Macaulay, so starting at m = 1 agrees with the convention that
-    includes it.)  Skeletons go from the top down and share one link memo.
-    Where k has no m-dimensional facet, its m-skeleton is a skeleton of the
-    (m+1)-skeleton, so it is inferred Cohen-Macaulay when that one is (Duval
-    1996)."""
+    includes it.)  Skeletons go from the top down.  Where k has no
+    m-dimensional facet, its m-skeleton is a skeleton of the (m+1)-skeleton,
+    so it is inferred Cohen-Macaulay when that one is (Duval 1996)."""
     name = field_name(field)
     if k.is_void:
         raise ValueError("void complex")
     faces = sorted(k.face_masks(), key=mask_order)
     facet_sizes = {f.bit_count() for f in k.facet_masks}
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # link generators -> Betti numbers
     reports: dict[int, CMReport] = {}
     for m in range(k.dimension, 0, -1):
         above = reports.get(m + 1)
         if m + 1 not in facet_sizes and above is not None and above.cohen_macaulay:
             reports[m] = CMReport(True, name)
         else:
-            reports[m] = _cohen_macaulay(k, faces, m, field, memo)
+            reports[m] = _cohen_macaulay(k, faces, m, field)
     verdict = all(rep.cohen_macaulay for rep in reports.values())
     return SCMReport(verdict, name, tuple(sorted(reports.items())))

@@ -20,7 +20,8 @@ class ZeroIdealError(ValueError):
 
 
 class CrossCheckError(RuntimeError):
-    """Two independent computation paths disagreed; always a bug."""
+    """An internal check failed: two independent computation paths
+    disagreed, or a result failed its own verification; always a bug."""
 
 
 @record

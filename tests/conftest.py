@@ -12,7 +12,10 @@ from collections import deque
 from math import gcd
 
 import networkx as nx
+import pytest
 from hypothesis import settings
+
+from rindep import homology
 
 from rindep.complexes import SimplicialComplex, mask_order, pure_skeleton
 from rindep.decompose import (
@@ -42,6 +45,13 @@ from rindep.ideals import (
 # the same examples on every run, so that a red run can be reproduced
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_cached_betti_numbers():
+    """Each test starts with an empty cache of link Betti numbers, so what
+    it counts does not depend on the tests that ran before it."""
+    homology._betti.cache_clear()
 
 
 @contextlib.contextmanager

@@ -203,13 +203,13 @@ def test_criterion_08_hypergraph_complex_identity(corpus_200):
 
 
 def test_criterion_09_worked_example_fixture():
-    from rindep.graphs import CaterpillarSpec, make_caterpillar
+    from rindep.graphs import make_caterpillar
     from rindep.ideals import dual_of_ind
 
     with criterion("9 caterpillar dual-ideal fixture", 10.0):
         data = json.loads((Path(__file__).parent / "data" / "caterpillar_dual_fixture.json").read_text())
         spec = data["caterpillar"]
-        cg = make_caterpillar(CaterpillarSpec(spec["spine_length"], tuple(spec["leaf_counts"])))
+        cg = make_caterpillar(spec["leaf_counts"])
         r = data["r"]
 
         # the smallest sub-caterpillar dual must match exactly

@@ -1,7 +1,8 @@
 """Every public module-level function and class of the package, and every
 public method and property of a public class, has a caller in the package or
 the benchmark, so no API exists only for the tests; and every private
-module-level function has a caller there, so none is dead.
+module-level function has a caller there, so none is dead.  No check in the
+package is an ``assert`` statement, which ``python -O`` strips.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -68,3 +69,13 @@ def test_every_private_module_function_has_a_caller():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
     ]
     assert _orphans(definitions) == []
+
+
+def test_no_assert_statement_in_the_package():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

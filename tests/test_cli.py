@@ -173,6 +173,15 @@ class TestCheck:
         data = json.loads(out)
         assert code == EXIT_OK and data["verdicts"]["chordal-hypergraph"] == "true"
 
+    def test_chordal_hypergraph_without_a_graph_runs_no_property(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"ground_set": ["a", "b"], "facets": [["a"], ["b"]]}))
+        monkeypatch.setattr(cli, "is_scm", lambda *args: pytest.fail("a property ran"))
+        code, out, err = run_cli(
+            capsys, "check", "--complex", str(path), "--props", "scm,chordal-hypergraph"
+        )
+        assert (code, out, err) == (EXIT_PARSE, "", "error: chordal-hypergraph needs a graph input and r\n")
+
     def test_cycle_as_hypergraph_witness(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--gen", "cycle:4", "--r", "1", "--props", "chordal-hypergraph"
@@ -417,6 +426,40 @@ class TestScan:
         )
         assert (code, out) == (EXIT_PARSE, "") and "--jobs" in err
 
+    def test_unwritable_out_is_rejected_before_any_item(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "enumerate_trees", lambda n: pytest.fail("an item was built"))
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "4", "--r", "1", "--props", "vd",
+            "--out", str(tmp_path / "missing" / "scan.jsonl"),
+        )
+        assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:")
+
+    def test_n_beyond_the_tree_limit_is_rejected_before_any_item(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ind_r", lambda *args: pytest.fail("an item was checked"))
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "11", "--r", "1", "--props", "vd"
+        )
+        assert (code, out, err) == (EXIT_PARSE, "", "error: n must be between 1 and 10\n")
+
+    def test_failure_mid_scan_keeps_the_lines_written(self, capsys, monkeypatch):
+        from rindep.ideals import CrossCheckError
+
+        build = cli.ind_r
+        built = []
+
+        def failing_third(*args):
+            built.append(args)
+            if len(built) == 3:
+                raise CrossCheckError("forced by the test")
+            return build(*args)
+
+        monkeypatch.setattr(cli, "ind_r", failing_third)
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "4", "--r", "1", "--props", "vd"
+        )
+        assert code == 4 and "cross-check" in err
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
+
     def test_budget_exhaustion_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--family", "trees", "--n", "6", "--r", "2",
@@ -597,6 +640,58 @@ class TestCrossCheckExit:
             capsys, "check", "--gen", "fig1", "--r", "2", "--props", "splittable"
         )
         assert code == 4 and "cross-check" in err
+
+    @pytest.mark.parametrize(
+        "verifier, prop",
+        [
+            ("verify_shedding_certificate", "vd"),
+            ("verify_shelling_certificate", "shellable"),
+            ("verify_split_certificate", "splittable"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--gen", "path:5", "--r", "2", "--props"),
+            ("scan", "--family", "trees", "--n", "4", "--r", "1", "--jobs", "1", "--props"),
+        ],
+        ids=["check", "scan"],
+    )
+    def test_rejected_certificate_maps_to_exit_4(self, capsys, monkeypatch, verifier, prop, argv):
+        monkeypatch.setattr(cli, verifier, lambda *_args: False)
+        code, out, err = run_cli(capsys, *argv, prop)
+        assert code == 4 and "cross-check" in err and "Traceback" not in err
+        # a scan keeps the lines of the items before the failure, but no summary
+        assert out == "" if argv[0] == "check" else "summary" not in out
+
+    def test_failed_checks_exit_4_under_optimisation(self, tmp_path):
+        # `python -O` strips assert statements; these checks must not be
+        script = (
+            "import sys\n"
+            "from rindep import cli, homology\n"
+            "argv = sys.argv[1:]\n"
+            "if argv[0] == 'verifier':\n"
+            "    cli.verify_shedding_certificate = lambda *args: False\n"
+            "else:\n"
+            "    homology._composition_vanishes = lambda *args: False\n"
+            "sys.exit(cli.main(argv[1:]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        check = ["check", "--gen", "path:6", "--r", "2", "--props"]
+        scan = ["scan", "--family", "trees", "--n", "6", "--r", "2", "--props"]
+        for argv in (
+            ["verifier", *check, "vd"],
+            ["verifier", *scan, "vd"],
+            ["boundary", *check, "homology"],
+            ["boundary", *scan, "scm"],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-O", "-c", script, *argv], env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 4 and "summary" not in done.stdout, argv
+            assert "cross-check" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestJsonGraphInput:

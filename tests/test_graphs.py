@@ -20,7 +20,6 @@ from conftest import (
 from rindep.complexes import ind_r
 from rindep.hypergraphs import Hypergraph, is_chordal_hypergraph
 from rindep.graphs import (
-    CaterpillarSpec,
     Graph,
     GraphParseError,
     complete_graph,
@@ -149,7 +148,7 @@ class TestRIndependence:
 
 class TestGenerators:
     def test_worked_example_caterpillar(self):
-        g = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
+        g = make_caterpillar((1, 2, 1, 1))
         assert len(g) == 9
         assert edge_set(g) == {
             ("a1", "a2"), ("a2", "a3"), ("a3", "a4"),
@@ -159,18 +158,16 @@ class TestGenerators:
         assert is_caterpillar(g)
 
     def test_caterpillar_degenerations(self):
-        p = make_caterpillar(CaterpillarSpec(5, (0, 0, 0, 0, 0)))
+        p = make_caterpillar((0, 0, 0, 0, 0))
         assert is_tree(p) and all(degree(p, v) <= 2 for v in p.vertices)
-        star = make_caterpillar(CaterpillarSpec(1, (4,)))
+        star = make_caterpillar((4,))
         assert len(star) == 5 and degree(star, "a1") == 4
 
     def test_caterpillar_spec_validation(self):
         with pytest.raises(ValueError):
-            CaterpillarSpec(0, ())
-        with pytest.raises(ValueError):
-            CaterpillarSpec(2, (1,))
-        with pytest.raises(ValueError):
-            CaterpillarSpec(1, (-1,))
+            make_caterpillar(())
+        with pytest.raises(ValueError, match="leaf counts must be non-negative"):
+            make_caterpillar((1, -1))
 
     def test_half_apex_clique_r2(self):
         g = half_apex_clique(2)
@@ -328,7 +325,7 @@ class TestCaterpillarRecognition:
 
 class TestFormats:
     def test_edge_list_round_trip(self):
-        g = make_caterpillar(CaterpillarSpec(3, (1, 0, 2)))
+        g = make_caterpillar((1, 0, 2))
         text = "".join(f"vertex {v}\n" for v in g.vertices)
         text += "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
         assert parse_edge_list(text) == g

@@ -16,6 +16,7 @@ from rindep.homology import (
     reduced_homology,
 )
 from rindep.hypergraphs import GuardExceeded
+from rindep.ideals import CrossCheckError
 
 
 def fs(*labels):
@@ -252,35 +253,37 @@ class TestSCM:
 
 
 class TestLinkMemo:
-    """Pinned counts of link eliminations.  In the pure m-skeleton a face F
-    with j = m - |F| > 0 is tested through the complex generated by the
-    facets of its link of dimension at least j, which has the same homology
-    below degree j, so a pure link is eliminated once for all skeletons;
-    a face whose generators share a vertex has a cone and is skipped.  Each
-    distinct generated complex up to an order-preserving relabelling is
-    eliminated once per call, skeletons inferred from the one above are not
-    eliminated at all, and no memo outlives a call, so a repeated call
-    counts the same again."""
+    """Pinned counts of link eliminations, the misses of ``_betti``'s cache,
+    which the conftest clears before each test.  In the pure m-skeleton a
+    face F with j = m - |F| > 0 is tested through the complex generated by
+    the facets of its link of dimension at least j, which has the same
+    homology below degree j, so a pure link is eliminated once for all
+    skeletons; a face whose generators share a vertex has a cone and is
+    skipped.  Each distinct generated complex up to an order-preserving
+    relabelling is eliminated once per process, and skeletons inferred from
+    the one above are not eliminated at all, so a repeated call, or a CM
+    check after the SCM check of the same pure complex, eliminates
+    nothing."""
 
     @pytest.mark.parametrize(
         "k, calls",
         [(ind_r(path_graph(12), 2), 265), (ind_r(twin_bridge_paths(4), 4), 102)],
         ids=["path12-r2", "G4-r4"],
     )
-    def test_betti_calls_per_scm_call(self, monkeypatch, k, calls):
-        count = 0
-        betti = homology._betti
+    def test_betti_calls_per_scm_call(self, k, calls):
+        first = is_scm(k)
+        assert homology._betti.cache_info().misses == calls
+        assert is_scm(k) == first
+        assert homology._betti.cache_info().misses == calls
 
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return betti(*args)
-
-        monkeypatch.setattr(homology, "_betti", counting)
-        for _ in range(2):
-            count = 0
-            is_scm(k)
-            assert count == calls
+    def test_cm_after_scm_of_a_pure_complex_eliminates_nothing(self):
+        k = ind_r(path_graph(8), 3)
+        assert k.is_pure()
+        scm = is_scm(k)
+        eliminations = homology._betti.cache_info().misses
+        assert eliminations > 0
+        assert is_cohen_macaulay(k) == dict(scm.skeletons)[k.dimension]
+        assert homology._betti.cache_info().misses == eliminations
 
 
 @pytest.fixture
@@ -392,7 +395,7 @@ class TestRelativeElimination:
             return cols
 
         monkeypatch.setattr(homology, "_boundary_columns", flip_one)
-        with pytest.raises(AssertionError, match="boundary of boundary is nonzero"):
+        with pytest.raises(CrossCheckError, match="boundary of boundary is nonzero"):
             reduced_homology(k)
         assert flipped
 

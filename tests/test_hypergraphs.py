@@ -15,7 +15,6 @@ from conftest import (
 )
 
 from rindep.graphs import (
-    CaterpillarSpec,
     Graph,
     cycle_graph,
     demo_graph,
@@ -63,7 +62,7 @@ class TestConR:
         }
 
     def test_tail_of_worked_example(self):
-        cg = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
+        cg = make_caterpillar((1, 2, 1, 1))
         tail = induced_subgraph(cg, ["a3", "a4", "b3_1", "b4_1"])
         h = con_r(tail, 3)
         assert edges_of(h) == {frozenset({"a3", "a4", "b3_1", "b4_1"})}

@@ -23,7 +23,6 @@ from conftest import (
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import is_vertex_decomposable
 from rindep.graphs import (
-    CaterpillarSpec,
     demo_graph,
     make_caterpillar,
     path_graph,
@@ -88,7 +87,7 @@ class TestStanleyReisner:
         assert is_zero(stanley_reisner(complex_from_faces("abc", ["abc"])))
 
     def test_worked_example_tail(self):
-        cg = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
+        cg = make_caterpillar((1, 2, 1, 1))
         tail = induced_subgraph(cg, ["a3", "a4", "b3_1", "b4_1"])
         sr = stanley_reisner(ind_r(tail, 3))
         assert gen_sets(sr) == {fs("a3", "a4", "b3_1", "b4_1")}
@@ -172,7 +171,7 @@ class TestFacetDual:
 
 class TestDualOfInd:
     def test_worked_example_tail_exact(self):
-        cg = make_caterpillar(CaterpillarSpec(4, (1, 2, 1, 1)))
+        cg = make_caterpillar((1, 2, 1, 1))
         tail = induced_subgraph(cg, ["a3", "a4", "b3_1", "b4_1"])
         dual = dual_of_ind(tail, 3)
         assert gen_sets(dual) == {fs("a3"), fs("a4"), fs("b3_1"), fs("b4_1")}
@@ -382,7 +381,7 @@ def fixture_data():
 @pytest.fixture(scope="module")
 def caterpillar(fixture_data):
     spec = fixture_data["caterpillar"]
-    return make_caterpillar(CaterpillarSpec(spec["spine_length"], tuple(spec["leaf_counts"])))
+    return make_caterpillar(spec["leaf_counts"])
 
 
 class TestWorkedExampleFixture:

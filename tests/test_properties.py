@@ -677,6 +677,7 @@ print(json.dumps({
     "build-G:3": run(["build", "--gen", "G:3", "--r", "2"]),
     "scan-vd-n10": run(["scan", "--family", "trees", "--n", "10", "--r", "1", "--props", "vd"]),
     "G:4-chordal": run(["check", "--gen", "G:4", "--r", "2", "--props", "chordal-hypergraph"]),
+    "scan-homology-n9": run(["scan", "--family", "trees", "--n", "9", "--r", "1..3", "--props", "cm,scm,homology"]),
 }))
 """
 
@@ -697,7 +698,9 @@ _COMPLEX_FILES = {
 # order) and the n<=10 tree scan (labels past "9") before faces and edges
 # were ordered by their masks, and for the chordality of G:4 at r=2 (witness
 # six levels deep) before the minor search skipped (deleted, contracted)
-# pairs it had generated; a change to any report byte fails here
+# pairs it had generated, and for the n<=9 homology tree scan before link
+# Betti numbers were cached for the process; a change to any report byte
+# fails here
 _PINNED = {
     "G:3": "4458f2b02dc4b796f211faf3ca43014ab8557e1c0a181970f7f9975e40497a4d",
     "H:2": "abbc178dd4a6612fa4643794e74828fd0a545fd8da1b6f78eb6e8bba805fe4bc",
@@ -711,6 +714,7 @@ _PINNED = {
     "build-G:3": "33a2152f3f84d5fae00bd7f75b11df9eaf9107db19d65be1dc2a90cd288d46cd",
     "scan-vd-n10": "c89e908a27ee711bafe7b245a81373ecf265db49c7648ca87c3b6fa7d93d5554",
     "G:4-chordal": "4402919a62a989a5d1b80f23bd4a1806efd92f25f75bbce7de88420a7a03ba13",
+    "scan-homology-n9": "3df6f7affbb1728450af598195f03f0331695c4f6eb738fbcbe42c2fbcab09f1",
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import SheddingNode, is_vertex_decomposable
-from rindep.graphs import CaterpillarSpec, Graph, demo_graph, record
+from rindep.graphs import Graph, demo_graph, record
 from rindep.homology import BettiProfile, CMReport, is_cohen_macaulay, is_scm
 from rindep.hypergraphs import con_r
 from rindep.ideals import SplitNode, dual_of_ind, is_vertex_splittable
@@ -28,8 +28,7 @@ def test_positional_keyword_and_default_construction():
     assert CMReport(True, "Q") == CMReport(True, "Q", None, None, None)
 
 
-def test_post_init_runs_and_may_normalise():
-    assert CaterpillarSpec(2, [1, 0]).leaf_counts == (1, 0)
+def test_post_init_runs():
     with pytest.raises(ValueError):
         Graph(("a", "a"), frozenset())
 
