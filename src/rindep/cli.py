@@ -325,6 +325,15 @@ def _scan_item(family: str, props: list[str], budgets: dict[str, int], field: in
     return line
 
 
+def _bounded_map(pool, fn, items, width: int):
+    """``map(fn, items)`` on ``pool`` with at most ``width`` items submitted and not yet yielded."""
+    window = [pool.submit(fn, item) for item in itertools.islice(items, width)]
+    while window:
+        line = window.pop(0).result()
+        window.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+        yield line
+
+
 def cmd_scan(args) -> int:
     """Write each item's line as soon as it is done; a failure mid-scan
     keeps the lines already written and writes no summary."""
@@ -352,12 +361,12 @@ def cmd_scan(args) -> int:
             import concurrent.futures  # only a pool needs it, and it is slow to import
 
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=len(head)))
-            lines = pool.map(worker, items, chunksize=1)
+            lines = _bounded_map(pool, worker, items, 2 * len(head))
         else:
             lines = map(worker, items)
         counts: dict[str, dict[str, int]] = {}
         counterexamples = []
-        done = budget_hits = 0
+        done = 0
         for line in lines:
             print(json.dumps(line, separators=(",", ":")), file=out)
             done += 1
@@ -365,11 +374,8 @@ def cmd_scan(args) -> int:
                 tally = counts.setdefault(prop, {})
                 tally[verdict] = tally.get(verdict, 0) + 1
                 if verdict == "false":
-                    counterexamples.append(
-                        {"n": line["n"], "index": line["index"], "r": line["r"], "prop": prop}
-                    )
-                elif verdict == "budget-exceeded":
-                    budget_hits += 1
+                    counterexamples.append({"n": line["n"], "index": line["index"], "r": line["r"], "prop": prop})
+        budget_hits = sum(tally.get("budget-exceeded", 0) for tally in counts.values())
         summary = {
             "summary": {
                 "items": done,

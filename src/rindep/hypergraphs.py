@@ -4,8 +4,10 @@ by Berge's rule, which give the dual ideal of ``ind_r`` from ``con_r``."""
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
 from typing import Iterable
 
 from .graphs import Graph, bits, masks_of, record, sets_of
@@ -104,69 +106,73 @@ class ChordalityResult:
     minors_visited: int
 
 
-def _minor_children(
-    vs: int, members: tuple[int, ...], edges: frozenset[int], contracted: int, shift: int, pairs: set[int]
-):
-    """Delete-then-contract children of a mask minor, vertex by vertex in
+def _minor_children(vs: int, members: tuple[int, ...], family: int, contracted: int, pairs: set, table: tuple):
+    """Delete-then-contract children of a minor, vertex by vertex in
     ground-set order (``members``, the bits of ``vs``), each with the mask
-    of the vertices contracted on its way.  A child is keyed by its remaining and contracted vertices, ``rest
-    | contracted << shift``.  A key already in ``pairs`` names a minor
-    already generated, so that child is not built, and a vertex whose two
-    keys are both known is skipped; a vertex in no edge marks both keys and
-    yields one child.  Deletion drops the edges through the vertex; those
-    edges are an antichain already.  Contraction shrinks them, and only an
-    untouched edge can then contain a shrunk one, so reduction to minimal
-    edges compares the two groups and runs only when some edge held it."""
+    of the vertices contracted on its way and keyed by ``rest | contracted
+    << n``.  A key already in ``pairs`` names a minor already generated, so
+    that child is not built, and a vertex whose two keys are both known is
+    skipped; a vertex in no edge marks both keys and yields one child.
+    Deletion drops the edges through the vertex; contraction shrinks them,
+    numbering each new one, and drops the kept edges holding all of one."""
+    ids, masks, holding = table
+    n = len(holding)
     for i in members:
         b = 1 << i
         rest = vs ^ b
-        deleted_key = rest | contracted << shift
-        contracted_key = deleted_key | b << shift
+        deleted_key = rest | contracted << n
+        contracted_key = deleted_key | b << n
         new_deleted, new_contracted = deleted_key not in pairs, contracted_key not in pairs
         if not (new_deleted or new_contracted):
             continue
-        pairs.add(deleted_key)
-        pairs.add(contracted_key)
-        held = [e for e in edges if e & b]
+        pairs.update((deleted_key, contracted_key))
+        held = family & holding[i]
         if not held:  # deletion and contraction agree
-            yield rest, edges, contracted
+            yield rest, family, contracted
             continue
-        kept = [e for e in edges if not e & b]
+        kept = family ^ held
         if new_deleted:
-            yield rest, frozenset(kept), contracted
+            yield rest, kept, contracted
         if new_contracted:
-            shrunk = [e ^ b for e in held]
-            reduced = frozenset(shrunk + [f for f in kept if all(s & ~f for s in shrunk)])
-            yield rest, reduced, contracted | b
+            shrunk = 0
+            for j in bits(held):
+                s = masks[j] ^ b
+                k = ids.setdefault(s, len(masks))
+                if k == len(masks):
+                    masks.append(s)
+                    for u in bits(s):
+                        holding[u] |= 1 << k
+                shrunk |= 1 << k
+                kept ^= kept and reduce(and_, map(holding.__getitem__, bits(s)), kept)
+            yield rest, shrunk | kept, contracted | b
 
 
-def _has_simplicial_mask(members: tuple[int, ...], edges: frozenset[int]) -> bool:
-    """Some vertex is simplicial: every two distinct edges through it
-    contain a third edge inside their union minus the vertex.  Reading
-    "two edges" as distinct pairs makes the notion agree with graph
-    chordality on graphs."""
+def _has_simplicial_vertex(vs: int, members: tuple[int, ...], family: int, table: tuple) -> bool:
+    """Some vertex is simplicial: every two distinct edges through it have a
+    third edge inside their union minus the vertex.  Distinct pairs make the
+    notion agree with graph chordality on graphs."""
+    _, masks, holding = table
+    holders = holding.__getitem__
     for i in members:
-        b = 1 << i
-        through = [e for e in edges if e & b]
-        outside = (~((e1 | e2) ^ b) for e1, e2 in itertools.combinations(through, 2))
-        if all(any(not e3 & out for e3 in edges) for out in outside):
+        through = family & holding[i]
+        if not through & through - 1:  # at most one edge: no pair to test
+            return True
+        # such an edge holds neither i nor a vertex of vs outside e1 | e2
+        pairs = combinations([masks[j] for j in bits(through)], 2)
+        if all(family & ~reduce(or_, map(holders, bits(vs & ~(e1 | e2))), holding[i]) for e1, e2 in pairs):
             return True
     return False
-
-
-def _labelled(h: Hypergraph, vs: int, edges: frozenset[int]) -> Hypergraph:
-    return Hypergraph(tuple(h.vertices[i] for i in bits(vs)), sets_of(h.vertices, edges))
 
 
 def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:
     """Decide chordality by breadth-first search over all minors.
 
     Every minor is reachable by interleaving single-vertex deletions and
-    contractions.  A minor is searched as a (vertex mask, edge masks) pair
-    over the index of ``h.vertices``, which also deduplicates it; only a
-    witness is turned back into a labelled ``Hypergraph``.  The budget
-    counts distinct minors visited and exceeding it yields an explicit
-    inconclusive result, never a silent answer.
+    contractions.  A minor is searched as its vertex mask and its edge
+    family, one int over the ids a table gives each edge mask when it first
+    appears; only a witness gets labels again.  The budget counts distinct
+    minors visited and exceeding it yields an explicit inconclusive result,
+    never a silent answer.
 
     Deletion and contraction commute on clutters (Seymour 1976), so the
     minor reached by deleting a vertex set D and contracting a disjoint set
@@ -179,27 +185,30 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     at most two levels, never every minor.
     """
     n = len(h.vertices)
-    full = (1 << n) - 1
-    queue = deque([(full, frozenset(masks_of(h.vertices, h.edges)), 0)])
+    masks = sorted(masks_of(h.vertices, h.edges))  # by edge id; contraction appends shrunk edges
+    holding = [sum(1 << k for k, e in enumerate(masks) if e >> v & 1) for v in range(n)]  # ids through v
+    table = ({e: k for k, e in enumerate(masks)}, masks, holding)
+    queue = deque([((1 << n) - 1, (1 << len(masks)) - 1, 0)])
     size = n
-    seen: set[tuple[int, frozenset[int]]] = set()  # minors of the level being built
+    seen: set[tuple[int, int]] = set()  # minors of the level being built
     pairs: set[int] = set()  # their (remaining, contracted) keys
     visited = 0
     while queue:
-        vs, edges, contracted = queue.popleft()
+        vs, family, contracted = queue.popleft()
         visited += 1
         if visited > budget:
             return ChordalityResult(None, None, visited - 1)
         members = bits(vs)
-        if members and not _has_simplicial_mask(members, edges):
-            return ChordalityResult(False, h if vs == full else _labelled(h, vs, edges), visited)
+        if members and not _has_simplicial_vertex(vs, members, family, table):
+            edges = sets_of(h.vertices, (masks[j] for j in bits(family)))
+            return ChordalityResult(False, Hypergraph(tuple(h.vertices[i] for i in members), edges), visited)
         if len(members) != size:
             size = len(members)
             seen, pairs = set(), set()
-        for rest, child_edges, child_contracted in _minor_children(vs, members, edges, contracted, n, pairs):
-            if (rest, child_edges) not in seen:
-                seen.add((rest, child_edges))
-                queue.append((rest, child_edges, child_contracted))
+        for child in _minor_children(vs, members, family, contracted, pairs, table):
+            if (key := child[:2]) not in seen:
+                seen.add(key)
+                queue.append(child)
     return ChordalityResult(True, None, visited)
 
 

@@ -36,6 +36,34 @@ GENERATOR_TOKENS = [
 ]
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each submitted item at once
+    in this process, so no worker process starts however large --jobs is.
+    The returned dict holds the size of each pool made and the number of
+    items submitted so far."""
+    log = {"created": [], "submitted": 0}
+
+    class FakePool:
+        def __init__(self, max_workers):
+            log["created"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            log["submitted"] += 1
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return log
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -377,34 +405,28 @@ class TestScan:
         _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert out1 == out2
 
-    # a fake pool records its size and maps in this process, so no worker
-    # process starts however large --jobs is
     @pytest.mark.parametrize(
         "jobs, cpus, workers",
         [("1000", 2, [2]), ("3", 8, [3]), ("1000", 64, [6]), ("1000", None, [])],
     )
-    def test_jobs_clamped_to_cpus_and_items(self, capsys, monkeypatch, jobs, cpus, workers):
-        created = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+    def test_jobs_clamped_to_cpus_and_items(self, capsys, monkeypatch, fake_pool, jobs, cpus, workers):
+        created = fake_pool["created"]
         argv = ["scan", "--family", "trees", "--n", "3", "--r", "1..2", "--props", "vd"]
         _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
         assert (code, out, created) == (EXIT_OK, serial, workers)
+
+    def test_pool_takes_items_as_lines_go_out(self, monkeypatch, fake_pool):
+        # two workers keep at most four items in flight, and one more is
+        # submitted as the first line leaves; the scan has 28 items
+        written = []
+        monkeypatch.setattr(cli, "print", lambda *a, **k: written.append(fake_pool["submitted"]), raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["scan", "--family", "trees", "--n", "6", "--r", "1..2", "--props", "vd", "--jobs", "2"]
+        assert main(argv) == EXIT_OK
+        assert fake_pool["created"] == [2] and len(written) == 29
+        assert written[0] <= 2 * 2 + 1 and written[-1] == 28
 
     # no tree has 0 vertices, so these fail only if checked before the items
     @pytest.mark.parametrize(

@@ -16,9 +16,11 @@ from conftest import (
 
 from rindep.graphs import (
     Graph,
+    complete_graph,
     cycle_graph,
     demo_graph,
     enumerate_trees,
+    half_apex_clique,
     make_caterpillar,
     path_graph,
     star_graph,
@@ -201,6 +203,8 @@ class TestChordality:
             (twin_bridge_paths(3), 2, False, 526),
             (twin_bridge_paths(4), 2, False, 6670),
             (twin_bridge_paths(4), 3, False, 1051),
+            (complete_graph(8), 2, True, 967),
+            (half_apex_clique(3), 3, False, 123),
         ],
     )
     def test_minors_visited_pinned(self, graph, r, chordal, visited):
@@ -208,7 +212,21 @@ class TestChordality:
         assert res.chordal is chordal
         assert res.minors_visited == visited
 
-    @pytest.mark.parametrize("h", [con_r(path_graph(6), 1), con_r(twin_bridge_paths(3), 2)])
+    def test_dense_witness_matches_the_labelled_oracle(self):
+        h = con_r(half_apex_clique(3), 3)
+        res = is_chordal_hypergraph(h)
+        assert res.witness.vertices == tuple(f"v{i}" for i in range(1, 7)) and len(res.witness.edges) == 11
+        assert res == oracle_chordality(h)
+
+    def test_budget_cut_off_at_the_guard_vertex_count(self):
+        # 20 vertices, as many as the guard allows: one edge-id bitset per vertex
+        res = is_chordal_hypergraph(con_r(path_graph(20), 2), budget=2000)
+        assert (res.chordal, res.witness, res.minors_visited) == (None, None, 2000)
+
+    # the dense clutter's contractions absorb kept edges
+    @pytest.mark.parametrize(
+        "h", [con_r(path_graph(6), 1), con_r(twin_bridge_paths(3), 2), con_r(complete_graph(5), 2)]
+    )
     def test_budget_cut_off_at_every_level_boundary(self, h):
         # the search forgets a level once it moves on, so a count that slips
         # there shows as a cut-off one minor early or late
