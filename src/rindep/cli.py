@@ -341,7 +341,7 @@ def cmd_scan(args) -> int:
         raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
     # every argument, and the output file, is checked before the first item is built
     rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
-    if args.n > TREE_ENUMERATION_LIMIT:
+    if not 1 <= args.n <= TREE_ENUMERATION_LIMIT:
         raise GraphParseError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout

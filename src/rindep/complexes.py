@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Graph, bits, masks_of, r_growth_test, record, sets_of
-from .hypergraphs import FACE_ENUMERATION_GUARD, GuardExceeded, check_family, check_guard
+from .hypergraphs import check_family, check_guard
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -157,8 +157,7 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
     vertices; facets are the maximal ones, within the enumeration guard."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if len(g.vertices) > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded("vertex set exceeds the enumeration guard")
+    check_guard(len(g), "facet")
     return SimplicialComplex(g.vertices, sets_of(g.vertices, maximal_sets(len(g), r_growth_test(g, r))))
 
 

@@ -86,11 +86,13 @@ class Graph:
         labels = set(self.vertices)
         if len(labels) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {sorted(e)} is not a 2-element set")
-            if not e <= labels:
-                raise ValueError(f"edge {sorted(e)} uses unknown vertices")
+        # the least offender by sorted labels, so the message does not depend on the hash seed
+        odd = [sorted(e) for e in self.edges if len(e) != 2]
+        if odd:
+            raise ValueError(f"edge {min(odd)} is not a 2-element set")
+        unknown = [sorted(e) for e in self.edges if not e <= labels]
+        if unknown:
+            raise ValueError(f"edge {min(unknown)} uses unknown vertices")
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:

@@ -8,7 +8,6 @@ from collections import deque
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable
 
 from .graphs import Graph, bits, masks_of, record, sets_of
 
@@ -26,32 +25,26 @@ def check_guard(n: int, what: str) -> None:
         raise GuardExceeded(f"{what} enumeration over {n} vertices exceeds the guard")
 
 
-def is_antichain(sets: Iterable[frozenset[str]]) -> bool:
-    """True iff no member of ``sets``, a family of distinct sets, lies
-    inside another.  Two distinct sets of one size are never nested, so only
-    sets of different sizes are compared."""
-    by_size: dict[int, list[frozenset[str]]] = {}
-    for s in sets:
-        by_size.setdefault(len(s), []).append(s)
-    groups = [by_size[n] for n in sorted(by_size)]
-    return len(groups) < 2 or not any(
-        a < b for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large
-    )
-
-
 def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
-    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets`` form
-    an antichain over them; ``member`` names one set in the messages."""
+    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets``, a
+    family of distinct sets, form an antichain over them; ``member`` names
+    one set in the messages, the least offender by sorted labels, so they
+    do not depend on the hash seed.  Two distinct sets of one size are never
+    nested, so only sets of different sizes are compared."""
     known = set(labels)
     if len(known) != len(labels):
         twice = next(v for i, v in enumerate(labels) if v in labels[:i])
         raise ValueError(f"label {twice!r} appears twice under the {member}s")
+    unknown = [s for s in sets if not s <= known]
+    if unknown:
+        raise ValueError(f"{member} {min(map(sorted, unknown))} uses unknown labels")
+    by_size: dict[int, list[frozenset[str]]] = {}
     for s in sets:
-        if not s <= known:
-            raise ValueError(f"{member} {sorted(s)} uses unknown labels")
-    if not is_antichain(sets):
-        inner = next(a for a in sets if any(a < b for b in sets))
-        raise ValueError(f"{member} {sorted(inner)} lies inside another {member}")
+        by_size.setdefault(len(s), []).append(s)
+    groups = [by_size[n] for n in sorted(by_size)]
+    inner = [a for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large if a < b]
+    if inner:
+        raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
 
 
 @record
@@ -106,64 +99,6 @@ class ChordalityResult:
     minors_visited: int
 
 
-def _minor_children(vs: int, members: tuple[int, ...], family: int, contracted: int, pairs: set, table: tuple):
-    """Delete-then-contract children of a minor, vertex by vertex in
-    ground-set order (``members``, the bits of ``vs``), each with the mask
-    of the vertices contracted on its way and keyed by ``rest | contracted
-    << n``.  A key already in ``pairs`` names a minor already generated, so
-    that child is not built, and a vertex whose two keys are both known is
-    skipped; a vertex in no edge marks both keys and yields one child.
-    Deletion drops the edges through the vertex; contraction shrinks them,
-    numbering each new one, and drops the kept edges holding all of one."""
-    ids, masks, holding = table
-    n = len(holding)
-    for i in members:
-        b = 1 << i
-        rest = vs ^ b
-        deleted_key = rest | contracted << n
-        contracted_key = deleted_key | b << n
-        new_deleted, new_contracted = deleted_key not in pairs, contracted_key not in pairs
-        if not (new_deleted or new_contracted):
-            continue
-        pairs.update((deleted_key, contracted_key))
-        held = family & holding[i]
-        if not held:  # deletion and contraction agree
-            yield rest, family, contracted
-            continue
-        kept = family ^ held
-        if new_deleted:
-            yield rest, kept, contracted
-        if new_contracted:
-            shrunk = 0
-            for j in bits(held):
-                s = masks[j] ^ b
-                k = ids.setdefault(s, len(masks))
-                if k == len(masks):
-                    masks.append(s)
-                    for u in bits(s):
-                        holding[u] |= 1 << k
-                shrunk |= 1 << k
-                kept ^= kept and reduce(and_, map(holding.__getitem__, bits(s)), kept)
-            yield rest, shrunk | kept, contracted | b
-
-
-def _has_simplicial_vertex(vs: int, members: tuple[int, ...], family: int, table: tuple) -> bool:
-    """Some vertex is simplicial: every two distinct edges through it have a
-    third edge inside their union minus the vertex.  Distinct pairs make the
-    notion agree with graph chordality on graphs."""
-    _, masks, holding = table
-    holders = holding.__getitem__
-    for i in members:
-        through = family & holding[i]
-        if not through & through - 1:  # at most one edge: no pair to test
-            return True
-        # such an edge holds neither i nor a vertex of vs outside e1 | e2
-        pairs = combinations([masks[j] for j in bits(through)], 2)
-        if all(family & ~reduce(or_, map(holders, bits(vs & ~(e1 | e2))), holding[i]) for e1, e2 in pairs):
-            return True
-    return False
-
-
 def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> ChordalityResult:
     """Decide chordality by breadth-first search over all minors.
 
@@ -174,20 +109,33 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     minors visited and exceeding it yields an explicit inconclusive result,
     never a silent answer.
 
-    Deletion and contraction commute on clutters (Seymour 1976), so the
-    minor reached by deleting a vertex set D and contracting a disjoint set
-    C depends only on (D, C).  Each queued minor carries the C of the path
-    that first found it, and a child whose (D, C) pair was generated before
-    is skipped unbuilt; distinct pairs can still give one minor, so the
-    set of minors stays the authority.  A minor's level is its vertex count
-    and only the next level is generated from the current one, so both sets
-    are emptied when the level being searched changes: the search holds
-    at most two levels, never every minor.
+    A minor passes when some vertex is simplicial: every two distinct edges
+    through it have a third edge inside their union minus the vertex.
+    Distinct pairs make the notion agree with graph chordality on graphs.
+
+    Its children are built vertex by vertex in ground-set order, deletion
+    then contraction, each with the mask of the vertices contracted on its
+    way.  Deletion drops the edges through the vertex; contraction shrinks
+    them, numbering each new one, and drops the kept edges holding all of
+    one.  Deletion and contraction commute on clutters (Seymour 1976), so
+    the minor reached by deleting a vertex set D and contracting a disjoint
+    set C depends only on (D, C), keyed as ``rest | contracted << n``.  A
+    child whose (D, C) pair was generated before is skipped unbuilt, a
+    vertex whose two keys are both known is skipped, and a vertex in no
+    edge marks both keys and yields one child.  Distinct pairs can still
+    give one minor, so the set of minors stays the authority.  A minor's
+    level is its vertex count and only the next level is generated from the
+    current one, so both sets are emptied when the level being searched
+    changes: the search holds at most two levels, never every minor.
     """
     n = len(h.vertices)
     masks = sorted(masks_of(h.vertices, h.edges))  # by edge id; contraction appends shrunk edges
-    holding = [sum(1 << k for k, e in enumerate(masks) if e >> v & 1) for v in range(n)]  # ids through v
-    table = ({e: k for k, e in enumerate(masks)}, masks, holding)
+    ids = {e: k for k, e in enumerate(masks)}
+    holding = [0] * n  # the ids of the edges through each vertex
+    for k, e in enumerate(masks):
+        for v in bits(e):
+            holding[v] |= 1 << k
+    holders = holding.__getitem__
     queue = deque([((1 << n) - 1, (1 << len(masks)) - 1, 0)])
     size = n
     seen: set[tuple[int, int]] = set()  # minors of the level being built
@@ -199,16 +147,53 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
         if visited > budget:
             return ChordalityResult(None, None, visited - 1)
         members = bits(vs)
-        if members and not _has_simplicial_vertex(vs, members, family, table):
-            edges = sets_of(h.vertices, (masks[j] for j in bits(family)))
-            return ChordalityResult(False, Hypergraph(tuple(h.vertices[i] for i in members), edges), visited)
+        for i in members:
+            through = family & holding[i]
+            if not through & through - 1:  # at most one edge: no pair to test
+                break
+            # a third edge holds neither i nor a vertex of vs outside e1 | e2
+            for e1, e2 in combinations([masks[j] for j in bits(through)], 2):
+                if not family & ~reduce(or_, map(holders, bits(vs & ~(e1 | e2))), holding[i]):
+                    break  # no third edge: i is not simplicial
+            else:  # i is simplicial
+                break
+        else:  # no vertex is simplicial: a witness unless the minor is empty
+            if members:
+                edges = sets_of(h.vertices, [masks[j] for j in bits(family)])
+                witness = Hypergraph(tuple(map(h.vertices.__getitem__, members)), edges)
+                return ChordalityResult(False, witness, visited)
         if len(members) != size:
             size = len(members)
             seen, pairs = set(), set()
-        for child in _minor_children(vs, members, family, contracted, pairs, table):
-            if (key := child[:2]) not in seen:
-                seen.add(key)
-                queue.append(child)
+        for i in members:
+            b = 1 << i
+            rest = vs ^ b
+            deleted_key = rest | contracted << n
+            contracted_key = deleted_key | b << n
+            new_deleted, new_contracted = deleted_key not in pairs, contracted_key not in pairs
+            if not (new_deleted or new_contracted):
+                continue
+            pairs.update((deleted_key, contracted_key))
+            held = family & holding[i]
+            kept = family ^ held
+            if (new_deleted or not held) and (rest, kept) not in seen:  # with no edge through i, one child
+                seen.add((rest, kept))
+                queue.append((rest, kept, contracted))
+            if new_contracted and held:
+                shrunk = 0
+                for j in bits(held):
+                    s = masks[j] ^ b
+                    k = ids.setdefault(s, len(masks))
+                    if k == len(masks):
+                        masks.append(s)
+                        for u in bits(s):
+                            holding[u] |= 1 << k
+                    shrunk |= 1 << k
+                    kept ^= kept and reduce(and_, map(holders, bits(s)), kept)
+                kept |= shrunk
+                if (rest, kept) not in seen:
+                    seen.add((rest, kept))
+                    queue.append((rest, kept, contracted | b))
     return ChordalityResult(True, None, visited)
 
 

@@ -127,7 +127,7 @@ class TestBuild:
 
     def test_beyond_enumeration_guard_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "build", "--gen", "path:21", "--r", "2")
-        assert code == EXIT_PARSE and out == "" and "guard" in err
+        assert (code, out, err) == (EXIT_PARSE, "", "error: facet enumeration over 21 vertices exceeds the guard\n")
 
     def test_cover_enumeration_beyond_guard_names_the_guard(self):
         ground = [f"v{i}" for i in range(21)]
@@ -456,12 +456,15 @@ class TestScan:
         )
         assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:")
 
-    def test_n_beyond_the_tree_limit_is_rejected_before_any_item(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", ["11", "0", "-3"])
+    def test_n_outside_the_tree_range_is_rejected_before_any_item(self, capsys, monkeypatch, tmp_path, n):
         monkeypatch.setattr(cli, "ind_r", lambda *args: pytest.fail("an item was checked"))
         code, out, err = run_cli(
-            capsys, "scan", "--family", "trees", "--n", "11", "--r", "1", "--props", "vd"
+            capsys, "scan", "--family", "trees", "--n", n, "--r", "1", "--props", "vd",
+            "--out", str(tmp_path / "scan.jsonl"),
         )
         assert (code, out, err) == (EXIT_PARSE, "", "error: n must be between 1 and 10\n")
+        assert not (tmp_path / "scan.jsonl").exists()
 
     def test_failure_mid_scan_keeps_the_lines_written(self, capsys, monkeypatch):
         from rindep.ideals import CrossCheckError

@@ -2,12 +2,13 @@ import random
 import time
 
 import pytest
-from conftest import complex_from_faces, oracle_reduced_betti, random_graph
+import networkx as nx
+from conftest import complex_from_faces, oracle_reduced_betti, oracle_scm, random_graph
 
 from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
-from rindep.decompose import is_vertex_decomposable
-from rindep.graphs import half_apex_clique, masks_of, path_graph, twin_bridge_paths
+from rindep.decompose import is_shellable, is_vertex_decomposable
+from rindep.graphs import Graph, half_apex_clique, masks_of, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -226,6 +227,21 @@ class TestSCM:
             rep = is_scm(k)
             assert not rep.sequentially_cohen_macaulay
             assert 2 * r - 1 in rep.failing_dimensions()
+
+    def test_chordal_graph_below_2r_plus_2_vertices(self):
+        # the paper's G:r has 2r+2 vertices; at r=3 this 6-vertex chordal
+        # graph already fails: its pure 3-skeleton is the tetrahedra 0145 and
+        # 1235, and the link of their shared edge 15 is two disjoint edges
+        edges = [(int(e[0]), int(e[1])) for e in "02 03 04 05 12 13 23 24 34 45".split()]
+        assert nx.is_chordal(nx.Graph(edges))
+        k = ind_r(Graph.from_edges(range(6), edges), 3)
+        rep = is_scm(k)
+        assert not rep.sequentially_cohen_macaulay and rep.failing_dimensions() == [3]
+        bad = dict(rep.skeletons)[3]
+        assert (bad.witness_face, bad.witness_degree) == (fs("1", "5"), 0)
+        assert rep == oracle_scm(k)
+        assert is_vertex_decomposable(k).decomposable is False
+        assert is_shellable(k).shellable is False
 
     def test_decomposable_complexes_are_scm(self):
         rng = random.Random(101)

@@ -189,6 +189,15 @@ class TestChordality:
             for r in (1, 2):
                 assert is_chordal_hypergraph(con_r(t, r)).chordal is True
 
+    def test_minors_visited_over_small_trees_pinned(self):
+        # the 75 trees with at most 7 vertices at r = 1..3; their minors keep
+        # meeting vertices in no edge, each of which yields one child
+        results = [
+            is_chordal_hypergraph(con_r(t, r)) for n in range(1, 8) for t in enumerate_trees(n) for r in (1, 2, 3)
+        ]
+        assert len(results) == 75 and {res.chordal for res in results} == {True}
+        assert sum(res.minors_visited for res in results) == 22_502
+
     def test_budget_exhaustion_is_loud(self):
         h = con_r(path_graph(5), 2)
         res = is_chordal_hypergraph(h, budget=3)

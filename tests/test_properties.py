@@ -662,6 +662,12 @@ def run(argv):
         text = json.dumps(report)
     return hashlib.sha256(text.encode()).hexdigest()
 
+def fail(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        main(argv)
+    return err.getvalue()
+
 props = "vd,shellable,cm,scm,homology,splittable,chordal-hypergraph"
 scan = ["scan", "--family", "trees", "--n", "6", "--r", "1..3", "--props", props]
 print(json.dumps({
@@ -678,6 +684,9 @@ print(json.dumps({
     "scan-vd-n10": run(["scan", "--family", "trees", "--n", "10", "--r", "1", "--props", "vd"]),
     "G:4-chordal": run(["check", "--gen", "G:4", "--r", "2", "--props", "chordal-hypergraph"]),
     "scan-homology-n9": run(["scan", "--family", "trees", "--n", "9", "--r", "1..3", "--props", "cm,scm,homology"]),
+    "nested-facet": fail(["check", "--complex", "nested.json", "--props", "vd"]),
+    "unknown-facet": fail(["check", "--complex", "unknown.json", "--props", "vd"]),
+    "unknown-edge": fail(["build", "--input", "unknown-edge.json", "--r", "1"]),
 }))
 """
 
@@ -690,6 +699,14 @@ _COMPLEX_FILES = {
     "empty.json": {"ground_set": ["a", "b"], "facets": [[]]},
 }
 
+# inputs rejected with several offenders; the message names the least by
+# sorted labels, whatever the hash seed
+_REJECTED_FILES = {
+    "nested.json": {"ground_set": list("abcd"), "facets": [["a"], ["b"], ["c"], list("abcd")]},
+    "unknown.json": {"ground_set": list("ab"), "facets": [["a", "x"], ["b", "y"], ["z"]]},
+    "unknown-edge.json": {"vertices": ["a", "b"], "edges": [["a", "x"], ["b", "y"], ["c", "z"]]},
+}
+
 # SHA-256 of each report above (without ``timings``), taken before minimal
 # covers moved to Berge's rule, for the two false SCM verdicts before the
 # Reisner loop kept only the facets a skeleton needs, and for the single facet
@@ -700,7 +717,7 @@ _COMPLEX_FILES = {
 # six levels deep) before the minor search skipped (deleted, contracted)
 # pairs it had generated, and for the n<=9 homology tree scan before link
 # Betti numbers were cached for the process; a change to any report byte
-# fails here
+# fails here.  The last three are the stderr of rejected inputs
 _PINNED = {
     "G:3": "4458f2b02dc4b796f211faf3ca43014ab8557e1c0a181970f7f9975e40497a4d",
     "H:2": "abbc178dd4a6612fa4643794e74828fd0a545fd8da1b6f78eb6e8bba805fe4bc",
@@ -715,12 +732,15 @@ _PINNED = {
     "scan-vd-n10": "c89e908a27ee711bafe7b245a81373ecf265db49c7648ca87c3b6fa7d93d5554",
     "G:4-chordal": "4402919a62a989a5d1b80f23bd4a1806efd92f25f75bbce7de88420a7a03ba13",
     "scan-homology-n9": "3df6f7affbb1728450af598195f03f0331695c4f6eb738fbcbe42c2fbcab09f1",
+    "nested-facet": "error: facet ['a'] lies inside another facet\n",
+    "unknown-facet": "error: facet ['a', 'x'] uses unknown labels\n",
+    "unknown-edge": "error: edge ['a', 'x'] uses unknown vertices\n",
 }
 
 
 def test_reports_identical_across_hash_seeds_and_jobs(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for name, data in _COMPLEX_FILES.items():
+    for name, data in {**_COMPLEX_FILES, **_REJECTED_FILES}.items():
         (tmp_path / name).write_text(json.dumps(data))
     hashes = []
     for seed in ("0", "1", "2"):
