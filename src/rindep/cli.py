@@ -33,9 +33,9 @@ from .complexes import (
 from .decompose import (
     DEFAULT_SHELL_BUDGET,
     DEFAULT_VD_BUDGET,
+    SheddingNode,
     is_shellable,
     is_vertex_decomposable,
-    verify_certificate,
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
@@ -389,17 +389,20 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The certificate's kind is read off its JSON shape, tried in this
+    order: a dict with ``generators`` is a splitting, replayed on the dual
+    ideal; any other dict without ``order`` is a shedding tree; anything
+    else is a shelling, a bare list or the list under ``order``."""
+    complex_ = complex_from_json_dict(_load_json(args.complex))
+    cert = _load_json(args.certificate)
     try:
-        complex_ = complex_from_json_dict(_load_json(args.complex))
-        cert = _load_json(args.certificate)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if isinstance(cert, dict) and "generators" in cert:  # splitting: replayed on the dual ideal
+        if isinstance(cert, dict) and "generators" in cert:
             ok = verify_split_certificate(facet_dual(complex_), SplitNode.from_json_dict(cert))
+        elif isinstance(cert, dict) and "order" not in cert:
+            ok = verify_shedding_certificate(complex_, SheddingNode.from_json_dict(cert))
         else:
-            ok = verify_certificate(complex_, cert)
+            order = cert["order"] if isinstance(cert, dict) else cert
+            ok = isinstance(order, list) and verify_shelling_certificate(complex_, order)
     except (KeyError, TypeError, ValueError):  # malformed, or a simplex (zero ideal)
         ok = False
     print("valid" if ok else "invalid")
@@ -466,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, ValueError, OSError, GuardExceeded) as exc:
+    except (ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:  # json.dumps(indent=2) recurses once per certificate level

@@ -371,20 +371,3 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
         if any(len(m) != len(fk) - 1 for m in maximal):
             return False
     return True
-
-
-def verify_certificate(k: SimplicialComplex, cert) -> bool:
-    """Dispatch on certificate shape: shedding trees are dicts/SheddingNode,
-    shelling orders are facet sequences, bare or under ``"order"``.  A
-    certificate of any other shape is invalid."""
-    if isinstance(cert, SheddingNode):
-        return verify_shedding_certificate(k, cert)
-    try:
-        if isinstance(cert, dict) and "order" not in cert:
-            return verify_shedding_certificate(k, SheddingNode.from_json_dict(cert))
-        order = cert["order"] if isinstance(cert, dict) else cert
-        if isinstance(order, (list, tuple)):
-            return verify_shelling_certificate(k, order)
-    except (KeyError, TypeError, ValueError):
-        pass
-    return False

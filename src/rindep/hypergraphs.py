@@ -120,10 +120,13 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     one.  Deletion and contraction commute on clutters (Seymour 1976), so
     the minor reached by deleting a vertex set D and contracting a disjoint
     set C depends only on (D, C), keyed as ``rest | contracted << n``.  A
-    child whose (D, C) pair was generated before is skipped unbuilt, a
-    vertex whose two keys are both known is skipped, and a vertex in no
-    edge marks both keys and yields one child.  Distinct pairs can still
-    give one minor, so the set of minors stays the authority.  A minor's
+    child is built only when its key is new.  A key joins the known pairs
+    only while new, and then its minor is queued or already seen; a
+    contraction key at a vertex in no edge gets its minor as the deletion
+    child, which is the same minor.  So a known key's minor is always seen,
+    skipping it loses nothing, and a vertex in no edge whose deletion key
+    is known yields no child.  Distinct pairs can still give one minor, so
+    the set of minors stays the authority.  A minor's
     level is its vertex count and only the next level is generated from the
     current one, so both sets are emptied when the level being searched
     changes: the search holds at most two levels, never every minor.
@@ -176,7 +179,7 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
             pairs.update((deleted_key, contracted_key))
             held = family & holding[i]
             kept = family ^ held
-            if (new_deleted or not held) and (rest, kept) not in seen:  # with no edge through i, one child
+            if new_deleted and (rest, kept) not in seen:
                 seen.add((rest, kept))
                 queue.append((rest, kept, contracted))
             if new_contracted and held:

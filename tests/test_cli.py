@@ -8,7 +8,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import oracle_ind_r_facets, path_complex, recursion_limit
+from conftest import oracle_cm, oracle_ind_r_facets, path_complex, recursion_limit
 
 from rindep import cli
 from rindep.cli import (
@@ -19,6 +19,7 @@ from rindep.cli import (
     build_generator,
     main,
 )
+from rindep.complexes import ind_r
 from rindep.graphs import Graph, is_caterpillar, parse_edge_list
 from rindep.hypergraphs import GuardExceeded, Hypergraph, minimal_vertex_covers
 
@@ -379,6 +380,23 @@ class TestScan:
         assert lines[1]["summary"]["items"] == 1
         assert lines[1]["summary"]["counterexamples"] == []
 
+    def test_counterexamples_name_the_false_lines(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--family", "trees", "--n", "5", "--r", "1", "--props", "cm,scm"
+        )
+        assert code == EXIT_OK
+        *lines, summary = [json.loads(line) for line in out.splitlines()]
+        summary = summary["summary"]
+        assert summary["verdicts"] == {"cm": {"true": 3, "false": 5}, "scm": {"true": 8}}
+        named = [(3, 0), (4, 0), (5, 0), (5, 1), (5, 2)]
+        assert summary["counterexamples"] == [{"n": n, "index": i, "r": 1, "prop": "cm"} for n, i in named]
+        by_item = {(line["n"], line["index"]): line for line in lines}
+        for n, i in named:
+            line = by_item[n, i]
+            assert line["verdicts"]["cm"] == "false"
+            tree = Graph.from_edges(map(str, range(1, n + 1)), line["edges"])
+            assert oracle_cm(ind_r(tree, 1)).cohen_macaulay is False
+
     def test_caterpillar_family_counts(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--family", "caterpillars", "--n", "8", "--r", "1..2",
@@ -529,6 +547,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
         assert code == EXIT_INVALID and out.strip() == "invalid"
 
+    def test_round_trip_shelling_under_order_key(self, capsys, tmp_path):
+        complex_path, report = self._build_and_check(capsys, tmp_path, "shellable")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"order": report["certificates"]["shellable"]}))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert code == EXIT_OK and out.strip() == "valid"
+
+    def test_tampered_shedding_rejected(self, capsys, tmp_path):
+        complex_path, report = self._build_and_check(capsys, tmp_path, "vd")
+        tree = report["certificates"]["vd"]
+        # swap the roles of the two children: the link facets no longer match
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({**tree, "link": tree["del"], "del": tree["link"]}))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert code == EXIT_INVALID and out.strip() == "invalid"
+
     def test_mismatched_complex_rejected(self, capsys, tmp_path):
         _, report = self._build_and_check(capsys, tmp_path, "vd")
         _, other_out, _ = run_cli(capsys, "build", "--gen", "path:5", "--r", "2")
@@ -581,7 +615,10 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(simplex_path), str(cert_path))
         assert code == EXIT_INVALID and out.strip() == "invalid"
 
-    @pytest.mark.parametrize("cert", [{"order": 5}, {"order": [5]}, [None]])
+    @pytest.mark.parametrize(
+        "cert",
+        [{"order": 5}, {"order": [5]}, [None], {"nonsense": 1}, "strings are not certificates", [["1"], 5]],
+    )
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, cert):
         complex_path, _ = self._build_and_check(capsys, tmp_path, "vd")
         cert_path = tmp_path / "cert.json"

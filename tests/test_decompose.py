@@ -6,6 +6,7 @@ from conftest import (
     complex_from_faces,
     oracle_is_shellable,
     oracle_shelling_order_ok,
+    oracle_vd,
     path_complex,
     random_graph,
     recursion_limit,
@@ -19,7 +20,6 @@ from rindep.decompose import (
     _shed,
     is_shellable,
     is_vertex_decomposable,
-    verify_certificate,
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
@@ -152,15 +152,6 @@ class TestVertexDecomposability:
         assert not verify_shedding_certificate(void, SheddingNode(()))
         two_points = complex_from_faces("ab", ["a", "b"])
         assert not verify_shedding_certificate(two_points, SheddingNode((("a",), ("b",))))
-
-    def test_tampered_certificate_rejected(self):
-        k = ind_r(path_graph(6), 2)
-        cert = is_vertex_decomposable(k).certificate
-        data = cert.to_json_dict()
-        # swap the roles of the two children: the link facets no longer match
-        tampered = dict(data)
-        tampered["link"], tampered["del"] = data["del"], data["link"]
-        assert not verify_certificate(k, tampered)
 
     def test_certificate_for_wrong_complex_rejected(self):
         k1 = ind_r(path_graph(6), 2)
@@ -296,19 +287,37 @@ class TestImplicationChain:
                 assert is_scm(k, 2).sequentially_cohen_macaulay
 
 
-class TestCertificateDispatch:
-    def test_dispatch_accepts_both_kinds(self):
-        k = ind_r(path_graph(5), 2)
-        vd = is_vertex_decomposable(k)
-        sh = is_shellable(k)
-        assert verify_certificate(k, vd.certificate)
-        assert verify_certificate(k, vd.certificate.to_json_dict())
-        assert verify_certificate(k, [sorted(f) for f in sh.order])
-        assert verify_certificate(k, {"order": [sorted(f) for f in sh.order]})
+# Ind_r shellable but not vertex decomposable, on non-chordal graphs with 7
+# vertices: networkx's atlas graphs 342, 433, 438 and 575 at r=2, and 579 and
+# 728 at r=2 and r=3, with the shelling order the search finds
+SEPARATIONS = {
+    "342-r2": ("02 05 12 23 36 45 56", 2, "01346 0135 0246 1246 1345 1245 1256 2345"),
+    "433-r2": ("01 02 12 14 23 35 45 46", 2, "01356 0256 0245 0246 0346 1256 2346 134"),
+    "438-r2": ("01 05 06 12 23 24 34 45", 2, "0134 0346 0236 0235 0246 1346 2356 1356 1256 1456"),
+    "575-r2": ("01 04 05 12 14 26 35 36 56", 2, "0136 0346 0234 0246 1346 1345 1456 2345 1235 025"),
+    "579-r2": ("01 05 12 16 23 24 34 45 56", 2, "0134 0346 0236 0235 0246 1346 2356 135 125 145"),
+    "579-r3": (
+        "01 05 12 16 23 24 34 45 56",
+        3,
+        "01346 02346 02356 0135 1235 1345 1356 012 045 124 126 245 456",
+    ),
+    "728-r2": ("01 05 06 12 16 23 24 34 45 56", 2, "0134 0346 0236 0235 0246 1346 2356 135 125 145"),
+    "728-r3": (
+        "01 05 06 12 16 23 24 34 45 56",
+        3,
+        "01346 02346 02356 0135 1235 1345 1356 012 045 124 126 245 456",
+    ),
+}
 
-    def test_garbage_rejected(self):
-        k = ind_r(path_graph(5), 2)
-        assert not verify_certificate(k, {"nonsense": 1})
-        assert not verify_certificate(k, "strings are not certificates")
-        assert not verify_certificate(k, {"order": 5})
-        assert not verify_certificate(k, [["1"], 5])
+
+class TestShellableNotVD:
+    @pytest.mark.parametrize("edges, r, order", SEPARATIONS.values(), ids=SEPARATIONS.keys())
+    def test_separation(self, edges, r, order):
+        g = Graph.from_edges(range(7), edges.split())
+        assert not nx.is_chordal(to_networkx(g))
+        k = ind_r(g, r)
+        res = is_shellable(k)
+        assert res.shellable is True and verify_shelling_certificate(k, res.order)
+        assert ["".join(sorted(f)) for f in res.order] == order.split()
+        assert is_vertex_decomposable(k).decomposable is False
+        assert oracle_vd(k).decomposable is False

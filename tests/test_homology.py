@@ -243,6 +243,31 @@ class TestSCM:
         assert is_vertex_decomposable(k).decomposable is False
         assert is_shellable(k).shellable is False
 
+    def test_chordal_graph_on_seven_vertices_at_r4(self):
+        # the paper's G:4 has 10 vertices; this chordal graph has 7
+        edges = [(int(e[0]), int(e[1])) for e in "01 05 15 16 23 24 26 34 46 56".split()]
+        assert nx.is_chordal(nx.Graph(edges))
+        k = ind_r(Graph.from_edges(range(7), edges), 4)
+        rep = is_scm(k)
+        assert not rep.sequentially_cohen_macaulay and rep.failing_dimensions() == [4]
+        bad = dict(rep.skeletons)[4]
+        assert (bad.witness_face, bad.witness_degree) == (fs("0", "3"), 1)
+        assert rep == oracle_scm(k)
+
+    def test_smaller_chordal_graphs_are_scm_at_r4_and_r5(self):
+        # no chordal graph on at most 6 vertices has a non-SCM Ind_4, and
+        # none on at most 7 a non-SCM Ind_5 (networkx's atlas, the empty
+        # graph left out)
+        checked = {4: 0, 5: 0}
+        for g in nx.graph_atlas_g()[1:]:
+            if not nx.is_chordal(g):
+                continue
+            for r in (4, 5) if g.number_of_nodes() <= 6 else (5,):
+                k = ind_r(Graph.from_edges(g.nodes, g.edges), r)
+                assert is_scm(k).sequentially_cohen_macaulay
+                checked[r] += 1
+        assert checked == {4: 138, 5: 531}
+
     def test_decomposable_complexes_are_scm(self):
         rng = random.Random(101)
         checked = 0
