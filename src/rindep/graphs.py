@@ -14,19 +14,13 @@ TREE_ENUMERATION_LIMIT = 10
 class GraphParseError(ValueError):
     """An edge-list or JSON graph file could not be parsed."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 def record(cls: type) -> type:
     """Make ``cls`` a frozen record like ``dataclass(frozen=True)``, from
     generic methods rather than generated code.  The fields are the class's
     own annotations in order, less ``ClassVar`` ones; a field's class
     attribute is its default, and defaults come last.  ``__init__`` takes
-    fields by position or keyword, then runs any ``__post_init__``.  Records
+    fields by position, then runs any ``__post_init__``.  Records
     compare and hash by class and field values.  Instances keep a
     ``__dict__`` (for ``cached_property`` and pickling), but assigning or
     deleting an attribute raises."""
@@ -38,17 +32,9 @@ def record(cls: type) -> type:
         raise TypeError(f"{cls.__name__}: fields with defaults must come last")
     post_init = getattr(cls, "__post_init__", None)
 
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        given = dict(zip(names, args))
-        values = {**dict(zip(names[required:], defaults)), **given, **kwargs}
-        if len(args) > len(names) or kwargs.keys() & given.keys() or values.keys() != set(names):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
-                            f"by position and {sorted(kwargs)} by keyword")
-        return tuple(values[n] for n in names)
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or not required <= len(args) <= len(names):
-            args = bind(args, kwargs)
+    def __init__(self, *args):
+        if not required <= len(args) <= len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names} by position, got {len(args)}")
         self.__dict__.update(zip(names, args + defaults[len(args) - required :]))
         if post_init is not None:
             post_init(self)
@@ -375,14 +361,14 @@ def parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if tokens[0] == "vertex":
             if len(tokens) != 2:
-                raise GraphParseError("'vertex' lines take exactly one label", lineno)
+                raise GraphParseError(f"line {lineno}: 'vertex' lines take exactly one label")
             declare(tokens[1])
             continue
         if len(tokens) != 2:
-            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+            raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = tokens
         if u == v:
-            raise GraphParseError(f"loop edge {u!r} {v!r} not allowed", lineno)
+            raise GraphParseError(f"line {lineno}: loop edge {u!r} {v!r} not allowed")
         declare(u)
         declare(v)
         edges.add(frozenset((u, v)))

@@ -81,7 +81,7 @@ class BettiProfile:
         return 0
 
 
-def _pivots(columns: list[dict], p: int | None, cleared: Container[int] = ()) -> dict[int, dict]:
+def _pivots(columns: list[dict], p: int | None, cleared: Container[int]) -> dict[int, dict]:
     """Column reduction of a sparse integer matrix, keyed by pivot row; the
     rank is the number of pivots.  A column is reduced against the stored
     column keyed by its largest row until that row is free.  Elimination is

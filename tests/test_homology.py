@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -22,6 +23,13 @@ from rindep.ideals import CrossCheckError
 
 def fs(*labels):
     return frozenset(labels)
+
+
+@functools.cache
+def chordal_atlas() -> tuple[nx.Graph, ...]:
+    """The chordal graphs of networkx's atlas: every chordal graph with 1-7
+    vertices, once up to isomorphism."""
+    return tuple(g for g in nx.graph_atlas_g()[1:] if nx.is_chordal(g))
 
 
 def boundary_simplex(n_vertices):
@@ -149,6 +157,17 @@ class TestReducedHomology:
             assert reduced_homology(k, 3).reduced == q
             checked += 1
 
+    def test_fields_agree_on_chordal_graphs(self):
+        # Ind_r of a chordal graph is a wedge of spheres, so it has no torsion
+        items = 0
+        for g in chordal_atlas():
+            for r in (1, 2, 3):
+                k = ind_r(Graph.from_edges(g.nodes, g.edges), r)
+                q = reduced_homology(k).reduced
+                assert reduced_homology(k, 2).reduced == q and reduced_homology(k, 3).reduced == q
+                items += 1
+        assert items == 1593
+
     def test_shellable_homology_sits_in_facet_dimensions(self):
         from rindep.decompose import is_shellable
 
@@ -267,6 +286,45 @@ class TestSCM:
                 assert is_scm(k).sequentially_cohen_macaulay
                 checked[r] += 1
         assert checked == {4: 138, 5: 531}
+
+    def test_chordal_graph_on_eight_vertices_at_r5(self):
+        # the paper's G:5 has 12 vertices; this chordal graph has 8, and of
+        # the 98 chordal graphs on 8 vertices with a non-SCM Ind_5 it is one
+        # of the three with the fewest edges, 11
+        edges = [(int(e[0]), int(e[1])) for e in "03 04 12 13 14 25 26 34 56 57 67".split()]
+        assert nx.is_chordal(nx.Graph(edges))
+        g = Graph.from_edges(range(8), edges)
+        k = ind_r(g, 5)
+        rep = is_scm(k)
+        assert not rep.sequentially_cohen_macaulay and rep.failing_dimensions() == [5]
+        bad = dict(rep.skeletons)[5]
+        assert (bad.witness_face, bad.witness_degree) == (fs("0", "7"), 2)
+        assert rep == oracle_scm(k)
+        assert is_vertex_decomposable(k).decomposable is False
+        assert is_shellable(k).shellable is False
+        for r in (2, 3, 4):
+            assert is_scm(ind_r(g, r)).sequentially_cohen_macaulay
+
+    def test_chordal_atlas_counts_are_a048192(self):
+        sizes = [g.number_of_nodes() for g in chordal_atlas()]
+        assert [sizes.count(n) for n in range(1, 8)] == [1, 2, 4, 10, 27, 94, 393]
+
+    def test_smallest_chordal_graphs_with_non_scm_ind_2_and_ind_3(self):
+        # every chordal graph on at most 5 vertices is SCM at r=2 and 3; on 6
+        # one fails at each: G:2 at r=2, the graph pinned by
+        # test_chordal_graph_below_2r_plus_2_vertices at r=3
+        failing = {2: [], 3: []}
+        for g in chordal_atlas():
+            if g.number_of_nodes() > 6:
+                continue
+            for r in (2, 3):
+                if not is_scm(ind_r(Graph.from_edges(g.nodes, g.edges), r)).sequentially_cohen_macaulay:
+                    failing[r].append(g)
+        assert [g.number_of_nodes() for r in (2, 3) for g in failing[r]] == [6, 6]
+        g2 = twin_bridge_paths(2)
+        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
+        r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
+        assert nx.is_isomorphic(failing[3][0], r3_pin)
 
     def test_decomposable_complexes_are_scm(self):
         rng = random.Random(101)

@@ -417,8 +417,8 @@ def _preorder(cert) -> list:
 
 def replace(node, **changes):
     """A copy of the certificate node ``node`` with ``changes`` to its fields."""
-    fields = {"sets": node.sets, "branch": node.branch, "first": node.first, "second": node.second}
-    return type(node)(**{**fields, **changes})
+    fields = {"sets": node.sets, "branch": node.branch, "first": node.first, "second": node.second, **changes}
+    return type(node)(*fields.values())
 
 
 def _replaced(node, target, new):

@@ -19,13 +19,16 @@ from rindep.ideals import SplitNode, dual_of_ind, is_vertex_splittable
 SETS = (("a",), ("b",))
 
 
-def test_positional_keyword_and_default_construction():
+def test_positional_construction_with_trailing_defaults_and_no_keywords():
     leaf = SheddingNode(SETS)
     assert (leaf.sets, leaf.branch, leaf.first, leaf.second) == (SETS, None, None, None)
-    by_position = SheddingNode(SETS, "a", leaf, leaf)
-    by_keyword = SheddingNode(second=leaf, branch="a", sets=SETS, first=leaf)
-    assert by_position == by_keyword == SheddingNode(SETS, "a", first=leaf, second=leaf)
+    node = SheddingNode(SETS, "a", leaf, leaf)
+    assert (node.sets, node.branch, node.first, node.second) == (SETS, "a", leaf, leaf)
     assert CMReport(True, "Q") == CMReport(True, "Q", None, None, None)
+    with pytest.raises(TypeError):
+        SheddingNode(SETS, "a", first=leaf, second=leaf)
+    with pytest.raises(TypeError):
+        SheddingNode(sets=SETS)
 
 
 def test_post_init_runs():
