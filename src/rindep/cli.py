@@ -74,12 +74,9 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CROSSCHECK = 4
 
-ENV_PREFIX = "RINDEP_"
-
 ALL_PROPS = ("vd", "shellable", "cm", "scm", "homology", "splittable", "chordal-hypergraph")
 
-# each budget is the flag --budget-<name>, the variable RINDEP_BUDGET_<NAME>
-# and the key ``run_checks`` reads
+# each budget is the flag --budget-<name> and the key ``run_checks`` reads
 BUDGETS = {
     "vd": DEFAULT_VD_BUDGET,
     "shell": DEFAULT_SHELL_BUDGET,
@@ -96,11 +93,6 @@ _SIZED_GENERATORS = {
     "H": half_apex_clique,
     "G": twin_bridge_paths,
 }
-
-
-def _env(name: str, fallback):
-    # a set variable is a string default, which argparse type-checks like a flag
-    return os.environ.get(ENV_PREFIX + name) or fallback
 
 
 def _budget(raw: str) -> int:
@@ -136,10 +128,8 @@ def _load_json(path: str):
 
 
 def _graph_input(args) -> tuple[Graph, dict]:
-    if args.gen:
+    if args.gen is not None:
         return build_generator(args.gen), {"kind": "generator", "source": args.gen}
-    if not args.input:
-        raise GraphParseError("no input: give --gen or --input")
     text = Path(args.input).read_text()
     as_json = args.format == "json" or args.format == "auto" and args.input.endswith(".json")
     graph = parse_graph_json(text) if as_json else parse_edge_list(text)
@@ -270,7 +260,7 @@ def _parse_props(raw: str) -> list[str]:
 def cmd_check(args) -> int:
     field = parse_field(args.field)
     props = _parse_props(args.props)
-    if args.complex:
+    if args.complex is not None:
         if "chordal-hypergraph" in props:
             raise GraphParseError("chordal-hypergraph needs a graph input and r")
         complex_ = complex_from_json_dict(_load_json(args.complex))
@@ -414,17 +404,18 @@ def cmd_verify(args) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser, with_complex: bool = False) -> None:
-    p.add_argument("--gen", help="named generator, e.g. fig1, path:7, caterpillar:1,2,1,1, H:2, G:3")
-    p.add_argument("--input", help="graph file (edge list or JSON)")
-    p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gen", help="named generator, e.g. fig1, path:7, caterpillar:1,2,1,1, H:2, G:3")
+    source.add_argument("--input", help="graph file (edge list or JSON)")
     if with_complex:
-        p.add_argument("--complex", help="complex JSON file instead of a graph")
+        source.add_argument("--complex", help="complex JSON file instead of a graph")
+    p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
     for name, default in BUDGETS.items():
-        p.add_argument(f"--budget-{name}", type=_budget, default=_env(f"BUDGET_{name.upper()}", default))
-    p.add_argument("--field", default=_env("FIELD", "q"), help="q or gf:p")
+        p.add_argument(f"--budget-{name}", type=_budget, default=default)
+    p.add_argument("--field", default="q", help="q or gf:p")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -83,7 +83,7 @@ class Graph:
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:
         vs = tuple(str(v) for v in vertices)
-        es = frozenset(frozenset((str(u), str(v))) for u, v in edges)
+        es = frozenset(frozenset(map(str, e)) for e in edges)
         return cls(vs, es)
 
     @cached_property

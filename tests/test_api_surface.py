@@ -2,7 +2,8 @@
 public method and property of a public class, has a caller in the package or
 the benchmark, so no API exists only for the tests; and every private
 module-level function has a caller there, so none is dead.  No check in the
-package is an ``assert`` statement, which ``python -O`` strips.
+package is an ``assert`` statement, which ``python -O`` strips, and no module
+reads the environment.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -79,3 +80,16 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_reads_the_environment():
+    """Every value a call uses comes from its command line and its input
+    files, so no module reads ``os.environ`` or calls ``os.getenv``."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+    ]
+    assert reads == []

@@ -767,26 +767,49 @@ class TestJsonGraphInput:
         assert ["x", "z"] in data["facets"] or ["y", "z"] in data["facets"]
 
 
-class TestEnvOverrides:
-    def test_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RINDEP_BUDGET_VD", "2")
-        code, out, _ = run_cli(
-            capsys, "check", "--gen", "path:7", "--r", "2", "--props", "vd"
+class TestSettingsComeFromTheCommandLine:
+    def test_environment_variables_change_nothing(self, capsys, monkeypatch):
+        """Variables named like the flags, even invalid values, leave every
+        exit code and every byte of output outside ``timings`` unchanged."""
+        calls = (
+            ("check", "--gen", "path:7", "--r", "2", "--props", "vd,homology"),
+            ("scan", "--family", "trees", "--n", "5", "--r", "1..2", "--props", "vd,shellable"),
         )
-        assert code == EXIT_BUDGET
-        assert json.loads(out)["verdicts"]["vd"] == "budget-exceeded"
 
-    @pytest.mark.parametrize("raw", ["abc", "1.5", "-3"])
-    def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("RINDEP_BUDGET_SHELL", raw)
+        def untimed_runs():
+            runs = []
+            for argv in calls:
+                code, out, _ = run_cli(capsys, *argv)
+                if argv[0] == "check":
+                    report = json.loads(out)
+                    report.pop("timings")
+                    out = json.dumps(report)
+                runs.append((code, out))
+            return runs
+
+        unset = untimed_runs()
+        monkeypatch.setenv("RINDEP_BUDGET_VD", "2")
+        monkeypatch.setenv("RINDEP_BUDGET_SHELL", "abc")
+        monkeypatch.setenv("RINDEP_FIELD", "gf:4")
+        assert untimed_runs() == unset
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "--gen", "fig1", "--input", "g.txt", "--r", "1"),
+            ("check", "--complex", "c.json", "--gen", "fig1", "--props", "vd"),
+            ("build", "--r", "1"),
+        ],
+        ids=["gen-and-input", "complex-and-gen", "none"],
+    )
+    def test_exactly_one_input_source(self, capsys, tmp_path, argv):
+        (tmp_path / "g.txt").write_text("a b\n")
+        (tmp_path / "c.json").write_text(json.dumps(path_complex(3).to_json_dict()))
+        argv = [str(tmp_path / a) if a in ("g.txt", "c.json") else a for a in argv]
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--gen", "path:7", "--r", "2", "--props", "shellable"])
+            main(argv)
         assert exc.value.code == EXIT_PARSE
-
-    def test_field_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RINDEP_FIELD", "gf:3")
-        _, out, _ = run_cli(capsys, "check", "--gen", "fig1", "--r", "1", "--props", "homology")
-        assert json.loads(out)["field"] == "GF(3)"
+        assert capsys.readouterr().out == ""
 
 
 def test_start_up_imports_no_pool_or_dataclass_machinery():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -352,3 +353,7 @@ class TestFormats:
             parse_graph_json("{not json")
         with pytest.raises(GraphParseError):
             parse_graph_json('{"vertices": ["a"]}')
+        for edge in (["a"], ["a", "b", "c"]):
+            text = json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]})
+            with pytest.raises(GraphParseError, match=re.escape(f"edge {edge} is not a 2-element set")):
+                parse_graph_json(text)

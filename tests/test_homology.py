@@ -18,7 +18,7 @@ from rindep.homology import (
     reduced_homology,
 )
 from rindep.hypergraphs import GuardExceeded
-from rindep.ideals import CrossCheckError
+from rindep.ideals import CrossCheckError, dual_of_ind, is_vertex_splittable
 
 
 def fs(*labels):
@@ -273,19 +273,28 @@ class TestSCM:
         assert (bad.witness_face, bad.witness_degree) == (fs("0", "3"), 1)
         assert rep == oracle_scm(k)
 
-    def test_smaller_chordal_graphs_are_scm_at_r4_and_r5(self):
-        # no chordal graph on at most 6 vertices has a non-SCM Ind_4, and
-        # none on at most 7 a non-SCM Ind_5 (networkx's atlas, the empty
-        # graph left out)
-        checked = {4: 0, 5: 0}
-        for g in nx.graph_atlas_g()[1:]:
-            if not nx.is_chordal(g):
-                continue
-            for r in (4, 5) if g.number_of_nodes() <= 6 else (5,):
+    def test_chordal_atlas_is_vd_exactly_when_shellable_exactly_when_scm(self):
+        # every chordal graph on 1-7 vertices at r = 1..5: VD, shellability
+        # and SCM agree on all 2,655 items.  The 23 non-SCM items lie at
+        # r = 2..4; the smallest at r = 2 and 3 have 6 vertices (G:2 at r=2,
+        # the graph pinned by test_chordal_graph_below_2r_plus_2_vertices at
+        # r=3), those at r = 4 all have 7, and none is at r = 1 or 5
+        graphs = chordal_atlas()
+        failing = {r: [] for r in range(1, 6)}
+        for g in graphs:
+            for r in failing:
                 k = ind_r(Graph.from_edges(g.nodes, g.edges), r)
-                assert is_scm(k).sequentially_cohen_macaulay
-                checked[r] += 1
-        assert checked == {4: 138, 5: 531}
+                scm = is_scm(k).sequentially_cohen_macaulay
+                assert is_vertex_decomposable(k).decomposable is is_shellable(k).shellable is scm
+                if not scm:
+                    failing[r].append(g)
+        assert len(graphs) == 531
+        sizes = {r: [g.number_of_nodes() for g in failing[r]] for r in failing}
+        assert sizes == {1: [], 2: [6] + [7] * 5, 3: [6] + [7] * 7, 4: [7] * 9, 5: []}
+        g2 = twin_bridge_paths(2)
+        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
+        r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
+        assert nx.is_isomorphic(failing[3][0], r3_pin)
 
     def test_chordal_graph_on_eight_vertices_at_r5(self):
         # the paper's G:5 has 12 vertices; this chordal graph has 8, and of
@@ -305,26 +314,24 @@ class TestSCM:
         for r in (2, 3, 4):
             assert is_scm(ind_r(g, r)).sequentially_cohen_macaulay
 
+    def test_ten_vertex_graph_with_non_scm_ind_3(self):
+        # the SCM test refutes this Ind_3 where the shelling search runs out
+        # of budget: only the pure 3-skeleton fails, through the empty face
+        edges = "01 02 03 04 05 06 07 09 12 17 19 23 25 28 29 36 38 39 45 46 47 67 68 69 78 89"
+        g = Graph.from_edges(range(10), edges.split())
+        k = ind_r(g, 3)
+        assert sorted(len(f) for f in k.facets) == [3] * 39 + [4] * 30 + [5] * 7
+        rep = is_scm(k)
+        assert not rep.sequentially_cohen_macaulay and rep.failing_dimensions() == [3]
+        bad = dict(rep.skeletons)[3]
+        assert (bad.witness_face, bad.witness_degree) == (frozenset(), 2)
+        assert rep == oracle_scm(k)
+        assert is_vertex_decomposable(k).decomposable is False
+        assert is_vertex_splittable(dual_of_ind(g, 3, k)).splittable is False
+
     def test_chordal_atlas_counts_are_a048192(self):
         sizes = [g.number_of_nodes() for g in chordal_atlas()]
         assert [sizes.count(n) for n in range(1, 8)] == [1, 2, 4, 10, 27, 94, 393]
-
-    def test_smallest_chordal_graphs_with_non_scm_ind_2_and_ind_3(self):
-        # every chordal graph on at most 5 vertices is SCM at r=2 and 3; on 6
-        # one fails at each: G:2 at r=2, the graph pinned by
-        # test_chordal_graph_below_2r_plus_2_vertices at r=3
-        failing = {2: [], 3: []}
-        for g in chordal_atlas():
-            if g.number_of_nodes() > 6:
-                continue
-            for r in (2, 3):
-                if not is_scm(ind_r(Graph.from_edges(g.nodes, g.edges), r)).sequentially_cohen_macaulay:
-                    failing[r].append(g)
-        assert [g.number_of_nodes() for r in (2, 3) for g in failing[r]] == [6, 6]
-        g2 = twin_bridge_paths(2)
-        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
-        r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
-        assert nx.is_isomorphic(failing[3][0], r3_pin)
 
     def test_decomposable_complexes_are_scm(self):
         rng = random.Random(101)
