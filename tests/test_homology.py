@@ -273,6 +273,20 @@ class TestSCM:
         assert (bad.witness_face, bad.witness_degree) == (fs("0", "3"), 1)
         assert rep == oracle_scm(k)
 
+    def test_smaller_chordal_graphs_are_scm_at_r4_and_r5(self):
+        # no chordal graph on at most 6 vertices has a non-SCM Ind_4, and
+        # none on at most 7 a non-SCM Ind_5 (networkx's atlas, the empty
+        # graph left out)
+        checked = {4: 0, 5: 0}
+        for g in nx.graph_atlas_g()[1:]:
+            if not nx.is_chordal(g):
+                continue
+            for r in (4, 5) if g.number_of_nodes() <= 6 else (5,):
+                k = ind_r(Graph.from_edges(g.nodes, g.edges), r)
+                assert is_scm(k).sequentially_cohen_macaulay
+                checked[r] += 1
+        assert checked == {4: 138, 5: 531}
+
     def test_chordal_atlas_is_vd_exactly_when_shellable_exactly_when_scm(self):
         # every chordal graph on 1-7 vertices at r = 1..5: VD, shellability
         # and SCM agree on all 2,655 items.  The 23 non-SCM items lie at
@@ -332,6 +346,23 @@ class TestSCM:
     def test_chordal_atlas_counts_are_a048192(self):
         sizes = [g.number_of_nodes() for g in chordal_atlas()]
         assert [sizes.count(n) for n in range(1, 8)] == [1, 2, 4, 10, 27, 94, 393]
+
+    def test_smallest_chordal_graphs_with_non_scm_ind_2_and_ind_3(self):
+        # every chordal graph on at most 5 vertices is SCM at r=2 and 3; on 6
+        # one fails at each: G:2 at r=2, the graph pinned by
+        # test_chordal_graph_below_2r_plus_2_vertices at r=3
+        failing = {2: [], 3: []}
+        for g in chordal_atlas():
+            if g.number_of_nodes() > 6:
+                continue
+            for r in (2, 3):
+                if not is_scm(ind_r(Graph.from_edges(g.nodes, g.edges), r)).sequentially_cohen_macaulay:
+                    failing[r].append(g)
+        assert [g.number_of_nodes() for r in (2, 3) for g in failing[r]] == [6, 6]
+        g2 = twin_bridge_paths(2)
+        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
+        r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
+        assert nx.is_isomorphic(failing[3][0], r3_pin)
 
     def test_decomposable_complexes_are_scm(self):
         rng = random.Random(101)
