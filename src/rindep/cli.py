@@ -3,7 +3,8 @@ certificates, sweep graph families, and replay certificates.
 
 Exit codes: 0 completed (verdicts may still be false), 1 an invalid
 certificate (``verify``), 2 rejected input (a parse or usage error, a
-negative or non-integer budget, a ``--jobs`` below 1, a field order that is
+negative or non-integer budget, a ``--jobs`` below 1, ``--r`` with
+``--complex``, a ``--props`` that names no property, a field order that is
 not a prime below 2**64, an input beyond an enumeration guard, a JSON
 file nested too deeply to read, or an input whose certificate nests too
 deeply to write as JSON), 3 a search budget ran out, 4 an internal check
@@ -131,8 +132,7 @@ def _graph_input(args) -> tuple[Graph, dict]:
     if args.gen is not None:
         return build_generator(args.gen), {"kind": "generator", "source": args.gen}
     text = Path(args.input).read_text()
-    as_json = args.format == "json" or args.format == "auto" and args.input.endswith(".json")
-    graph = parse_graph_json(text) if as_json else parse_edge_list(text)
+    graph = parse_graph_json(text) if args.input.endswith(".json") else parse_edge_list(text)
     return graph, {"kind": "graph-file", "source": args.input}
 
 
@@ -251,6 +251,8 @@ def run_checks(
 def _parse_props(raw: str) -> list[str]:
     """The named properties, each once, in the order of first mention."""
     props = list(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
+    if not props:
+        raise GraphParseError(f"--props names no property, got {raw!r}")
     for p in props:
         if p not in ALL_PROPS:
             raise GraphParseError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
@@ -263,6 +265,8 @@ def cmd_check(args) -> int:
     if args.complex is not None:
         if "chordal-hypergraph" in props:
             raise GraphParseError("chordal-hypergraph needs a graph input and r")
+        if args.r is not None:
+            raise GraphParseError("--r applies to a graph input, not to --complex")
         complex_ = complex_from_json_dict(_load_json(args.complex))
         graph, r = None, None
         input_desc = {"kind": "complex-file", "source": args.complex}
@@ -290,10 +294,13 @@ def cmd_check(args) -> int:
 
 def _r_range(raw: str) -> range:
     lo, _, hi = raw.partition("..")
-    rs = range(int(lo), int(hi or lo) + 1)
-    if not rs or rs[0] < 1:
-        raise GraphParseError(f"--r must be a non-empty range of positive integers, got {raw!r}")
-    return rs
+    try:
+        rs = range(int(lo), int(hi or lo) + 1)
+        if rs and rs[0] >= 1:
+            return rs
+    except ValueError:  # a bound that is no integer
+        pass
+    raise GraphParseError(f"--r must be a non-empty range of positive integers, got {raw!r}")
 
 
 def _scan_item(family: str, props: list[str], budgets: dict[str, int], field: int | None, item) -> dict:
@@ -406,10 +413,9 @@ def cmd_verify(args) -> int:
 def _add_input_args(p: argparse.ArgumentParser, with_complex: bool = False) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--gen", help="named generator, e.g. fig1, path:7, caterpillar:1,2,1,1, H:2, G:3")
-    source.add_argument("--input", help="graph file (edge list or JSON)")
+    source.add_argument("--input", help="graph file: JSON if its name ends in .json, else an edge list")
     if with_complex:
         source.add_argument("--complex", help="complex JSON file instead of a graph")
-    p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, masks_of, r_growth_test, record, sets_of
+from .graphs import Graph, bits, masks_of, record, sets_of
 from .hypergraphs import check_family, check_guard
 
 
@@ -38,23 +38,38 @@ def submasks(generators: Iterable[int]) -> set[int]:
     return faces
 
 
-def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
-    """Maximal members of a downward-closed family of subsets of range(n),
-    each returned once.
+def maximal_sets(adj: Sequence[int], r: int) -> list[int]:
+    """Facets of Ind_r of the graph with neighbour masks ``adj``: the maximal
+    vertex sets whose induced components have at most r vertices, each once.
 
-    ``fits(s, i)`` says whether ``s | 1 << i`` is a member, for a member s
-    without i.  It may be called with any mask s, and it must be antitone
-    in s: if it holds for s, it holds for every subset of s.
-
-    Depth-first in the style of Bron-Kerbosch, on an explicit stack.  A node
-    is a member s with P, the vertices that fit s and are undecided, and X,
-    those that fit s but were excluded.  The child ``s | 1 << i`` keeps the
-    members of P above i and of X that still fit it; the members of P below
-    i join its X, so each maximal set is reached only through its lowest
-    vertex outside s.  s is maximal when P and X are empty.  A node is cut
-    when some x in X fits ``s | P``: then x fits every set the node can
-    reach, so none of them is maximal.
+    Bron-Kerbosch with a pivot (Tomita, Tanaka and Takahashi 2006), on an
+    explicit stack.  A node is an r-independent set s with P, the vertices
+    that fit s (can join it) and are undecided, and X, those that fit s but
+    were excluded; P starts as every vertex.  A maximal set above s that
+    misses a vertex u of P | X with no neighbour in s holds a neighbour of u
+    (else u would fit it), and that neighbour lies in P.  So the node
+    branches only on u and its neighbours in P, for the u whose branch set
+    is smallest (on all of P when no such u exists), and each branch vertex
+    joins X once its child is stacked.  s is maximal when P and X are empty.
+    A node is cut when some x in X fits ``s | P``: then x fits every set the
+    node can reach, so none of them is maximal.
     """
+
+    def fits(s: int, i: int) -> bool:
+        """Whether the component of i in ``s | 1 << i`` has at most r
+        vertices; that component only grows with s."""
+        comp, frontier = 1 << i, adj[i] & s
+        while frontier:
+            comp |= frontier
+            if comp.bit_count() > r:
+                return False
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & s & ~comp
+        return True
 
     def fitting(s: int, candidates: int) -> int:
         kept = 0
@@ -66,7 +81,7 @@ def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
         return kept
 
     out = []
-    stack = [(0, fitting(0, (1 << n) - 1), 0)]
+    stack = [(0, (1 << len(adj)) - 1, 0)]
     while stack:
         s, p, x = stack.pop()
         if not p:
@@ -75,10 +90,12 @@ def maximal_sets(n: int, fits: Callable[[int, int], bool]) -> list[int]:
             continue
         if x and any(fits(s | p, j) for j in bits(x)):
             continue
-        for i in reversed(bits(p)):
+        branch_sets = ((1 << u | adj[u]) & p for u in bits(p | x) if not adj[u] & s)
+        for i in bits(min(branch_sets, key=int.bit_count, default=p)):
             t = s | 1 << i
-            below = p & ((1 << i) - 1)
-            stack.append((t, fitting(t, p >> i + 1 << i + 1), fitting(t, x | below)))
+            p ^= 1 << i
+            stack.append((t, fitting(t, p), fitting(t, x)))
+            x |= 1 << i
     return out
 
 
@@ -158,7 +175,7 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
     if r < 1:
         raise ValueError("r must be a positive integer")
     check_guard(len(g), "facet")
-    return SimplicialComplex(g.vertices, sets_of(g.vertices, maximal_sets(len(g), r_growth_test(g, r))))
+    return SimplicialComplex(g.vertices, sets_of(g.vertices, maximal_sets(g.neighbour_masks, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 TREE_ENUMERATION_LIMIT = 10
 
@@ -127,33 +127,6 @@ def masks_of(labels: Sequence[str], sets: Iterable[Iterable[str]]) -> list[int]:
 def sets_of(labels: Sequence[str], masks: Iterable[int]) -> frozenset[frozenset[str]]:
     """The labelled sets of ``masks``: the inverse of ``masks_of``."""
     return frozenset(frozenset(labels[i] for i in bits(m)) for m in masks)
-
-
-def r_growth_test(g: Graph, r: int) -> Callable[[int, int], bool]:
-    """``fits(s, i)``: whether adding vertex ``g.vertices[i]`` to the
-    r-independent set with bitmask ``s`` keeps it r-independent.  Adding a
-    vertex can only grow its own component, so only that one is measured.
-
-    For any mask s it says whether the component of i in ``s | 1 << i`` has
-    at most r vertices.  That component only grows with s, so the test is
-    antitone in s, as ``complexes.maximal_sets`` requires."""
-    adj = g.neighbour_masks
-
-    def fits(s: int, i: int) -> bool:
-        comp, frontier = 1 << i, adj[i] & s
-        while frontier:
-            comp |= frontier
-            if comp.bit_count() > r:
-                return False
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & s & ~comp
-        return True
-
-    return fits
 
 
 def is_caterpillar(g: Graph) -> bool:

@@ -35,11 +35,14 @@ def parse_field(spec: str) -> int | None:
     if s in ("q", "rational", "rationals"):
         return None
     if s.startswith("gf:"):
-        p = int(s[3:])
+        digits = s[3:]
     elif s.startswith("gf(") and s.endswith(")"):
-        p = int(s[3:-1])
+        digits = s[3:-1]
     else:
+        digits = ""
+    if not digits.isdecimal():  # so int() below never raises a message of its own
         raise ValueError(f"unknown field descriptor {spec!r}")
+    p = int(digits)
     if p >= 1 << 64:
         raise ValueError(f"field order {p} is not below 2**64")
     if not _is_prime(p):

@@ -2,8 +2,8 @@
 public method and property of a public class, has a caller in the package or
 the benchmark, so no API exists only for the tests; and every private
 module-level function has a caller there, so none is dead.  No check in the
-package is an ``assert`` statement, which ``python -O`` strips, and no module
-reads the environment.
+package is an ``assert`` statement, which ``python -O`` strips, no module
+reads the environment, and no module imports a name it never reads.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -93,3 +93,20 @@ def test_no_module_reads_the_environment():
         or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
     ]
     assert reads == []
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read somewhere in that module, as a
+    bare name or as the head of an attribute chain; ``__future__`` imports
+    set compiler flags and are not names."""
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -449,7 +449,8 @@ class TestScan:
     # no tree has 0 vertices, so these fail only if checked before the items
     @pytest.mark.parametrize(
         "flag, value",
-        [("--field", "banana"), ("--r", "3..1"), ("--r", "0..2"), ("--props", "bogus")],
+        [("--field", "banana"), ("--field", "gf:x"), ("--r", "3..1"), ("--r", "0..2"),
+         ("--r", "a"), ("--r", "1..x"), ("--r", ""), ("--props", "bogus"), ("--props", " ")],
     )
     def test_arguments_checked_before_any_item(self, capsys, flag, value):
         args = {"--r": "1", "--props": "vd", flag: value}
@@ -457,6 +458,8 @@ class TestScan:
             capsys, "scan", "--family", "trees", "--n", "0", *itertools.chain(*args.items())
         )
         assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:")
+        # the message names the flag, or says what the value should describe
+        assert flag in err or {"--field": "field descriptor", "--props": "unknown property"}[flag] in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
@@ -810,6 +813,28 @@ class TestSettingsComeFromTheCommandLine:
             main(argv)
         assert exc.value.code == EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("check", "--complex", "c.json", "--r", "7", "--props", "vd"), "--r"),
+            (("build", "--gen", "fig1", "--r", "1", "--format", "json"), "--format"),
+            (("check", "--gen", "fig1", "--r", "1", "--props", ","), "--props"),
+            (("scan", "--family", "trees", "--n", "2", "--r", "1", "--props", " "), "--props"),
+        ],
+        ids=["r-with-complex", "format", "check-no-props", "scan-no-props"],
+    )
+    def test_flags_that_change_nothing_are_refused(self, capsys, tmp_path, argv, flag):
+        """A flag whose value the call would ignore, or a property list that
+        names nothing, exits 2 before any output, naming the flag."""
+        (tmp_path / "c.json").write_text(json.dumps(path_complex(3).to_json_dict()))
+        argv = [str(tmp_path / a) if a == "c.json" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag it does not know
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARSE, "") and flag in captured.err
 
 
 def test_start_up_imports_no_pool_or_dataclass_machinery():

@@ -29,7 +29,9 @@ from rindep.graphs import (
     cycle_graph,
     demo_graph,
     half_apex_clique,
+    make_caterpillar,
     path_graph,
+    star_graph,
     twin_bridge_paths,
 )
 from rindep.hypergraphs import con_r
@@ -128,12 +130,16 @@ class TestIndR:
         k = ind_r(complete_graph(3), 1)
         assert not k.is_void
 
-    # the builds at the 20-vertex guard that the benchmark times
+    # the builds at the 20-vertex guard that the benchmark times, and dense,
+    # star, clique and caterpillar inputs of 12 to 20 vertices
     @pytest.mark.parametrize(
         "graph, r, count",
         [(path_graph(20), 2, 684), (cycle_graph(20), 2, 851),
-         (path_graph(20), 4, 470), (cycle_graph(20), 3, 974)],
-        ids=["path20-r2", "cycle20-r2", "path20-r4", "cycle20-r3"],
+         (path_graph(20), 4, 470), (cycle_graph(20), 3, 974),
+         (twin_bridge_paths(9), 9, 55), (star_graph(19), 2, 20), (half_apex_clique(5), 6, 912),
+         (complete_graph(12), 3, 220), (make_caterpillar([3, 0, 4, 1, 2]), 2, 75)],
+        ids=["path20-r2", "cycle20-r2", "path20-r4", "cycle20-r3",
+             "G9-r9", "star19-r2", "H5-r6", "complete12-r3", "caterpillar-r2"],
     )
     def test_facet_counts_at_the_guard(self, graph, r, count):
         assert len(ind_r(graph, r).facets) == count

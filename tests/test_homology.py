@@ -54,6 +54,8 @@ class TestFieldParsing:
             parse_field("gf:6")
         with pytest.raises(ValueError):
             parse_field("banana")
+        with pytest.raises(ValueError, match="unknown field descriptor 'gf:x'"):
+            parse_field("gf:x")
 
     def test_largest_prime_below_2_64_is_accepted_at_once(self):
         start = time.perf_counter()

@@ -25,7 +25,6 @@ from conftest import (
     minimal_nonfaces,
     oracle_chordality,
     oracle_cm,
-    oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_minimal_covers,
     oracle_plain_shelling,
@@ -58,7 +57,7 @@ from rindep.decompose import (
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph, bits, r_growth_test
+from rindep.graphs import Graph, bits, complete_graph, star_graph
 from rindep.homology import _relabelled, is_cohen_macaulay, is_scm, reduced_homology
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -132,43 +131,19 @@ def test_con_r_edges_are_the_connected_subsets(g, r):
     assert set(con_r(g, r).edges) == connected
 
 
-@st.composite
-def edge_masks(draw, max_vertices=8):
-    """A vertex count and up to eight edge masks, singletons drawn often."""
-    n = draw(st.integers(0, max_vertices))
-    singletons = st.sampled_from([1 << i for i in range(n)]) if n else st.nothing()
-    edge = st.one_of(st.integers(1, (1 << n) - 1), singletons) if n else st.just(0)
-    return n, draw(st.lists(edge, max_size=8))
-
-
-def _hypergraph_fits(edges):
-    return lambda s, i: all(e & ~(s | 1 << i) for e in edges)
-
-
 @SETTINGS
-@given(edge_masks())
-def test_ind_hypergraph_matches_power_set_oracle(n_edges):
-    """The maximal-set search with the hypergraph growth test finds the
-    facets of the hypergraph's independence complex."""
-    n, masks = n_edges
-    verts = [chr(97 + i) for i in range(n)]
-    h = reduced_hypergraph(verts, [[verts[i] for i in bits(m)] for m in masks])
-    facets = oracle_ind_hypergraph_facets(h)
-    if 0 in masks:  # an empty edge leaves no face, so there is nothing to search
-        assert facets == set()
-    else:
-        found = maximal_sets(n, _hypergraph_fits(masks))
-        assert {frozenset(verts[i] for i in bits(m)) for m in found} == facets
-
-
-@SETTINGS
-@given(st.one_of(
-    st.builds(lambda g, r: (len(g.vertices), r_growth_test(g, r)), graphs(10), radii),
-    edge_masks().map(lambda n_edges: (n_edges[0], _hypergraph_fits(n_edges[1]))),
-))
-def test_maximal_sets_emits_each_set_once(n_fits):
-    n, fits = n_fits
-    found = maximal_sets(n, fits)
+@given(graphs(12), st.integers(1, 5))
+@example(Graph((), frozenset()), 1)
+@example(Graph.from_edges("abc", []), 2)
+@example(complete_graph(5), 1)
+@example(complete_graph(5), 5)
+@example(star_graph(6), 2)
+def test_maximal_sets_emits_each_set_once(g, r):
+    """The pivoted search reaches each facet through one branch only: on
+    edgeless graphs, where each branch set is the pivot alone; on cliques at
+    both ends of r; and on a star, whose nodes that hold the centre have no
+    pivot and branch on every undecided vertex."""
+    found = maximal_sets(g.neighbour_masks, r)
     assert len(found) == len(set(found))
 
 
@@ -527,7 +502,6 @@ _VALUES = {  # flag: (valid values, invalid values)
               ["path:-1", "path:x", "caterpillar:", "nope:3", "H:0", "G:0", "cycle:2"]),
     "--input": (["graph.txt", "graph.json"], ["complex.json", "nofile", "out"]),
     "--complex": (["complex.json"], ["graph.json", "nofile"]),
-    "--format": (["auto", "edgelist", "json"], ["xml"]),
     "--r": (["1", "2", "3", "1..3"], ["0", "-1", "x", "2..1", "1..", "a..b"]),
     "--n": (["1", "3", "4"], ["0", "11", "-2", "x"]),
     "--family": (["trees", "caterpillars"], ["forests"]),
@@ -539,12 +513,12 @@ _VALUES = {  # flag: (valid values, invalid values)
     **{f"--budget-{b}": (["0", "1", "50"], ["-1", "x", "1.5"])
        for b in ("vd", "shell", "minor", "split")},
 }
-_OPTIONAL = ("--format", "--budget-vd", "--budget-shell", "--budget-minor", "--budget-split",
+_OPTIONAL = ("--budget-vd", "--budget-shell", "--budget-minor", "--budget-split",
              "--field", "--out")
 _COMMANDS = {  # command: (required flags, optional flags)
-    "build": (("--r",), ("--format", "--out")),
+    "build": (("--r",), ("--out",)),
     "check": (("--r", "--props"), _OPTIONAL),
-    "scan": (("--family", "--n", "--r", "--props"), _OPTIONAL[1:]),
+    "scan": (("--family", "--n", "--r", "--props"), _OPTIONAL),
     "verify": ((), ()),
 }
 _PATHS = ("graph.txt", "graph.json", "complex.json", "cert.json", "nofile", "out")
@@ -610,6 +584,8 @@ def _argvs(draw):
     elif command != "scan":
         source = draw(st.sampled_from(["--gen", "--input", "--complex"][: 2 + (command == "check")]))
         argv += [source, _value(draw, source)]
+        if source == "--complex":  # a complex file takes no --r
+            required = required[1:]
     for flag in required:
         argv += [flag, _value(draw, flag)]
     for flag in optional:
