@@ -248,8 +248,6 @@ def twin_bridge_paths(r: int) -> Graph:
 
 @lru_cache(maxsize=None)
 def _rooted_trees(n: int) -> tuple[tuple, ...]:
-    if n == 1:
-        return ((),)
     return tuple(_canonical_forests(n - 1, n - 1, None))
 
 
@@ -268,25 +266,20 @@ def _canonical_forests(total: int, size_cap: int, key_bound) -> Iterator[tuple]:
                 yield (t,) + rest
 
 
-def _attach(tree: tuple, parent: int, labels: list[int], edges: list[tuple[str, str]]) -> None:
-    for child in tree:
-        labels[0] += 1
-        me = labels[0]
-        edges.append((str(parent), str(me)))
-        _attach(child, me, labels, edges)
+def _numbered(tree: tuple) -> Graph:
+    """The rooted ``tree`` as a graph on "1".."n", numbered in preorder from
+    the root "1": each vertex's number is the count of edges placed before
+    its own edge, plus 2."""
+    edges: list[tuple[int, int]] = []
 
+    def hang(children: tuple, parent: int) -> None:
+        for child in children:
+            me = len(edges) + 2
+            edges.append((parent, me))
+            hang(child, me)
 
-def _forest_to_graph(n: int, roots: list[tuple], root_edge: bool) -> Graph:
-    labels = [1]
-    edges: list[tuple[str, str]] = []
-    root_ids = []
-    for t in roots:
-        root_ids.append(labels[0])
-        _attach(t, labels[0], labels, edges)
-        labels[0] += 1
-    if root_edge:
-        edges.append((str(root_ids[0]), str(root_ids[1])))
-    return Graph.from_edges([str(i) for i in range(1, n + 1)], edges)
+    hang(tree, 1)
+    return Graph.from_edges(range(1, len(edges) + 2), edges)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -294,21 +287,19 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 
     Unicentroidal trees are rooted at the centroid (all child subtrees have
     fewer than n/2 vertices); bicentroidal trees are two half-trees joined by
-    an edge.  Each class appears exactly once.
+    an edge, the second hung below the first's root as its last child.  Each
+    class appears exactly once, numbered by ``_numbered``.
     """
     if not 1 <= n <= TREE_ENUMERATION_LIMIT:
         raise ValueError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
-    if n == 1:
-        yield Graph.from_edges(["1"], [])
-        return
     max_child = (n - 1) // 2
     for forest in _canonical_forests(n - 1, max_child, None):
-        yield _forest_to_graph(n, [forest], root_edge=False)
+        yield _numbered(forest)
     if n % 2 == 0:
         halves = _rooted_trees(n // 2)
         for i, t1 in enumerate(halves):
             for t2 in halves[i:]:
-                yield _forest_to_graph(n, [t1, t2], root_edge=True)
+                yield _numbered(t1 + (t2,))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +309,8 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 def parse_edge_list(text: str) -> Graph:
     """Edge-list format: one ``u v`` pair per line, ``#`` comments, isolated
     vertices declared as ``vertex u``."""
-    verts: list[str] = []
-    seen: set[str] = set()
+    verts: dict[str, None] = {}  # the labels in order of first mention
     edges: set[frozenset[str]] = set()
-
-    def declare(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            verts.append(v)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -335,15 +319,15 @@ def parse_edge_list(text: str) -> Graph:
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError(f"line {lineno}: 'vertex' lines take exactly one label")
-            declare(tokens[1])
+            verts.setdefault(tokens[1])
             continue
         if len(tokens) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = tokens
         if u == v:
             raise GraphParseError(f"line {lineno}: loop edge {u!r} {v!r} not allowed")
-        declare(u)
-        declare(v)
+        verts.setdefault(u)
+        verts.setdefault(v)
         edges.add(frozenset((u, v)))
     return Graph(tuple(verts), frozenset(edges))
 

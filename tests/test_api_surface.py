@@ -1,9 +1,11 @@
 """Every public module-level function and class of the package, and every
 public method and property of a public class, has a caller in the package or
 the benchmark, so no API exists only for the tests; and every private
-module-level function has a caller there, so none is dead.  No check in the
-package is an ``assert`` statement, which ``python -O`` strips, no module
-reads the environment, and no module imports a name it never reads.
+module-level function has a caller there, so none is dead.  Every defaulted
+parameter is passed by some call there, so no option is set only by tests.
+No check in the package is an ``assert`` statement, which ``python -O``
+strips, no module reads the environment, and no module imports a name it
+never reads.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -110,3 +112,49 @@ def test_every_import_is_used():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _defaulted(func: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of each parameter of ``func`` that has a default:
+    position is the index among a call's positional arguments, after the
+    ``self`` that a method's call passes implicitly, and ``None`` for a
+    keyword-only parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    out = [(arg.arg, i - method) for i, arg in enumerate(positional) if i >= first]
+    keyword_only = zip(func.args.kwonlyargs, func.args.kw_defaults)
+    out += [(arg.arg, None) for arg, default in keyword_only if default is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at ``position``; a
+    ``*args`` or ``**kwargs`` argument counts as setting every one."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_default_is_overridden_by_some_caller():
+    """An option only tests set should be a constant: for each defaulted
+    parameter of a package function, some call in the package or the
+    benchmark passes it, by position or by keyword.  Calls match by name, as
+    in ``_references``; a method's call is ``obj.name(...)``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for name, position in _defaulted(func, id(func) in methods):
+                    if not any(_passes(call, name, position) for call in calls.get(func.name, [])):
+                        unset.append(f"{path.name}:{func.lineno} {func.name}({name}=...)")
+    assert unset == []

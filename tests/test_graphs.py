@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -267,6 +268,30 @@ class TestTreeEnumeration:
                 from_enum.add(ahu_canonical_key(edges, n))
             assert from_enum == from_prufer
 
+    def test_numbering_is_pinned(self):
+        """Each scan line's ``index`` and ``edges`` come from this numbering:
+        labels "1".."n" in preorder from the centroid root, a bicentroidal
+        tree's second half hung below the first root (n = 4, second tree)."""
+        small = {
+            1: [[]],
+            2: [[(1, 2)]],
+            3: [[(1, 2), (1, 3)]],
+            4: [[(1, 2), (1, 3), (1, 4)], [(1, 2), (1, 3), (3, 4)]],
+            5: [
+                [(1, 2), (1, 4), (2, 3), (4, 5)],
+                [(1, 2), (1, 4), (1, 5), (2, 3)],
+                [(1, 2), (1, 3), (1, 4), (1, 5)],
+            ],
+        }
+        for n, expected in small.items():
+            trees = list(enumerate_trees(n))
+            assert all(t.vertices == tuple(map(str, range(1, n + 1))) for t in trees)
+            assert [[tuple(map(int, e)) for e in t.sorted_edges()] for t in trees] == expected
+        text = repr([(t.vertices, t.sorted_edges()) for n in range(1, 11) for t in enumerate_trees(n)])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2608a3026487be526589b67aefab800f40bf82a5f326e394edf2bf52c6221132"
+        )
+
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_trees(11))
@@ -336,6 +361,12 @@ class TestFormats:
         g = parse_edge_list(text)
         assert g.vertices == ("z", "a", "b", "c")
         assert edge_set(g) == {("a", "b"), ("b", "c")}
+        # a label keeps the place of its first mention: a later 'vertex'
+        # line, a repeated edge or an edge written backwards moves nothing
+        text = "m k\nvertex q\nk x\nvertex m\nm k\nx k\nvertex x\nq m\n"
+        g = parse_edge_list(text)
+        assert g.vertices == ("m", "k", "q", "x")
+        assert edge_set(g) == {("k", "m"), ("k", "x"), ("m", "q")}
 
     def test_edge_list_errors_carry_line_numbers(self):
         with pytest.raises(GraphParseError, match="^line 2: "):
