@@ -2,14 +2,14 @@
 certificates, sweep graph families, and replay certificates.
 
 Exit codes: 0 completed (verdicts may still be false), 1 an invalid
-certificate (``verify``), 2 rejected input (a parse or usage error, a
-negative or non-integer budget, a ``--jobs`` below 1, ``--r`` with
-``--complex``, a ``--props`` that names no property, a field order that is
-not a prime below 2**64, an input beyond an enumeration guard, a JSON
-file nested too deeply to read, or an input whose certificate nests too
-deeply to write as JSON), 3 a search budget ran out, 4 an internal check
-failed (a certificate its verifier rejects, a nonzero boundary of a
-boundary, or two routes to one result that disagree).
+certificate (``verify``), 2 rejected input (a parse or usage error, a negative
+or non-integer budget, a ``--jobs`` below 1, ``--r`` with ``--complex``, a
+``--props`` that names no property, a ``scan --n`` below 1 or above the
+20-vertex guard, a field order that is not a prime below 2**64, an input
+beyond an enumeration guard, a JSON file nested too deeply to read, or an
+input whose certificate nests too deeply to write as JSON), 3 a search budget
+ran out, 4 an internal check failed (a certificate its verifier rejects, a
+nonzero boundary of a boundary, or two routes to one result that disagree).
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from .decompose import (
     verify_shelling_certificate,
 )
 from .graphs import (
-    TREE_ENUMERATION_LIMIT,
+    CrossCheckError,
     Graph,
     GraphParseError,
+    check_guard,
     complete_graph,
     cycle_graph,
     demo_graph,
@@ -58,10 +59,9 @@ from .graphs import (
     twin_bridge_paths,
 )
 from .homology import field_name, is_cohen_macaulay, is_scm, parse_field, reduced_homology
-from .hypergraphs import DEFAULT_MINOR_BUDGET, GuardExceeded, con_r, is_chordal_hypergraph
+from .hypergraphs import DEFAULT_MINOR_BUDGET, con_r, is_chordal_hypergraph
 from .ideals import (
     DEFAULT_SPLIT_BUDGET,
-    CrossCheckError,
     SplitNode,
     dual_of_ind,
     facet_dual,
@@ -252,10 +252,10 @@ def _parse_props(raw: str) -> list[str]:
     """The named properties, each once, in the order of first mention."""
     props = list(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
     if not props:
-        raise GraphParseError(f"--props names no property, got {raw!r}")
+        raise ValueError(f"--props names no property, got {raw!r}")
     for p in props:
         if p not in ALL_PROPS:
-            raise GraphParseError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
+            raise ValueError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
     return props
 
 
@@ -264,9 +264,9 @@ def cmd_check(args) -> int:
     props = _parse_props(args.props)
     if args.complex is not None:
         if "chordal-hypergraph" in props:
-            raise GraphParseError("chordal-hypergraph needs a graph input and r")
+            raise ValueError("chordal-hypergraph needs a graph input and r")
         if args.r is not None:
-            raise GraphParseError("--r applies to a graph input, not to --complex")
+            raise ValueError("--r applies to a graph input, not to --complex")
         complex_ = complex_from_json_dict(_load_json(args.complex))
         graph, r = None, None
         input_desc = {"kind": "complex-file", "source": args.complex}
@@ -274,7 +274,7 @@ def cmd_check(args) -> int:
         graph, input_desc = _graph_input(args)
         r = args.r
         if r is None or r < 1:
-            raise GraphParseError("--r is required (a positive integer) for graph inputs")
+            raise ValueError("--r is required (a positive integer) for graph inputs")
         complex_ = ind_r(graph, r)
     report = {
         "schema_version": 1,
@@ -300,7 +300,7 @@ def _r_range(raw: str) -> range:
             return rs
     except ValueError:  # a bound that is no integer
         pass
-    raise GraphParseError(f"--r must be a non-empty range of positive integers, got {raw!r}")
+    raise ValueError(f"--r must be a non-empty range of positive integers, got {raw!r}")
 
 
 def _scan_item(family: str, props: list[str], budgets: dict[str, int], field: int | None, item) -> dict:
@@ -335,11 +335,12 @@ def cmd_scan(args) -> int:
     """Write each item's line as soon as it is done; a failure mid-scan
     keeps the lines already written and writes no summary."""
     if args.jobs < 1:
-        raise GraphParseError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # every argument, and the output file, is checked before the first item is built
     rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
-    if not 1 <= args.n <= TREE_ENUMERATION_LIMIT:
-        raise GraphParseError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    check_guard(args.n, "facet")  # the guard each item's ind_r applies
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         items = (
@@ -466,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, GuardExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:  # json.dumps(indent=2) recurses once per certificate level

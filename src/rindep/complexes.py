@@ -16,8 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, masks_of, record, sets_of
-from .hypergraphs import check_family, check_guard
+from .graphs import Graph, bits, check_family, check_guard, masks_of, record, sets_of
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:

@@ -1,5 +1,5 @@
-"""Finite simple graphs with labelled vertices, family generators, and the
-small graph algorithms everything else builds on."""
+"""Base layer: records, label-bit masks, the family and guard checks and the
+error types every module rejects input with; graphs, generators and formats."""
 
 from __future__ import annotations
 
@@ -8,11 +8,20 @@ import json
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-TREE_ENUMERATION_LIMIT = 10
+FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
 
 
 class GraphParseError(ValueError):
     """An edge-list or JSON graph file could not be parsed."""
+
+
+class GuardExceeded(ValueError):
+    """An enumeration would exceed the size guard: rejected input, like any ValueError."""
+
+
+class CrossCheckError(RuntimeError):
+    """An internal check failed: two independent computation paths
+    disagreed, or a result failed its own verification; always a bug."""
 
 
 def record(cls: type) -> type:
@@ -69,16 +78,11 @@ class Graph:
     edges: frozenset[frozenset[str]]
 
     def __post_init__(self):
-        labels = set(self.vertices)
-        if len(labels) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
         # the least offender by sorted labels, so the message does not depend on the hash seed
         odd = [sorted(e) for e in self.edges if len(e) != 2]
         if odd:
             raise ValueError(f"edge {min(odd)} is not a 2-element set")
-        unknown = [sorted(e) for e in self.edges if not e <= labels]
-        if unknown:
-            raise ValueError(f"edge {min(unknown)} uses unknown vertices")
+        check_family(self.vertices, self.edges, "edge")
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:
@@ -127,6 +131,34 @@ def masks_of(labels: Sequence[str], sets: Iterable[Iterable[str]]) -> list[int]:
 def sets_of(labels: Sequence[str], masks: Iterable[int]) -> frozenset[frozenset[str]]:
     """The labelled sets of ``masks``: the inverse of ``masks_of``."""
     return frozenset(frozenset(labels[i] for i in bits(m)) for m in masks)
+
+
+def check_guard(n: int, what: str) -> None:
+    """Refuse an enumeration of ``what`` over ``n`` vertices past the guard."""
+    if n > FACE_ENUMERATION_GUARD:
+        raise GuardExceeded(f"{what} enumeration over {n} vertices exceeds the guard")
+
+
+def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
+    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets``, a
+    family of distinct sets, form an antichain over them; ``member`` names
+    one set in the messages, the least offender by sorted labels, so they
+    do not depend on the hash seed.  Two distinct sets of one size are never
+    nested, so only sets of different sizes are compared."""
+    known = set(labels)
+    if len(known) != len(labels):
+        twice = next(v for i, v in enumerate(labels) if v in labels[:i])
+        raise ValueError(f"label {twice!r} appears twice under the {member}s")
+    unknown = [s for s in sets if not s <= known]
+    if unknown:
+        raise ValueError(f"{member} {min(map(sorted, unknown))} uses unknown labels")
+    by_size: dict[int, list[frozenset[str]]] = {}
+    for s in sets:
+        by_size.setdefault(len(s), []).append(s)
+    groups = [by_size[n] for n in sorted(by_size)]
+    inner = [a for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large if a < b]
+    if inner:
+        raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
 
 
 def is_caterpillar(g: Graph) -> bool:
@@ -290,8 +322,6 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     an edge, the second hung below the first's root as its last child.  Each
     class appears exactly once, numbered by ``_numbered``.
     """
-    if not 1 <= n <= TREE_ENUMERATION_LIMIT:
-        raise ValueError(f"n must be between 1 and {TREE_ENUMERATION_LIMIT}")
     max_child = (n - 1) // 2
     for forest in _canonical_forests(n - 1, max_child, None):
         yield _numbered(forest)
@@ -308,7 +338,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 
 def parse_edge_list(text: str) -> Graph:
     """Edge-list format: one ``u v`` pair per line, ``#`` comments, isolated
-    vertices declared as ``vertex u``."""
+    vertices declared as ``vertex u``; ``vertex`` is no label."""
     verts: dict[str, None] = {}  # the labels in order of first mention
     edges: set[frozenset[str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -316,6 +346,8 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
+        if "vertex" in tokens[1:]:
+            raise GraphParseError(f"line {lineno}: 'vertex' is a keyword, not a label")
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError(f"line {lineno}: 'vertex' lines take exactly one label")

@@ -22,9 +22,7 @@ from operator import and_, or_
 from typing import Container
 
 from .complexes import SimplicialComplex, mask_order, submasks
-from .graphs import bits, record
-from .hypergraphs import check_guard
-from .ideals import CrossCheckError
+from .graphs import CrossCheckError, bits, check_guard, record
 
 
 def parse_field(spec: str) -> int | None:

@@ -9,42 +9,9 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .graphs import Graph, bits, masks_of, record, sets_of
+from .graphs import Graph, bits, check_family, check_guard, masks_of, record, sets_of
 
 DEFAULT_MINOR_BUDGET = 2_000_000
-FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
-
-
-class GuardExceeded(RuntimeError):
-    """An enumeration would exceed the configured size guard."""
-
-
-def check_guard(n: int, what: str) -> None:
-    """Refuse an enumeration of ``what`` over ``n`` vertices past the guard."""
-    if n > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded(f"{what} enumeration over {n} vertices exceeds the guard")
-
-
-def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
-    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets``, a
-    family of distinct sets, form an antichain over them; ``member`` names
-    one set in the messages, the least offender by sorted labels, so they
-    do not depend on the hash seed.  Two distinct sets of one size are never
-    nested, so only sets of different sizes are compared."""
-    known = set(labels)
-    if len(known) != len(labels):
-        twice = next(v for i, v in enumerate(labels) if v in labels[:i])
-        raise ValueError(f"label {twice!r} appears twice under the {member}s")
-    unknown = [s for s in sets if not s <= known]
-    if unknown:
-        raise ValueError(f"{member} {min(map(sorted, unknown))} uses unknown labels")
-    by_size: dict[int, list[frozenset[str]]] = {}
-    for s in sets:
-        by_size.setdefault(len(s), []).append(s)
-    groups = [by_size[n] for n in sorted(by_size)]
-    inner = [a for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large if a < b]
-    if inner:
-        raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
 
 
 @record

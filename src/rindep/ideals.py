@@ -8,8 +8,8 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, mask_order
 from .decompose import CertificateNode, certificate_search, replay
-from .graphs import Graph, bits, masks_of, record
-from .hypergraphs import check_family, con_r, minimal_vertex_covers
+from .graphs import CrossCheckError, Graph, bits, check_family, masks_of, record
+from .hypergraphs import con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
 
@@ -17,11 +17,6 @@ DEFAULT_SPLIT_BUDGET = 500_000
 class ZeroIdealError(ValueError):
     """The Alexander dual of the zero ideal was asked for; it is not given
     a convention."""
-
-
-class CrossCheckError(RuntimeError):
-    """An internal check failed: two independent computation paths
-    disagreed, or a result failed its own verification; always a bug."""
 
 
 @record

@@ -5,7 +5,8 @@ module-level function has a caller there, so none is dead.  Every defaulted
 parameter is passed by some call there, so no option is set only by tests.
 No check in the package is an ``assert`` statement, which ``python -O``
 strips, no module reads the environment, and no module imports a name it
-never reads.
+never reads.  The complexes and their homology load no other package module
+than ``graphs``, the base layer that rejects input.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -17,8 +18,13 @@ next to a ``faces`` attribute elsewhere), and such members need a look by
 hand."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "rindep").glob("*.py"))
@@ -158,3 +164,19 @@ def test_every_default_is_overridden_by_some_caller():
                     if not any(_passes(call, name, position) for call in calls.get(func.name, [])):
                         unset.append(f"{path.name}:{func.lineno} {func.name}({name}=...)")
     assert unset == []
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("rindep.complexes", ["rindep.complexes", "rindep.graphs"]),
+        ("rindep.homology", ["rindep.complexes", "rindep.graphs", "rindep.homology"]),
+    ],
+)
+def test_complexes_and_homology_load_only_the_base_layer(module, loaded):
+    """``graphs`` holds the records, the family and guard checks and the
+    error types, so the layers above it need no sibling they do not use."""
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('rindep.')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == f"{loaded}\n"

@@ -20,8 +20,8 @@ from rindep.cli import (
     main,
 )
 from rindep.complexes import ind_r
-from rindep.graphs import Graph, is_caterpillar, parse_edge_list
-from rindep.hypergraphs import GuardExceeded, Hypergraph, minimal_vertex_covers
+from rindep.graphs import Graph, GuardExceeded, is_caterpillar, parse_edge_list
+from rindep.hypergraphs import Hypergraph, minimal_vertex_covers
 
 GENERATOR_TOKENS = [
     "fig1",
@@ -477,15 +477,27 @@ class TestScan:
         )
         assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:")
 
-    @pytest.mark.parametrize("n", ["11", "0", "-3"])
+    @pytest.mark.parametrize("n", ["21", "0", "-3"])
     def test_n_outside_the_tree_range_is_rejected_before_any_item(self, capsys, monkeypatch, tmp_path, n):
+        # the 20-vertex guard of ind_r is the one size limit
+        message = f"--n must be at least 1, got {n}"
+        if n == "21":
+            message = "facet enumeration over 21 vertices exceeds the guard"
         monkeypatch.setattr(cli, "ind_r", lambda *args: pytest.fail("an item was checked"))
         code, out, err = run_cli(
             capsys, "scan", "--family", "trees", "--n", n, "--r", "1", "--props", "vd",
             "--out", str(tmp_path / "scan.jsonl"),
         )
-        assert (code, out, err) == (EXIT_PARSE, "", "error: n must be between 1 and 10\n")
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
         assert not (tmp_path / "scan.jsonl").exists()
+
+    def test_trees_past_ten_vertices(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--family", "trees", "--n", "11", "--r", "1", "--props", "vd")
+        assert code == EXIT_OK
+        *lines, summary = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 436 and [line["n"] for line in lines].count(11) == 235
+        assert summary["summary"]["verdicts"] == {"vd": {"true": 436}}
+        assert all(line["certified"] == {"vd": True} for line in lines)
 
     def test_failure_mid_scan_keeps_the_lines_written(self, capsys, monkeypatch):
         from rindep.ideals import CrossCheckError

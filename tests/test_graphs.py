@@ -231,7 +231,9 @@ class TestChordality:
 
 
 class TestTreeEnumeration:
+    # OEIS A000055, past 10 vertices too: a scan's only size limit is the guard of ind_r
     KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+    KNOWN_COUNTS |= {11: 235, 12: 551, 13: 1301, 14: 3159}
 
     def test_counts(self):
         for n, expected in self.KNOWN_COUNTS.items():
@@ -292,11 +294,9 @@ class TestTreeEnumeration:
             "2608a3026487be526589b67aefab800f40bf82a5f326e394edf2bf52c6221132"
         )
 
-    def test_limit_enforced(self):
-        with pytest.raises(ValueError):
-            list(enumerate_trees(11))
-        with pytest.raises(ValueError):
-            list(enumerate_trees(0))
+    def test_no_tree_below_one_vertex(self):
+        for n in (0, -1, -2):
+            assert list(enumerate_trees(n)) == []
 
 
 class TestCaterpillarRecognition:
@@ -373,11 +373,17 @@ class TestFormats:
             parse_edge_list("a b\na b c\n")
         with pytest.raises(GraphParseError, match="^line 1: "):
             parse_edge_list("a a\n")
+        # 'vertex' first declares a label; anywhere later it is a keyword out of place
+        assert parse_edge_list("vertex a\n") == Graph(("a",), frozenset())
+        for text, line in (("a b\na vertex\n", 2), ("vertex vertex\n", 1), ("a b vertex\n", 1)):
+            with pytest.raises(GraphParseError, match=f"^line {line}: 'vertex' is a keyword"):
+                parse_edge_list(text)
 
     def test_json_round_trip(self):
-        g = twin_bridge_paths(3)
-        data = {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
-        assert parse_graph_json(json.dumps(data)) == g
+        # JSON graphs have no keywords, so 'vertex' is a label like any other
+        for g in (twin_bridge_paths(3), Graph.from_edges(["a", "vertex"], [("a", "vertex")])):
+            data = {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
+            assert parse_graph_json(json.dumps(data)) == g
 
     def test_json_errors(self):
         with pytest.raises(GraphParseError):

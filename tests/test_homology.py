@@ -9,7 +9,7 @@ from conftest import complex_from_faces, oracle_reduced_betti, oracle_scm, rando
 from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_shellable, is_vertex_decomposable
-from rindep.graphs import Graph, half_apex_clique, masks_of, path_graph, twin_bridge_paths
+from rindep.graphs import Graph, GuardExceeded, half_apex_clique, masks_of, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -17,7 +17,6 @@ from rindep.homology import (
     parse_field,
     reduced_homology,
 )
-from rindep.hypergraphs import GuardExceeded
 from rindep.ideals import CrossCheckError, dual_of_ind, is_vertex_splittable
 
 

@@ -710,7 +710,7 @@ _PINNED = {
     "scan-homology-n9": "3df6f7affbb1728450af598195f03f0331695c4f6eb738fbcbe42c2fbcab09f1",
     "nested-facet": "error: facet ['a'] lies inside another facet\n",
     "unknown-facet": "error: facet ['a', 'x'] uses unknown labels\n",
-    "unknown-edge": "error: edge ['a', 'x'] uses unknown vertices\n",
+    "unknown-edge": "error: edge ['a', 'x'] uses unknown labels\n",
 }
 
 
