@@ -159,8 +159,8 @@ def run_checks(
     props: list[str],
     budgets: dict[str, int],
     field: int | None,
-    graph: Graph | None = None,
-    r: int | None = None,
+    graph: Graph | None,
+    r: int | None,
 ) -> dict:
     """Run the requested property checks and assemble the report blocks,
     from ``field`` to ``timings``; ``_emit`` renders the objects in them.
@@ -293,9 +293,9 @@ def cmd_check(args) -> int:
 
 
 def _r_range(raw: str) -> range:
-    lo, _, hi = raw.partition("..")
+    lo, dots, hi = raw.partition("..")
     try:
-        rs = range(int(lo), int(hi or lo) + 1)
+        rs = range(int(lo), int(hi if dots else lo) + 1)
         if rs and rs[0] >= 1:
             return rs
     except ValueError:  # a bound that is no integer

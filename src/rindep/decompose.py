@@ -5,7 +5,7 @@ verifiers."""
 from __future__ import annotations
 
 import functools
-from typing import Callable, ClassVar, Container, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .graphs import bits, record
@@ -19,18 +19,20 @@ def _canon_sets(sets: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
 
 
 def certificate_search(
-    root: frozenset, order: list[int], split: Callable, budget: int, labels: Sequence[str], node: type
+    root: frozenset, order: list[int], splits: Callable, budget: int, labels: Sequence[str], node: type
 ) -> tuple:
     """Memoized depth-first search for a certificate tree over states, each
     a frozenset of masks over the index of ``labels``.  A state with at most
-    one member is a leaf; otherwise, of the indices i of ``order`` that some
-    member holds, the first whose ``split(state, 1 << i)`` gives two children
-    with certificates makes ``node(sets, labels[i], first, second)``.  Every
-    state entered takes a memo slot, failed until it succeeds (a state met
-    again while open fails); the budget counts slots.  Returns (verdict,
-    certificate, slots); the verdict is None when the budget ran out.  A state
-    whose members all hold i fails with its first child at i, the state less
-    i: every other split only carries i along, so that child decides it."""
+    one member is a leaf.  Otherwise, for each index i of ``order`` that some
+    member holds, the state splits into ``held``, the members through i less
+    i, and ``rest``, the others; the first i where ``splits(held, rest)``
+    holds and both children have certificates makes ``node(sets, labels[i],
+    first, second)``.  Every state entered takes a memo slot, failed until it
+    succeeds (a state met again while open fails); the budget counts slots.
+    Returns (verdict, certificate, slots); the verdict is None when the budget
+    ran out.  A state with no ``rest`` at i fails with its first child there,
+    the state less i: every other split only carries i along, so that child
+    decides it."""
     memo: dict[frozenset[int], object] = {}
 
     @functools.cache  # one search meets each facet in many states
@@ -40,15 +42,18 @@ def certificate_search(
     def expand(state: frozenset[int]):
         support = functools.reduce(int.__or__, state)
         for i in order:
-            children = split(state, 1 << i) if support >> i & 1 else None
-            if children is None:
+            if not support >> i & 1:
                 continue
-            first = yield children[0]
+            held = [m ^ 1 << i for m in state if m >> i & 1]
+            rest = [m for m in state if not m >> i & 1]
+            if not splits(held, rest):
+                continue
+            first = yield frozenset(held)
             if first is None:
-                if all(m >> i & 1 for m in state):  # its first child, the state less i, decides it
+                if not rest:  # its first child, the state less i, decides it
                     return None
                 continue
-            second = yield children[1]
+            second = yield frozenset(rest)
             if second is not None:
                 memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
                 return memo[state]
@@ -122,30 +127,30 @@ class CertificateNode:
         return built[0]
 
 
-def replay(
-    cert: CertificateNode, sets: frozenset[frozenset[str]], parts: Callable, leaf_sizes: Container[int]
-) -> bool:
+def replay(cert: CertificateNode, sets: frozenset[frozenset[str]], splits: Callable) -> bool:
     """Check a certificate tree against the antichain ``sets`` at its root,
     node by node on an explicit stack.  Every node must store the canonical
     form of the family its parent computed (at the root, ``sets``).  Each
     such family is a link, deletion, quotient or remainder of an antichain,
     so it is again a family of distinct sets forming an antichain.  A leaf
-    must hold a number of sets in ``leaf_sizes``; at an inner node,
-    ``parts(family, branch)`` must return the two families its children
-    store, not None."""
+    must hold at most one set.  An inner node splits its family at the
+    branch into ``held``, the sets through it less it, and ``rest``, the
+    others; ``held`` must not be empty, ``splits(held, rest)`` must hold,
+    and the children must store the two."""
     stack = [(cert, sets)]
     while stack:
         node, family = stack.pop()
         if node is None or node.sets != _canon_sets(family):
             return False
         if node.branch is None:
-            if len(family) not in leaf_sizes:
+            if len(family) > 1:
                 return False
             continue
-        children = parts(family, node.branch)
-        if children is None:
+        held = [s - {node.branch} for s in family if node.branch in s]
+        rest = [s for s in family if node.branch not in s]
+        if not held or not splits(held, rest):
             return False
-        stack += [(node.first, children[0]), (node.second, children[1])]
+        stack += [(node.first, frozenset(held)), (node.second, frozenset(rest))]
     return True
 
 
@@ -169,14 +174,10 @@ class VDResult:
     explored: int
 
 
-def _shed(facets: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
-    """(link, deletion) when the vertex sheds: every facet of its link lies
-    inside some facet without it, so the deletion keeps exactly those."""
-    link = [f ^ bit for f in facets if f & bit]
-    rest = [f for f in facets if not f & bit]
-    if all(any(not l & ~f for f in rest) for l in link):
-        return frozenset(link), frozenset(rest)
-    return None
+def _sheds(link: list[int], rest: list[int]) -> bool:
+    """The vertex sheds: every facet of its link lies inside some facet
+    without it, so the deletion keeps exactly those."""
+    return all(any(not l & ~f for f in rest) for l in link)
 
 
 def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET) -> VDResult:
@@ -193,27 +194,19 @@ def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET
         raise ValueError("void complex")
     root = frozenset(k.facet_masks)
     order = list(range(len(k.ground_set)))
-    return VDResult(*certificate_search(root, order, _shed, budget, k.ground_set, SheddingNode))
+    return VDResult(*certificate_search(root, order, _sheds, budget, k.ground_set, SheddingNode))
 
 
-def _shed_sets(
-    facets: frozenset[frozenset[str]], v: str
-) -> tuple[frozenset[frozenset[str]], frozenset[frozenset[str]]] | None:
-    """(link, deletion) at ``v`` on labelled facets, or None unless ``v``
-    sheds: some facet holds it, and every facet that loses it lies inside a
-    facet without it.  On an antichain that says the deletion's maximal
-    sets are facets, namely the facets without ``v``."""
-    link = frozenset(f - {v} for f in facets if v in f)
-    rest = frozenset(f for f in facets if v not in f)
-    if link and all(any(l <= f for f in rest) for l in link):
-        return link, rest
-    return None
+def _sheds_sets(link: list[frozenset[str]], rest: list[frozenset[str]]) -> bool:
+    """``_sheds`` on labelled facets; on an antichain it says the deletion's
+    maximal sets are facets, namely the facets without the vertex."""
+    return all(any(l <= f for f in rest) for l in link)
 
 
 def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> bool:
     """Replay a shedding tree against ``k``, recomputing every local
     condition from the facets stored in the certificate."""
-    return replay(cert, k.facets, _shed_sets, (1,))
+    return bool(k.facets) and replay(cert, k.facets, _sheds_sets)
 
 
 # ---------------------------------------------------------------------------

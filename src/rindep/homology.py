@@ -217,9 +217,9 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     """Reisner's criterion over a field (Reisner 1976): purity plus
     vanishing reduced homology of every face link below its dimension.
 
-    Faces are scanned in (dimension, label) order, so a false verdict always
-    carries the lexicographically first witness.  Links that agree up to an
-    order-preserving relabelling are eliminated once per process."""
+    Faces are scanned in ``mask_order``, (dimension, ground-set order), so a
+    false verdict carries the first witness in that order.  Links that agree
+    up to an order-preserving relabelling are eliminated once per process."""
     if k.is_void:
         raise ValueError("void complex")
     if not k.is_pure():

@@ -114,35 +114,11 @@ class SplitResult:
     explored: int
 
 
-def _split_parts(
-    gens: frozenset[frozenset[str]], x: str
-) -> tuple[frozenset[frozenset[str]], frozenset[frozenset[str]]] | None:
-    """Quotient/remainder decomposition at pivot ``x``, or None when the
-    pivot does not satisfy the splitting conditions.
-
-    The quotients of the pivot-containing generators must be exactly the
-    minimal generators of the candidate first part: equivalently, every
-    pivot-free generator must contain some quotient (which also gives the
-    required containment of the remainder in the quotient part)."""
-    with_x = [g for g in gens if x in g]
-    if not with_x:
-        return None
-    quotients = frozenset(g - {x} for g in with_x)
-    remainder = frozenset(g for g in gens if x not in g)
-    for f in remainder:
-        if not any(q <= f for q in quotients):
-            return None
-    return quotients, remainder
-
-
-def _split(gens: frozenset[int], bit: int) -> tuple[frozenset[int], frozenset[int]] | None:
-    """(quotients, remainder) at the pivot, or None: some generator must
-    hold it, and every generator without it must contain some quotient."""
-    quotients = frozenset(g ^ bit for g in gens if g & bit)
-    remainder = frozenset(g for g in gens if not g & bit)
-    if quotients and all(any(not q & ~f for q in quotients) for f in remainder):
-        return quotients, remainder
-    return None
+def _splits(quotients: list[int], remainder: list[int]) -> bool:
+    """The pivot splits: every generator without it contains some quotient
+    of a generator with it, so the quotients are exactly the minimal
+    generators of the first part, and the remainder lies in it."""
+    return all(any(not q & ~f for q in quotients) for f in remainder)
 
 
 def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
@@ -152,10 +128,15 @@ def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -
     memo entries."""
     root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
-    return SplitResult(*certificate_search(root, pivots, _split, budget, i.variables, SplitNode))
+    return SplitResult(*certificate_search(root, pivots, _splits, budget, i.variables, SplitNode))
+
+
+def _splits_sets(quotients: list[frozenset[str]], remainder: list[frozenset[str]]) -> bool:
+    """``_splits`` on labelled generators."""
+    return all(any(q <= f for q in quotients) for f in remainder)
 
 
 def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
     """Replay a splitting certificate, recomputing every pivot condition
     from the generators recorded at each node."""
-    return replay(cert, i.generators, _split_parts, (0, 1))
+    return replay(cert, i.generators, _splits_sets)

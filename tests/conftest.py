@@ -39,7 +39,7 @@ from rindep.ideals import (
     SplitNode,
     SplitResult,
     ZeroIdealError,
-    _split,
+    _splits,
 )
 
 # the same examples on every run, so that a red run can be reproduced
@@ -399,7 +399,7 @@ def _labelled_search(root, candidates, children, budget, node):
     return cert is not None, cert, len(memo)
 
 
-def uncut_certificate_search(root, order, split, budget, labels, node) -> tuple:
+def uncut_certificate_search(root, order, splits, budget, labels, node) -> tuple:
     """``decompose.certificate_search`` without the rule that fails a state
     whose members all hold the pivot once its first child fails: every
     pivot is tried whatever its first child gave."""
@@ -412,13 +412,16 @@ def uncut_certificate_search(root, order, split, budget, labels, node) -> tuple:
     def expand(state):
         support = functools.reduce(int.__or__, state)
         for i in order:
-            children = split(state, 1 << i) if support >> i & 1 else None
-            if children is None:
+            if not support >> i & 1:
                 continue
-            first = yield children[0]
+            held = [m ^ 1 << i for m in state if m >> i & 1]
+            rest = [m for m in state if not m >> i & 1]
+            if not splits(held, rest):
+                continue
+            first = yield frozenset(held)
             if first is None:
                 continue
-            second = yield children[1]
+            second = yield frozenset(rest)
             if second is not None:
                 memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
                 return memo[state]
@@ -448,7 +451,7 @@ def uncut_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     """``is_vertex_splittable`` by ``uncut_certificate_search``."""
     root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
-    return SplitResult(*uncut_certificate_search(root, pivots, _split, budget, i.variables, SplitNode))
+    return SplitResult(*uncut_certificate_search(root, pivots, _splits, budget, i.variables, SplitNode))
 
 
 def deletion_facets(facets, v: str) -> frozenset[frozenset[str]]:

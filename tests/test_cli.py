@@ -450,7 +450,7 @@ class TestScan:
     @pytest.mark.parametrize(
         "flag, value",
         [("--field", "banana"), ("--field", "gf:x"), ("--r", "3..1"), ("--r", "0..2"),
-         ("--r", "a"), ("--r", "1..x"), ("--r", ""), ("--props", "bogus"), ("--props", " ")],
+         ("--r", "a"), ("--r", "1..x"), ("--r", "1.."), ("--r", ""), ("--props", "bogus"), ("--props", " ")],
     )
     def test_arguments_checked_before_any_item(self, capsys, flag, value):
         args = {"--r": "1", "--props": "vd", flag: value}

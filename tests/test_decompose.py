@@ -17,7 +17,7 @@ from conftest import (
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import (
     SheddingNode,
-    _shed,
+    _sheds,
     is_shellable,
     is_vertex_decomposable,
     verify_shedding_certificate,
@@ -50,8 +50,10 @@ def random_complex(rng, n_max=6, facet_cap=7):
 
 
 def sheds(k, v):
-    """The search's shedding condition at ``v``, on the facet masks of ``k``."""
-    return _shed(frozenset(k.facet_masks), 1 << k.ground_set.index(v)) is not None
+    """The search's shedding condition at ``v``, on the facet masks of ``k``
+    split as the search splits them."""
+    bit = 1 << k.ground_set.index(v)
+    return _sheds([f ^ bit for f in k.facet_masks if f & bit], [f for f in k.facet_masks if not f & bit])
 
 
 class TestSheddingVertex:
@@ -152,6 +154,13 @@ class TestVertexDecomposability:
         assert not verify_shedding_certificate(void, SheddingNode(()))
         two_points = complex_from_faces("ab", ["a", "b"])
         assert not verify_shedding_certificate(two_points, SheddingNode((("a",), ("b",))))
+
+    def test_branch_held_by_no_set(self):
+        # its empty first child is a leaf, and its second child certifies the family itself
+        k = complex_from_faces("abc", ["a", "b"])
+        cert = is_vertex_decomposable(k).certificate
+        assert verify_shedding_certificate(k, cert)
+        assert not verify_shedding_certificate(k, SheddingNode(cert.sets, "c", SheddingNode(()), cert))
 
     def test_certificate_for_wrong_complex_rejected(self):
         k1 = ind_r(path_graph(6), 2)

@@ -224,6 +224,15 @@ class TestCohenMacaulay:
         assert (rep.witness_face, rep.witness_degree) == (fs("5"), 0)
         assert reduced_homology(link(k, ["0", "1"])).betti(0) == 1
 
+    @pytest.mark.parametrize("first", ["w", "u"])
+    def test_witness_follows_the_ground_set_not_the_labels(self, first):
+        # a chain of three triangles: the links of w and of u are both
+        # disconnected, and the one listed first in the ground set is the witness
+        others = [v for v in ("w", "u", "x1", "x2", "y1", "z1", "z2") if v != first]
+        k = complex_from_faces([first, *others], [("w", "x1", "x2"), ("w", "y1", "u"), ("u", "z1", "z2")])
+        rep = is_cohen_macaulay(k)
+        assert (rep.cohen_macaulay, rep.witness_face, rep.witness_degree) == (False, fs(first), 0)
+
     def test_void_rejected(self):
         with pytest.raises(ValueError):
             is_cohen_macaulay(SimplicialComplex(("a",), frozenset()))

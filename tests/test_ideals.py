@@ -281,6 +281,11 @@ class TestVertexSplittable:
         two = MonomialIdeal.from_supports("ab", ["a", "b"])
         assert not verify_split_certificate(two, SplitNode((("a",), ("b",))))
 
+    def test_pivot_held_by_no_generator(self):
+        # both parts of the zero ideal are empty, so the splitting rule alone holds
+        zero = MonomialIdeal.from_supports("a", [])
+        assert not verify_split_certificate(zero, SplitNode((), "a", SplitNode(()), SplitNode(())))
+
     def test_certificate_round_trip(self):
         rng = random.Random(173)
         done = 0

@@ -51,7 +51,7 @@ from rindep.complexes import (
     pure_skeleton,
 )
 from rindep.decompose import (
-    _shed_sets,
+    _sheds_sets,
     is_shellable,
     is_vertex_decomposable,
     verify_shedding_certificate,
@@ -478,15 +478,16 @@ def test_replay_matches_recursive_oracle_verifiers(k, other, data):
 @SETTINGS
 @given(complexes)
 def test_labelled_shedding_condition_matches_definition(k):
-    """A vertex sheds when some facet holds it and the maximal sets of its
-    deletion are facets; the children are its link and that deletion."""
+    """Split as the replay splits a family, a vertex sheds when some facet
+    holds it and the maximal sets of its deletion are facets; the second
+    child, the facets without it, is then that deletion."""
     for v in k.ground_set:
         deletion = deletion_facets(k.facets, v)
-        if any(v in f for f in k.facets) and deletion <= k.facets:
-            expected = frozenset(f - {v} for f in k.facets if v in f), deletion
-        else:
-            expected = None
-        assert _shed_sets(k.facets, v) == expected
+        held = [f - {v} for f in k.facets if v in f]
+        rest = [f for f in k.facets if v not in f]
+        sheds = bool(held) and _sheds_sets(held, rest)
+        assert sheds == (any(v in f for f in k.facets) and deletion <= k.facets)
+        assert not sheds or frozenset(rest) == deletion
 
 
 # ---------------------------------------------------------------------------
