@@ -43,7 +43,6 @@ from .decompose import (
 from .graphs import (
     CrossCheckError,
     Graph,
-    GraphParseError,
     check_guard,
     complete_graph,
     cycle_graph,
@@ -117,8 +116,8 @@ def build_generator(token: str) -> Graph:
         if name == "caterpillar":
             return make_caterpillar([int(x) for x in arg.split(",")])
     except ValueError as exc:
-        raise GraphParseError(f"bad generator argument {token!r}: {exc}") from exc
-    raise GraphParseError(f"unknown generator {token!r}")
+        raise ValueError(f"bad generator argument {token!r}: {exc}") from exc
+    raise ValueError(f"unknown generator {token!r}")
 
 
 def _load_json(path: str):
@@ -400,7 +399,8 @@ def cmd_verify(args) -> int:
             ok = verify_shedding_certificate(complex_, SheddingNode.from_json_dict(cert))
         else:
             order = cert["order"] if isinstance(cert, dict) else cert
-            ok = isinstance(order, list) and verify_shelling_certificate(complex_, order)
+            facets_are_lists = isinstance(order, list) and all(isinstance(f, list) for f in order)
+            ok = facets_are_lists and verify_shelling_certificate(complex_, order)
     except (KeyError, TypeError, ValueError):  # malformed, or a simplex (zero ideal)
         ok = False
     print("valid" if ok else "invalid")

@@ -119,6 +119,8 @@ class CertificateNode:
                 stack += [preorder[-1][second_key], preorder[-1][first_key]]
         built: list[CertificateNode] = []
         for d in reversed(preorder):
+            if not isinstance(d[sets_key], list) or not all(isinstance(s, list) for s in d[sets_key]):
+                raise ValueError(f"certificate {sets_key!r} must be a list of label lists")
             sets = _canon_sets(map(str, s) for s in d[sets_key])
             if branch_key in d:
                 built.append(cls(sets, str(d[branch_key]), built.pop(), built.pop()))
@@ -347,13 +349,13 @@ def _reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[st
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:
     """Check a facet ordering directly against the definition: each facet
     must meet the union of its predecessors in a pure subcomplex of exactly
-    one dimension lower.
+    one dimension lower.  The void complex has no shelling.
 
     Independent of the search: this materializes the maximal intersections
     instead of using the pairwise reformulation.
     """
     seq = [frozenset(map(str, f)) for f in order]
-    if frozenset(seq) != k.facets or len(seq) != len(k.facets):
+    if not seq or frozenset(seq) != k.facets or len(seq) != len(k.facets):
         return False
     for t in range(1, len(seq)):
         fk = seq[t]

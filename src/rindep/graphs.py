@@ -1,5 +1,6 @@
-"""Base layer: records, label-bit masks, the family and guard checks and the
-error types every module rejects input with; graphs, generators and formats."""
+"""Base layer: records, label-bit masks, the family and guard checks,
+which reject input with a ``ValueError``, and ``CrossCheckError``, the one
+exception class of the package; graphs, generators and formats."""
 
 from __future__ import annotations
 
@@ -9,14 +10,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 FACE_ENUMERATION_GUARD = 20  # enumerations over all subsets allowed up to 2^20
-
-
-class GraphParseError(ValueError):
-    """An edge-list or JSON graph file could not be parsed."""
-
-
-class GuardExceeded(ValueError):
-    """An enumeration would exceed the size guard: rejected input, like any ValueError."""
 
 
 class CrossCheckError(RuntimeError):
@@ -136,7 +129,7 @@ def sets_of(labels: Sequence[str], masks: Iterable[int]) -> frozenset[frozenset[
 def check_guard(n: int, what: str) -> None:
     """Refuse an enumeration of ``what`` over ``n`` vertices past the guard."""
     if n > FACE_ENUMERATION_GUARD:
-        raise GuardExceeded(f"{what} enumeration over {n} vertices exceeds the guard")
+        raise ValueError(f"{what} enumeration over {n} vertices exceeds the guard")
 
 
 def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
@@ -347,17 +340,17 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if "vertex" in tokens[1:]:
-            raise GraphParseError(f"line {lineno}: 'vertex' is a keyword, not a label")
+            raise ValueError(f"line {lineno}: 'vertex' is a keyword, not a label")
         if tokens[0] == "vertex":
             if len(tokens) != 2:
-                raise GraphParseError(f"line {lineno}: 'vertex' lines take exactly one label")
+                raise ValueError(f"line {lineno}: 'vertex' lines take exactly one label")
             verts.setdefault(tokens[1])
             continue
         if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = tokens
         if u == v:
-            raise GraphParseError(f"line {lineno}: loop edge {u!r} {v!r} not allowed")
+            raise ValueError(f"line {lineno}: loop edge {u!r} {v!r} not allowed")
         verts.setdefault(u)
         verts.setdefault(v)
         edges.add(frozenset((u, v)))
@@ -368,13 +361,10 @@ def parse_graph_json(text: str) -> Graph:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # malformed or nested too deeply
-        raise GraphParseError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-        raise GraphParseError("graph JSON needs 'vertices' and 'edges'")
+        raise ValueError("graph JSON needs 'vertices' and 'edges'")
     vertices, edges = data["vertices"], data["edges"]
     if not (isinstance(vertices, list) and isinstance(edges, list) and all(isinstance(e, list) for e in edges)):
-        raise GraphParseError("graph JSON needs 'vertices' as a list and 'edges' as a list of lists")
-    try:
-        return Graph.from_edges(vertices, edges)
-    except ValueError as exc:  # an edge of other than two labels, or a loop
-        raise GraphParseError(str(exc)) from exc
+        raise ValueError("graph JSON needs 'vertices' as a list and 'edges' as a list of lists")
+    return Graph.from_edges(vertices, edges)

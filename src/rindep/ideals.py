@@ -14,11 +14,6 @@ from .hypergraphs import con_r, minimal_vertex_covers
 DEFAULT_SPLIT_BUDGET = 500_000
 
 
-class ZeroIdealError(ValueError):
-    """The Alexander dual of the zero ideal was asked for; it is not given
-    a convention."""
-
-
 @record
 class MonomialIdeal:
     """Square-free monomial ideal: generators are supports, kept as an
@@ -61,7 +56,7 @@ def facet_dual(k: SimplicialComplex) -> MonomialIdeal:
         raise ValueError("void complex has no Stanley-Reisner ideal")
     full = frozenset(k.ground_set)
     if k.facets == {full}:
-        raise ZeroIdealError("a simplex on its whole ground set has the zero Stanley-Reisner ideal")
+        raise ValueError("a simplex on its whole ground set has the zero Stanley-Reisner ideal")
     return MonomialIdeal(k.ground_set, frozenset(full - f for f in k.facets))
 
 

@@ -38,7 +38,6 @@ from rindep.ideals import (
     MonomialIdeal,
     SplitNode,
     SplitResult,
-    ZeroIdealError,
     _splits,
 )
 
@@ -188,7 +187,11 @@ def oracle_is_caterpillar(g: Graph) -> bool:
 # minimal vertex covers
 
 
-class UnitIdealError(ValueError):
+class ZeroIdealRejected(ValueError):
+    """The zero ideal was passed where a nonzero ideal is required."""
+
+
+class UnitIdealRejected(ValueError):
     """The unit ideal was passed where a proper ideal is required."""
 
 
@@ -220,9 +223,9 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
     hypergraph.  Zero and unit inputs are rejected outright rather than
     given a convention."""
     if is_zero(i):
-        raise ZeroIdealError("the zero ideal has no Alexander dual here")
+        raise ZeroIdealRejected("the zero ideal has no Alexander dual here")
     if is_unit(i):
-        raise UnitIdealError("the unit ideal has no Alexander dual here")
+        raise UnitIdealRejected("the unit ideal has no Alexander dual here")
     return MonomialIdeal(i.variables, minimal_vertex_covers(Hypergraph(i.variables, i.generators)))
 
 

@@ -6,7 +6,9 @@ parameter is passed by some call there, so no option is set only by tests.
 No check in the package is an ``assert`` statement, which ``python -O``
 strips, no module reads the environment, and no module imports a name it
 never reads.  The complexes and their homology load no other package module
-than ``graphs``, the base layer that rejects input.
+than ``graphs``, the base layer that rejects input.  The one exception class
+the package defines is ``CrossCheckError``: rejected input is a plain
+``ValueError``, so no subclass of it tells one rejection from another.
 
 The scan matches names, not objects: a member counts as called when any
 object's attribute of that name is used outside its own body, and a bare name
@@ -18,6 +20,7 @@ next to a ``faces`` attribute elsewhere), and such members need a look by
 hand."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -103,6 +106,23 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def test_the_only_exception_class_is_cross_check_error():
+    """A class is an exception class when one of its bases names a builtin
+    exception class or, by name, an exception class of the package."""
+    bases = {
+        node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    exceptions = {
+        name for name, kind in vars(builtins).items() if isinstance(kind, type) and issubclass(kind, BaseException)
+    }
+    while more := {name for name, names in bases.items() if names & exceptions} - exceptions:
+        exceptions |= more
+    assert sorted(exceptions & bases.keys()) == ["CrossCheckError"]
+
+
 def test_every_import_is_used():
     """Each name a module imports is read somewhere in that module, as a
     bare name or as the head of an attribute chain; ``__future__`` imports
@@ -174,8 +194,8 @@ def test_every_default_is_overridden_by_some_caller():
     ],
 )
 def test_complexes_and_homology_load_only_the_base_layer(module, loaded):
-    """``graphs`` holds the records, the family and guard checks and the
-    error types, so the layers above it need no sibling they do not use."""
+    """``graphs`` holds the records, the family and guard checks and
+    ``CrossCheckError``, so the layers above it need no sibling they do not use."""
     probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('rindep.')))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)

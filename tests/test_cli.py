@@ -20,7 +20,7 @@ from rindep.cli import (
     main,
 )
 from rindep.complexes import ind_r
-from rindep.graphs import Graph, GuardExceeded, is_caterpillar, parse_edge_list
+from rindep.graphs import Graph, is_caterpillar, parse_edge_list
 from rindep.hypergraphs import Hypergraph, minimal_vertex_covers
 
 GENERATOR_TOKENS = [
@@ -133,7 +133,7 @@ class TestBuild:
     def test_cover_enumeration_beyond_guard_names_the_guard(self):
         ground = [f"v{i}" for i in range(21)]
         wide = Hypergraph(tuple(ground), frozenset({frozenset(ground[0:3]), frozenset(ground[2:5])}))
-        with pytest.raises(GuardExceeded, match="cover enumeration over 21 vertices exceeds the guard"):
+        with pytest.raises(ValueError, match="cover enumeration over 21 vertices exceeds the guard"):
             minimal_vertex_covers(wide)
 
     def test_complex_file_beyond_the_guard_takes_the_dual_without_covers(self, capsys, tmp_path):
@@ -632,13 +632,48 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "cert",
-        [{"order": 5}, {"order": [5]}, [None], {"nonsense": 1}, "strings are not certificates", [["1"], 5]],
+        [
+            {"order": 5},
+            {"order": [5]},
+            [None],
+            {"nonsense": 1},
+            "strings are not certificates",
+            [["1"], 5],
+            # the certificates of ``abc`` below with each label list written
+            # as a string, which would read as its letters
+            pytest.param(["ab", "bc"], id="string-facets-in-shelling"),
+            pytest.param({"order": ["ab", "bc"]}, id="string-facets-under-order"),
+            pytest.param(
+                {"facets": ["ab", "bc"], "vertex": "a", "link": {"facets": ["b"]}, "del": {"facets": ["bc"]}},
+                id="string-facets-in-shedding-tree",
+            ),
+            pytest.param(
+                {
+                    "generators": ["a", "c"],
+                    "pivot": "a",
+                    "quotient": {"generators": [""]},
+                    "remainder": {"generators": ["c"]},
+                },
+                id="string-generators-in-splitting",
+            ),
+        ],
     )
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, cert):
         complex_path, _ = self._build_and_check(capsys, tmp_path, "vd")
+        abc_path = tmp_path / "abc.json"
+        abc_path.write_text(json.dumps({"ground_set": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]}))
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(cert))
-        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        for path in (complex_path, abc_path):
+            code, out, _ = run_cli(capsys, "verify", str(path), str(cert_path))
+            assert code == EXIT_INVALID and out.strip() == "invalid"
+
+    def test_void_complex_has_no_shelling(self, capsys, tmp_path):
+        # as ``check --props shellable`` refuses the void complex
+        void_path, cert_path = tmp_path / "void.json", tmp_path / "cert.json"
+        void_path.write_text(json.dumps({"ground_set": [], "facets": []}))
+        cert_path.write_text("[]")
+        code, out, _ = run_cli(capsys, "verify", str(void_path), str(cert_path))
         assert code == EXIT_INVALID and out.strip() == "invalid"
 
 

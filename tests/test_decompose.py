@@ -155,6 +155,9 @@ class TestVertexDecomposability:
         two_points = complex_from_faces("ab", ["a", "b"])
         assert not verify_shedding_certificate(two_points, SheddingNode((("a",), ("b",))))
 
+    def test_void_complex_has_no_shelling_either(self):
+        assert not verify_shelling_certificate(SimplicialComplex(("a",), frozenset()), [])
+
     def test_branch_held_by_no_set(self):
         # its empty first child is a leaf, and its second child certifies the family itself
         k = complex_from_faces("abc", ["a", "b"])
