@@ -399,8 +399,10 @@ def cmd_verify(args) -> int:
             ok = verify_shedding_certificate(complex_, SheddingNode.from_json_dict(cert))
         else:
             order = cert["order"] if isinstance(cert, dict) else cert
-            facets_are_lists = isinstance(order, list) and all(isinstance(f, list) for f in order)
-            ok = facets_are_lists and verify_shelling_certificate(complex_, order)
+            facets_are_sets = isinstance(order, list) and all(  # lists that name no label twice
+                isinstance(f, list) and len(set(map(str, f))) == len(f) for f in order
+            )
+            ok = facets_are_sets and verify_shelling_certificate(complex_, order)
     except (KeyError, TypeError, ValueError):  # malformed, or a simplex (zero ideal)
         ok = False
     print("valid" if ok else "invalid")

@@ -52,29 +52,34 @@ def maximal_sets(adj: Sequence[int], r: int) -> list[int]:
     joins X once its child is stacked.  s is maximal when P and X are empty.
     A node is cut when some x in X fits ``s | P``: then x fits every set the
     node can reach, so none of them is maximal.
+
+    A child adds one vertex i to s.  Only a vertex next to i's component in
+    ``s | 1 << i`` can stop fitting, since every other vertex meets the same
+    components as before, so the child keeps the rest of P and X and
+    re-tests those neighbours alone; when the component already has r
+    vertices, none of them fits, and none is tested.
     """
 
-    def fits(s: int, i: int) -> bool:
-        """Whether the component of i in ``s | 1 << i`` has at most r
-        vertices; that component only grows with s."""
-        comp, frontier = 1 << i, adj[i] & s
+    def component(s: int, i: int) -> tuple[int, int]:
+        """The component of i in ``s | 1 << i``, which only grows with s, and
+        the vertices next to it; (0, 0) once it has more than r vertices."""
+        comp, frontier, reach = 0, 1 << i, 0
         while frontier:
             comp |= frontier
             if comp.bit_count() > r:
-                return False
-            reach = 0
+                return 0, 0
             while frontier:
                 low = frontier & -frontier
                 reach |= adj[low.bit_length() - 1]
                 frontier ^= low
             frontier = reach & s & ~comp
-        return True
+        return comp, reach & ~comp
 
     def fitting(s: int, candidates: int) -> int:
         kept = 0
         while candidates:
             low = candidates & -candidates
-            if fits(s, low.bit_length() - 1):
+            if component(s, low.bit_length() - 1)[0]:
                 kept |= low
             candidates ^= low
         return kept
@@ -87,14 +92,27 @@ def maximal_sets(adj: Sequence[int], r: int) -> list[int]:
             if not x:
                 out.append(s)
             continue
-        if x and any(fits(s | p, j) for j in bits(x)):
+        if x and any(component(s | p, j)[0] for j in bits(x)):
             continue
-        branch_sets = ((1 << u | adj[u]) & p for u in bits(p | x) if not adj[u] & s)
-        for i in bits(min(branch_sets, key=int.bit_count, default=p)):
-            t = s | 1 << i
-            p ^= 1 << i
-            stack.append((t, fitting(t, p), fitting(t, x)))
-            x |= 1 << i
+        # the pivot: the first u of P | X with no neighbour in s whose branch
+        # set has the fewest vertices; all of P when there is none
+        # (a branch set as large as P is P itself)
+        branch, candidates = p, p | x
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            u = low.bit_length() - 1
+            if not adj[u] & s and ((low | adj[u]) & p).bit_count() < branch.bit_count():
+                branch = (low | adj[u]) & p
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            t = s | low
+            p ^= low
+            comp, near = component(t, low.bit_length() - 1)
+            retest = near if comp.bit_count() < r else 0  # a full component admits no neighbour
+            stack.append((t, p & ~near | fitting(t, p & retest), x & ~near | fitting(t, x & retest)))
+            x |= low
     return out
 
 

@@ -8,36 +8,26 @@ import functools
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits, record
+from .graphs import bits, masks_of, record, sets_of
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
 
 
-def _canon_sets(sets: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(tuple(sorted(s)) for s in sets))
-
-
-def certificate_search(
-    root: frozenset, order: list[int], splits: Callable, budget: int, labels: Sequence[str], node: type
-) -> tuple:
+def certificate_search(root: frozenset, order: list[int], splits: Callable, budget: int) -> tuple:
     """Memoized depth-first search for a certificate tree over states, each
-    a frozenset of masks over the index of ``labels``.  A state with at most
-    one member is a leaf.  Otherwise, for each index i of ``order`` that some
-    member holds, the state splits into ``held``, the members through i less
-    i, and ``rest``, the others; the first i where ``splits(held, rest)``
-    holds and both children have certificates makes ``node(sets, labels[i],
-    first, second)``.  Every state entered takes a memo slot, failed until it
-    succeeds (a state met again while open fails); the budget counts slots.
-    Returns (verdict, certificate, slots); the verdict is None when the budget
-    ran out.  A state with no ``rest`` at i fails with its first child there,
-    the state less i: every other split only carries i along, so that child
-    decides it."""
-    memo: dict[frozenset[int], object] = {}
-
-    @functools.cache  # one search meets each facet in many states
-    def face(m: int) -> tuple[str, ...]:
-        return tuple(sorted(labels[i] for i in bits(m)))
+    a frozenset of masks.  A state with at most one member is a leaf.
+    Otherwise, for each index i of ``order`` that some member holds, the
+    state splits into ``held``, the members through i less i, and ``rest``,
+    the others; the first i where ``splits(held, rest)`` holds and both
+    children have certificates makes the node ``(state, i, first,
+    second)``, and a leaf is ``(state, None, None, None)``.  Every state
+    entered takes a memo slot, failed until it succeeds (a state met again
+    while open fails); the budget counts slots.  Returns (verdict, tree,
+    slots); the verdict is None when the budget ran out.  A state with no
+    ``rest`` at i fails with its first child there, the state less i: every
+    other split only carries i along, so that child decides it."""
+    memo: dict[frozenset[int], tuple | None] = {}
 
     def expand(state: frozenset[int]):
         support = functools.reduce(int.__or__, state)
@@ -55,7 +45,7 @@ def certificate_search(
                 continue
             second = yield frozenset(rest)
             if second is not None:
-                memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
+                memo[state] = (state, i, first, second)
                 return memo[state]
 
     # one generator per open state; ``state`` is the next state to enter, or
@@ -68,7 +58,7 @@ def certificate_search(
             elif len(memo) >= budget:
                 return None, None, len(memo)
             elif len(state) <= 1:
-                value = memo[state] = node(tuple(sorted(map(face, state))))
+                value = memo[state] = (state, None, None, None)
             else:
                 memo[state] = value = None
                 stack.append(expand(state))
@@ -83,32 +73,42 @@ def certificate_search(
 
 @record
 class CertificateNode:
-    """One node of a certificate tree: a family of labelled sets and, at an
-    inner node, the branch vertex with the certificates of the two families
-    it splits the family into.  Subclasses name the four JSON keys of these
-    fields; both conversions walk the tree on an explicit stack."""
+    """A certificate tree over ``labels``: each node of ``tree`` is a tuple
+    (family, branch, first, second), the family a frozenset of masks over
+    the index of ``labels``, the branch the index that splits it with first
+    and second the nodes of its two parts, or all three None at a leaf.
+    Subclasses name the four JSON keys; labels appear only in that JSON
+    form, and both conversions walk the tree on an explicit stack."""
 
-    sets: tuple[tuple[str, ...], ...]
-    branch: str | None = None
-    first: CertificateNode | None = None
-    second: CertificateNode | None = None
+    labels: tuple[str, ...]
+    tree: tuple
     keys: ClassVar[tuple[str, str, str, str]]
 
     def to_json_dict(self) -> dict:
+        """Each set's labels sorted, the sets sorted, the branch by its label."""
         sets_key, branch_key, first_key, second_key = self.keys
+        labels = self.labels
+
+        @functools.cache  # a tree meets each set in many nodes
+        def face(m: int) -> tuple[str, ...]:
+            return tuple(sorted(labels[i] for i in bits(m)))
+
         out: dict = {}
-        stack = [(self, out)]
+        stack = [(self.tree, out)]
         while stack:
-            node, data = stack.pop()
-            data[sets_key] = [list(s) for s in node.sets]
-            if node.branch is not None:
-                data[branch_key] = node.branch
+            (family, branch, first, second), data = stack.pop()
+            data[sets_key] = [list(s) for s in sorted(map(face, family))]
+            if branch is not None:
+                data[branch_key] = labels[branch]
                 data[first_key], data[second_key] = {}, {}
-                stack += [(node.first, data[first_key]), (node.second, data[second_key])]
+                stack += [(first, data[first_key]), (second, data[second_key])]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CertificateNode:
+        """The tree over the sorted labels the certificate names; a set that
+        is no label list or repeats a label, or a node that repeats a set,
+        raises ``ValueError``."""
         sets_key, branch_key, first_key, second_key = cls.keys
         # a pre-order (node, first, second) read backwards meets every node
         # after both its children, whose nodes then lie on top of ``built``
@@ -117,42 +117,54 @@ class CertificateNode:
             preorder.append(stack.pop())
             if branch_key in preorder[-1]:
                 stack += [preorder[-1][second_key], preorder[-1][first_key]]
-        built: list[CertificateNode] = []
-        for d in reversed(preorder):
+        rows: list[list[str]] = []  # each node's label lists, then its branch as one more
+        for d in preorder:
             if not isinstance(d[sets_key], list) or not all(isinstance(s, list) for s in d[sets_key]):
                 raise ValueError(f"certificate {sets_key!r} must be a list of label lists")
-            sets = _canon_sets(map(str, s) for s in d[sets_key])
+            rows += [list(map(str, s)) for s in d[sets_key]]
             if branch_key in d:
-                built.append(cls(sets, str(d[branch_key]), built.pop(), built.pop()))
-            else:
-                built.append(cls(sets))
-        return built[0]
+                rows.append([str(d[branch_key])])
+        if any(len(set(row)) != len(row) for row in rows):
+            raise ValueError(f"a set of certificate {sets_key!r} repeats a label")
+        labels = tuple(sorted({v for row in rows for v in row}))
+        masks = masks_of(labels, rows)
+        built: list[tuple] = []
+        for d in reversed(preorder):
+            branch = masks.pop().bit_length() - 1 if branch_key in d else None
+            family = frozenset(masks.pop() for _ in d[sets_key])
+            if len(family) != len(d[sets_key]):
+                raise ValueError(f"a node of certificate {sets_key!r} repeats a set")
+            children = (None, None) if branch is None else (built.pop(), built.pop())
+            built.append((family, branch, *children))
+        return cls(labels, built[0])
 
 
-def replay(cert: CertificateNode, sets: frozenset[frozenset[str]], splits: Callable) -> bool:
-    """Check a certificate tree against the antichain ``sets`` at its root,
-    node by node on an explicit stack.  Every node must store the canonical
-    form of the family its parent computed (at the root, ``sets``).  Each
-    such family is a link, deletion, quotient or remainder of an antichain,
-    so it is again a family of distinct sets forming an antichain.  A leaf
-    must hold at most one set.  An inner node splits its family at the
-    branch into ``held``, the sets through it less it, and ``rest``, the
-    others; ``held`` must not be empty, ``splits(held, rest)`` must hold,
-    and the children must store the two."""
-    stack = [(cert, sets)]
+def replay(tree: tuple, root: frozenset[int], rule: Callable) -> bool:
+    """Check a certificate tree against the family ``root``, node by node on
+    an explicit stack.  Every node's family must equal the family its parent
+    computed (at the root, ``root``).  A leaf must hold at most one set.  An
+    inner node splits its family at the branch into ``held``, the sets
+    through it less it, and ``rest``, the others; ``held`` must not be empty
+    and ``rule(held, rest)`` must hold.
+
+    It stays independent of the search: it recomputes every family from its
+    parent and never consults the search's states or memo, so a tree from
+    the search or from JSON is checked against its rule alone."""
+    stack = [(tree, root)]
     while stack:
-        node, family = stack.pop()
-        if node is None or node.sets != _canon_sets(family):
+        (family, branch, first, second), expected = stack.pop()
+        if family != expected:
             return False
-        if node.branch is None:
+        if branch is None:
             if len(family) > 1:
                 return False
             continue
-        held = [s - {node.branch} for s in family if node.branch in s]
-        rest = [s for s in family if node.branch not in s]
-        if not held or not splits(held, rest):
+        bit = 1 << branch
+        held = [m ^ bit for m in family if m & bit]
+        rest = [m for m in family if not m & bit]
+        if not held or not rule(held, rest):
             return False
-        stack += [(node.first, frozenset(held)), (node.second, frozenset(rest))]
+        stack += [(first, frozenset(held)), (second, frozenset(rest))]
     return True
 
 
@@ -194,21 +206,16 @@ def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET
     """
     if k.is_void:
         raise ValueError("void complex")
-    root = frozenset(k.facet_masks)
     order = list(range(len(k.ground_set)))
-    return VDResult(*certificate_search(root, order, _sheds, budget, k.ground_set, SheddingNode))
-
-
-def _sheds_sets(link: list[frozenset[str]], rest: list[frozenset[str]]) -> bool:
-    """``_sheds`` on labelled facets; on an antichain it says the deletion's
-    maximal sets are facets, namely the facets without the vertex."""
-    return all(any(l <= f for f in rest) for l in link)
+    found, tree, explored = certificate_search(frozenset(k.facet_masks), order, _sheds, budget)
+    return VDResult(found, SheddingNode(k.ground_set, tree) if found else None, explored)
 
 
 def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> bool:
-    """Replay a shedding tree against ``k``, recomputing every local
-    condition from the facets stored in the certificate."""
-    return bool(k.facets) and replay(cert, k.facets, _sheds_sets)
+    """Replay a shedding tree whose root names the facets of ``k``,
+    recomputing every link and deletion from its parent."""
+    root = cert.tree[0]
+    return bool(k.facets) and sets_of(cert.labels, root) == k.facets and replay(cert.tree, root, _sheds)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +343,13 @@ def shelling_search(masks: Iterable[int], budget: int) -> tuple[bool | None, lis
     return False, None, visited
 
 
-def _reduce_to_maximal(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Antichain of inclusion-maximal members of ``sets``."""
-    by_size = sorted(set(sets), key=len, reverse=True)
-    maximal: list[frozenset[str]] = []
-    for s in by_size:
-        if not any(s <= m for m in maximal):
+def _reduce_to_maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal members of ``masks``, each once."""
+    maximal: list[int] = []
+    for s in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(s & ~m for m in maximal):
             maximal.append(s)
-    return frozenset(maximal)
+    return maximal
 
 
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:
@@ -352,17 +358,18 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
     one dimension lower.  The void complex has no shelling.
 
     Independent of the search: this materializes the maximal intersections
-    instead of using the pairwise reformulation.
+    instead of using the pairwise reformulation.  Each facet becomes a mask
+    from its set of labels once the order names exactly the facets.
     """
-    seq = [frozenset(map(str, f)) for f in order]
-    if not seq or frozenset(seq) != k.facets or len(seq) != len(k.facets):
+    facets = [frozenset(map(str, f)) for f in order]
+    if not facets or frozenset(facets) != k.facets or len(facets) != len(k.facets):
         return False
+    seq = masks_of(k.ground_set, facets)
     for t in range(1, len(seq)):
         fk = seq[t]
         if not fk:
             return False  # the empty facet can only come alone
-        intersections = [fj & fk for fj in seq[:t]]
-        maximal = _reduce_to_maximal(intersections)
-        if any(len(m) != len(fk) - 1 for m in maximal):
+        maximal = _reduce_to_maximal([fj & fk for fj in seq[:t]])
+        if any(m.bit_count() != fk.bit_count() - 1 for m in maximal):
             return False
     return True

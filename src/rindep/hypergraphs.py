@@ -167,8 +167,9 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     return ChordalityResult(True, None, visited)
 
 
-def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
-    """All inclusion-minimal sets meeting every edge, by Berge's rule.
+def minimal_vertex_covers(h: Hypergraph) -> list[int]:
+    """All inclusion-minimal sets meeting every edge, by Berge's rule, each
+    once as a mask over ``h.vertices``.
 
     The edges are taken one at a time in mask order.  The covers of the
     edges so far that meet the next edge stay; each other cover grows by
@@ -184,4 +185,4 @@ def minimal_vertex_covers(h: Hypergraph) -> frozenset[frozenset[str]]:
         hit = [c for c in covers if c & e]
         grown = [c | 1 << i for c in covers if not c & e for i in bits(e)]
         covers = hit + [g for g in grown if all(c & ~g for c in hit)]
-    return sets_of(h.vertices, covers)
+    return covers

@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, mask_order
 from .decompose import CertificateNode, certificate_search, replay
-from .graphs import CrossCheckError, Graph, bits, check_family, masks_of, record
+from .graphs import CrossCheckError, Graph, bits, check_family, masks_of, record, sets_of
 from .hypergraphs import con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
@@ -66,8 +66,8 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
     Computed twice, by enumerations that share no code: Berge's rule gives
     the minimal vertex covers of ``con_r``, whose edges generate the
     Stanley-Reisner ideal, and ``maximal_sets`` the facets of the complex,
-    whose complements generate the dual (``facet_dual``).  Any mismatch
-    raises.  ``k`` is ``ind_r(g, r)`` when the caller has built it already,
+    whose complements generate the dual (``facet_dual``).  The two are
+    compared as masks over the graph's vertices, and any mismatch raises.  ``k`` is ``ind_r(g, r)`` when the caller has built it already,
     else built here.
 
     When the graph has no connected (r+1)-subset the complex is the full
@@ -76,8 +76,10 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
     ``con_r`` has r+1 >= 2 vertices.
     """
     covers = minimal_vertex_covers(con_r(g, r))
-    dual = facet_dual(ind_r(g, r) if k is None else k)
-    if covers != dual.generators:
+    k = ind_r(g, r) if k is None else k
+    dual = facet_dual(k)
+    full = (1 << len(k.ground_set)) - 1
+    if frozenset(covers) != frozenset(full ^ f for f in k.facet_masks):
         raise CrossCheckError(
             "cover dual and Stanley-Reisner dual disagree; this is a bug"
         )
@@ -123,15 +125,12 @@ def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -
     memo entries."""
     root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
-    return SplitResult(*certificate_search(root, pivots, _splits, budget, i.variables, SplitNode))
-
-
-def _splits_sets(quotients: list[frozenset[str]], remainder: list[frozenset[str]]) -> bool:
-    """``_splits`` on labelled generators."""
-    return all(any(q <= f for q in quotients) for f in remainder)
+    found, tree, explored = certificate_search(root, pivots, _splits, budget)
+    return SplitResult(found, SplitNode(i.variables, tree) if found else None, explored)
 
 
 def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
-    """Replay a splitting certificate, recomputing every pivot condition
-    from the generators recorded at each node."""
-    return replay(cert, i.generators, _splits_sets)
+    """Replay a splitting certificate whose root names the generators of
+    ``i``, recomputing every quotient and remainder from its parent."""
+    root = cert.tree[0]
+    return sets_of(cert.labels, root) == i.generators and replay(cert.tree, root, _splits)

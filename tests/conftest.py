@@ -25,7 +25,7 @@ from rindep.decompose import (
     ShellingResult,
     VDResult,
 )
-from rindep.graphs import Graph, bits, masks_of
+from rindep.graphs import Graph, masks_of, sets_of
 from rindep.homology import CMReport, SCMReport, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -208,7 +208,8 @@ def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
     minimal vertex covers of the facet complements, and the empty set alone
     when the complex is void."""
     ground = frozenset(k.ground_set)
-    return minimal_vertex_covers(Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets)))
+    h = Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets))
+    return sets_of(h.vertices, minimal_vertex_covers(h))
 
 
 def stanley_reisner(k: SimplicialComplex) -> MonomialIdeal:
@@ -226,7 +227,8 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
         raise ZeroIdealRejected("the zero ideal has no Alexander dual here")
     if is_unit(i):
         raise UnitIdealRejected("the unit ideal has no Alexander dual here")
-    return MonomialIdeal(i.variables, minimal_vertex_covers(Hypergraph(i.variables, i.generators)))
+    covers = minimal_vertex_covers(Hypergraph(i.variables, i.generators))
+    return MonomialIdeal(i.variables, sets_of(i.variables, covers))
 
 
 def random_graph(rng: random.Random, n_min: int = 3, n_max: int = 7) -> Graph:
@@ -362,12 +364,22 @@ def canon_sets(sets) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(s)) for s in sets))
 
 
+def rendered(res) -> tuple:
+    """(verdict, certificate, explored) of a search result, with a package
+    certificate rendered by its ``to_json_dict``, the form the labelled
+    oracles build."""
+    verdict, cert, explored = vars(res).values()
+    return verdict, cert.to_json_dict() if hasattr(cert, "to_json_dict") else cert, explored
+
+
 def _labelled_search(root, candidates, children, budget, node):
-    """Recursive certificate search over labelled set families: a family
+    """Recursive certificate search over labelled set families, building
+    the JSON dict of the certificate under the keys of ``node``: a family
     with at most one member is a leaf; a state is memoized, reserved as
     failed while open, and the budget counts memo entries.  As in the
     package search, a family whose members all hold the branch fails when
     its first child does."""
+    sets_key, branch_key, first_key, second_key = node.keys
     memo = {}
 
     def solve(sets):
@@ -377,7 +389,7 @@ def _labelled_search(root, candidates, children, budget, node):
             raise _BudgetSpent
         memo[sets] = None
         if len(sets) <= 1:
-            memo[sets] = node(canon_sets(sets))
+            memo[sets] = {sets_key: [list(s) for s in canon_sets(sets)]}
             return memo[sets]
         for v in candidates(sets):
             parts = children(sets, v)
@@ -391,7 +403,9 @@ def _labelled_search(root, candidates, children, budget, node):
             second = solve(parts[1])
             if second is None:
                 continue
-            memo[sets] = node(canon_sets(sets), v, first, second)
+            memo[sets] = {
+                sets_key: [list(s) for s in canon_sets(sets)], branch_key: v, first_key: first, second_key: second
+            }
             return memo[sets]
         return None
 
@@ -402,15 +416,11 @@ def _labelled_search(root, candidates, children, budget, node):
     return cert is not None, cert, len(memo)
 
 
-def uncut_certificate_search(root, order, splits, budget, labels, node) -> tuple:
+def uncut_certificate_search(root, order, splits, budget) -> tuple:
     """``decompose.certificate_search`` without the rule that fails a state
     whose members all hold the pivot once its first child fails: every
     pivot is tried whatever its first child gave."""
     memo = {}
-
-    @functools.cache
-    def face(m):
-        return tuple(sorted(labels[i] for i in bits(m)))
 
     def expand(state):
         support = functools.reduce(int.__or__, state)
@@ -426,7 +436,7 @@ def uncut_certificate_search(root, order, splits, budget, labels, node) -> tuple
                 continue
             second = yield frozenset(rest)
             if second is not None:
-                memo[state] = node(tuple(sorted(map(face, state))), labels[i], first, second)
+                memo[state] = (state, i, first, second)
                 return memo[state]
 
     stack, state, value = [], root, None
@@ -437,7 +447,7 @@ def uncut_certificate_search(root, order, splits, budget, labels, node) -> tuple
             elif len(memo) >= budget:
                 return None, None, len(memo)
             elif len(state) <= 1:
-                value = memo[state] = node(tuple(sorted(map(face, state))))
+                value = memo[state] = (state, None, None, None)
             else:
                 memo[state] = value = None
                 stack.append(expand(state))
@@ -454,7 +464,8 @@ def uncut_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     """``is_vertex_splittable`` by ``uncut_certificate_search``."""
     root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
-    return SplitResult(*uncut_certificate_search(root, pivots, _splits, budget, i.variables, SplitNode))
+    found, tree, explored = uncut_certificate_search(root, pivots, _splits, budget)
+    return SplitResult(found, SplitNode(i.variables, tree) if found else None, explored)
 
 
 def deletion_facets(facets, v: str) -> frozenset[frozenset[str]]:
@@ -501,56 +512,59 @@ def oracle_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     return SplitResult(*_labelled_search(i.generators, pivots, split_children, budget, SplitNode))
 
 
-def oracle_verify_shedding(k, cert) -> bool:
-    """Recursive replay of a shedding tree: at every inner node the link
-    and the deletion are recomputed by the definition, and the deletion's
-    maximal sets must be facets."""
-    if cert.sets != canon_sets(k.facets):
+def oracle_verify_shedding(k, data: dict) -> bool:
+    """Recursive replay of a shedding tree in its JSON form: at every inner
+    node the link and the deletion are recomputed by the definition, and
+    the deletion's maximal sets must be facets."""
+    if canon_sets(data["facets"]) != canon_sets(k.facets):
         return False
 
     def check(node) -> bool:
-        facets = frozenset(frozenset(f) for f in node.sets)
-        if len(facets) != len(node.sets):
+        facets = frozenset(frozenset(f) for f in node["facets"])
+        if len(facets) != len(node["facets"]):
             return False
-        if node.branch is None:
+        if "vertex" not in node:
             return len(facets) == 1
-        v = node.branch
-        if not any(v in f for f in facets) or node.first is None or node.second is None:
+        v = node["vertex"]
+        if not any(v in f for f in facets) or "link" not in node or "del" not in node:
             return False
         deletion = deletion_facets(facets, v)
         if not deletion <= facets:
             return False
-        if node.first.sets != canon_sets(f - {v} for f in facets if v in f):
+        if canon_sets(node["link"]["facets"]) != canon_sets(f - {v} for f in facets if v in f):
             return False
-        if node.second.sets != canon_sets(deletion):
+        if canon_sets(node["del"]["facets"]) != canon_sets(deletion):
             return False
-        return check(node.first) and check(node.second)
+        return check(node["link"]) and check(node["del"])
 
-    return check(cert)
+    return check(data)
 
 
-def oracle_verify_split(i, cert) -> bool:
-    """Recursive replay of a splitting certificate: every pivot condition
-    recomputed by the definition from the generators stored at the node."""
-    if cert.sets != canon_sets(i.generators):
+def oracle_verify_split(i, data: dict) -> bool:
+    """Recursive replay of a splitting certificate in its JSON form: every
+    pivot condition recomputed by the definition from the generators
+    stored at the node."""
+    if canon_sets(data["generators"]) != canon_sets(i.generators):
         return False
 
     def check(node) -> bool:
-        gens = frozenset(frozenset(g) for g in node.sets)
-        if len(gens) != len(node.sets) or any(a < b for a in gens for b in gens):
+        gens = frozenset(frozenset(g) for g in node["generators"])
+        if len(gens) != len(node["generators"]) or any(a < b for a in gens for b in gens):
             return False
-        if node.branch is None:
+        if "pivot" not in node:
             return len(gens) <= 1
-        if node.first is None or node.second is None:
+        if "quotient" not in node or "remainder" not in node:
             return False
-        parts = split_children(gens, node.branch)
+        parts = split_children(gens, node["pivot"])
         if parts is None:
             return False
-        if node.first.sets != canon_sets(parts[0]) or node.second.sets != canon_sets(parts[1]):
+        if canon_sets(node["quotient"]["generators"]) != canon_sets(parts[0]):
             return False
-        return check(node.first) and check(node.second)
+        if canon_sets(node["remainder"]["generators"]) != canon_sets(parts[1]):
+            return False
+        return check(node["quotient"]) and check(node["remainder"])
 
-    return check(cert)
+    return check(data)
 
 
 def oracle_shelling_order_ok(order: list[frozenset[str]]) -> bool:

@@ -20,8 +20,10 @@ from rindep.cli import (
     main,
 )
 from rindep.complexes import ind_r
+from rindep.decompose import SheddingNode
 from rindep.graphs import Graph, is_caterpillar, parse_edge_list
 from rindep.hypergraphs import Hypergraph, minimal_vertex_covers
+from rindep.ideals import SplitNode
 
 GENERATOR_TOKENS = [
     "fig1",
@@ -35,6 +37,10 @@ GENERATOR_TOKENS = [
     "H:3",
     "G:3",
 ]
+
+# the path a-b-c-d as a complex: shellable, vertex decomposable and with a
+# splittable dual
+PATH_COMPLEX = {"ground_set": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"], ["c", "d"]]}
 
 
 @pytest.fixture
@@ -668,6 +674,53 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", str(path), str(cert_path))
             assert code == EXIT_INVALID and out.strip() == "invalid"
 
+    def _path_certificate(self, capsys, tmp_path, prop):
+        """The complex file of the path a-b-c-d and its ``prop`` certificate."""
+        complex_path = tmp_path / "path.json"
+        complex_path.write_text(json.dumps(PATH_COMPLEX))
+        _, out, _ = run_cli(capsys, "check", "--complex", str(complex_path), "--props", prop)
+        return complex_path, json.loads(out)["certificates"][prop]
+
+    def test_shelling_facet_that_repeats_a_label_is_invalid(self, capsys, tmp_path):
+        # a repeated label is refused in every certificate, as in a shedding
+        # tree or a splitting
+        complex_path, order = self._path_certificate(capsys, tmp_path, "shellable")
+        cert_path = tmp_path / "cert.json"
+        for cert, expected in ((order, "valid"), ([f + f[:1] for f in order], "invalid")):
+            cert_path.write_text(json.dumps(cert))
+            _, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+            assert out.strip() == expected
+
+    @pytest.mark.parametrize("prop", ["vd", "splittable"])
+    @pytest.mark.parametrize(
+        "mutation, expected",
+        [
+            ("repeated set", "invalid"),
+            ("repeated label in a set", "invalid"),
+            ("label outside the complex", "invalid"),
+            ("swapped children", "invalid"),
+            ("sets listed in another order", "valid"),
+        ],
+    )
+    def test_each_mutation_of_a_tree_certificate_reads_as_before(self, capsys, tmp_path, prop, mutation, expected):
+        complex_path, cert = self._path_certificate(capsys, tmp_path, prop)
+        sets_key, _, first_key, second_key = (SheddingNode if prop == "vd" else SplitNode).keys
+        sets = cert[sets_key]
+        if mutation == "repeated set":
+            sets.append(sets[0])
+        elif mutation == "repeated label in a set":
+            sets[0].append(sets[0][0])
+        elif mutation == "label outside the complex":
+            sets[0].append("e")
+        elif mutation == "swapped children":
+            cert[first_key], cert[second_key] = cert[second_key], cert[first_key]
+        else:
+            sets.reverse()
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run_cli(capsys, "verify", str(complex_path), str(cert_path))
+        assert (code, out.strip()) == ({"valid": EXIT_OK, "invalid": EXIT_INVALID}[expected], expected)
+
     def test_void_complex_has_no_shelling(self, capsys, tmp_path):
         # as ``check --props shellable`` refuses the void complex
         void_path, cert_path = tmp_path / "void.json", tmp_path / "cert.json"
@@ -900,3 +953,49 @@ def test_start_up_imports_no_pool_or_dataclass_machinery():
     assert "rindep.cli" in added
     heavy = ("dataclasses", "concurrent.futures", "logging", "inspect")
     assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+
+
+_DIGESTS = """
+import contextlib, hashlib, io, json
+from rindep.cli import main
+
+props = "vd,shellable,splittable"
+calls = {
+    "caterpillar:1,2,0,3": ["check", "--gen", "caterpillar:1,2,0,3", "--r", "2", "--props", props],
+    "path:9": ["check", "--gen", "path:9", "--r", "3", "--props", props],
+    "fig1": ["check", "--gen", "fig1", "--r", "1", "--props", props],
+    "scan": ["scan", "--family", "trees", "--n", "8", "--r", "1..3", "--props", props],
+}
+digests = {}
+for name, argv in calls.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    text = out.getvalue()
+    if argv[0] == "check":
+        report = json.loads(text)
+        report.pop("timings")
+        text = json.dumps(report, sort_keys=True)
+    digests[name] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+# SHA-256 of each report without ``timings`` (keys sorted), and of the scan's
+# stdout (145 lines), taken while certificates were still searched and
+# replayed on labelled sets; a change to any byte of them fails here
+_PINNED_DIGESTS = {
+    "caterpillar:1,2,0,3": "b5677e25496749e0878d4e98137156c5b02f160752873979d87d6ddb866c808c",
+    "path:9": "69eec1d031fe879ce2c868dc87a51ba469940f8258103fa6a18faafc1712c819",
+    "fig1": "b2bdfbe57b20a63d9d9ebd88b4489805af235a3d209338b814f213a6b84b0b84",
+    "scan": "6e1dde6f780c088b80de535ce78ea0ef5cd234445a269a561cf1475d2db9e8c5",
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_certificate_reports_match_their_pinned_digests(seed):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGESTS], env=env, capture_output=True, text=True, check=True, timeout=300
+    ).stdout
+    assert json.loads(out) == _PINNED_DIGESTS

@@ -41,10 +41,11 @@ def test_small_graph_corpus_obeys_the_theorems_and_every_certificate_replays():
             assert not v["chordal-hypergraph"] or v["shellable"], (g, r)
             certificates = report.get("certificates", {})
             if v["vd"]:
-                assert oracle_verify_shedding(k, certificates["vd"]), (g, r)
+                assert oracle_verify_shedding(k, certificates["vd"].to_json_dict()), (g, r)
                 replays += 1
             if "splittable" in certificates:
-                assert oracle_verify_split(report["splittable"]["dual_ideal"], certificates["splittable"]), (g, r)
+                dual, cert = report["splittable"]["dual_ideal"], certificates["splittable"]
+                assert oracle_verify_split(dual, cert.to_json_dict()), (g, r)
                 replays += 1
             if v["shellable"]:
                 order = [frozenset(f) for f in certificates["shellable"]]

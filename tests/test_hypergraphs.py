@@ -23,6 +23,7 @@ from rindep.graphs import (
     half_apex_clique,
     make_caterpillar,
     path_graph,
+    sets_of,
     star_graph,
     twin_bridge_paths,
 )
@@ -271,22 +272,27 @@ class TestChordality:
             checked += 1
 
 
+def covers(h: Hypergraph) -> frozenset[frozenset[str]]:
+    """The minimal vertex covers of ``h`` as labelled sets."""
+    return sets_of(h.vertices, minimal_vertex_covers(h))
+
+
 class TestMinimalCovers:
     def test_single_edge_gives_singletons(self):
         h = reduced_hypergraph("wxyz", [("w", "x", "y", "z")])
-        assert minimal_vertex_covers(h) == frozenset(
+        assert covers(h) == frozenset(
             {frozenset("w"), frozenset("x"), frozenset("y"), frozenset("z")}
         )
 
     def test_edgeless_gives_empty_cover(self):
-        assert minimal_vertex_covers(reduced_hypergraph("ab", [])) == frozenset({frozenset()})
+        assert minimal_vertex_covers(reduced_hypergraph("ab", [])) == [0]
 
     def test_empty_edge_gives_no_cover(self):
-        assert minimal_vertex_covers(reduced_hypergraph("ab", [()])) == frozenset()
+        assert minimal_vertex_covers(reduced_hypergraph("ab", [()])) == []
 
     def test_path_edges(self):
         h = reduced_hypergraph("abc", [("a", "b"), ("b", "c")])
-        assert minimal_vertex_covers(h) == frozenset({frozenset("b"), frozenset("ac")})
+        assert covers(h) == frozenset({frozenset("b"), frozenset("ac")})
 
     def test_against_power_set_oracle(self):
         rng = random.Random(41)
@@ -295,8 +301,9 @@ class TestMinimalCovers:
             r = rng.choice((1, 2))
             h = con_r(g, r)
             expected = oracle_minimal_covers(h.vertices, h.edges)
-            got = minimal_vertex_covers(h)
-            assert got == frozenset(expected)
+            masks = minimal_vertex_covers(h)
+            got = sets_of(h.vertices, masks)
+            assert got == frozenset(expected) and len(masks) == len(got)
             for c in got:
                 assert all(c & e for e in h.edges)
                 assert not any(

@@ -279,14 +279,17 @@ class TestVertexSplittable:
 
     def test_leaf_sizes(self):
         zero = MonomialIdeal.from_supports("ab", [])
-        assert verify_split_certificate(zero, SplitNode(()))
+        assert verify_split_certificate(zero, SplitNode.from_json_dict({"generators": []}))
         two = MonomialIdeal.from_supports("ab", ["a", "b"])
-        assert not verify_split_certificate(two, SplitNode((("a",), ("b",))))
+        leaf = SplitNode.from_json_dict({"generators": [["a"], ["b"]]})
+        assert not verify_split_certificate(two, leaf)
 
     def test_pivot_held_by_no_generator(self):
         # both parts of the zero ideal are empty, so the splitting rule alone holds
         zero = MonomialIdeal.from_supports("a", [])
-        assert not verify_split_certificate(zero, SplitNode((), "a", SplitNode(()), SplitNode(())))
+        empty = {"generators": []}
+        cert = SplitNode.from_json_dict({**empty, "pivot": "a", "quotient": empty, "remainder": empty})
+        assert not verify_split_certificate(zero, cert)
 
     def test_certificate_round_trip(self):
         rng = random.Random(173)

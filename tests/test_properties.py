@@ -35,6 +35,7 @@ from conftest import (
     oracle_verify_shedding,
     oracle_verify_split,
     reduced_hypergraph,
+    rendered,
     stanley_reisner,
     to_networkx,
     ZeroIdealRejected,
@@ -52,13 +53,13 @@ from rindep.complexes import (
     pure_skeleton,
 )
 from rindep.decompose import (
-    _sheds_sets,
+    _sheds,
     is_shellable,
     is_vertex_decomposable,
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph, bits, complete_graph, star_graph
+from rindep.graphs import Graph, bits, complete_graph, make_caterpillar, masks_of, path_graph, sets_of, star_graph
 from rindep.homology import _relabelled, is_cohen_macaulay, is_scm, reduced_homology
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -114,7 +115,14 @@ minor_budgets = st.one_of(st.just(DEFAULT_MINOR_BUDGET), st.integers(1, 50))
 
 @SETTINGS
 @given(graphs(), radii)
+@example(path_graph(9), 3)
+@example(star_graph(6), 1)
+@example(star_graph(6), 2)
+@example(make_caterpillar([2, 0, 2]), 2)
 def test_ind_r_facets_match_power_set_oracle(g, r):
+    """Also where a grown component fills up to r, so that its neighbours
+    are dropped untested: along a path, at the centre of a star, and on a
+    caterpillar."""
     assert set(ind_r(g, r).facets) == oracle_ind_r_facets(g, r)
 
 
@@ -156,7 +164,7 @@ def test_maximal_sets_emits_each_set_once(g, r):
 def test_minimal_vertex_covers_match_power_set_oracle(h):
     """Berge's rule on clutters with edges of mixed sizes, no edges, the
     empty edge and vertices in no edge."""
-    assert minimal_vertex_covers(h) == oracle_minimal_covers(h.vertices, h.edges)
+    assert sets_of(h.vertices, minimal_vertex_covers(h)) == oracle_minimal_covers(h.vertices, h.edges)
 
 
 @SETTINGS
@@ -338,14 +346,13 @@ def test_certificate_search_matches_labelled_oracles(k, budget, reverse):
     if reverse:  # same facets; both searches visit the vertices in reverse
         k = SimplicialComplex(tuple(reversed(k.ground_set)), k.facets)
     kw = {} if budget is None else {"budget": budget}
-    vd = is_vertex_decomposable(k, **kw)
-    assert vd == oracle_vd(k, **kw)
+    assert rendered(is_vertex_decomposable(k, **kw)) == rendered(oracle_vd(k, **kw))
     sr = stanley_reisner(k)
     # "!" sorts before every label, so this vertex in no facet is the first
     # pivot, and every generator of the dual holds it
     ghosted = facet_dual(SimplicialComplex(("!",) + k.ground_set, k.facets))
     for i in ([sr] if is_zero(sr) else [sr, alexander_dual_ideal(sr)]) + [ghosted]:
-        assert is_vertex_splittable(i, **kw) == oracle_split(i, **kw)
+        assert rendered(is_vertex_splittable(i, **kw)) == rendered(oracle_split(i, **kw))
 
 
 @SETTINGS
@@ -385,68 +392,119 @@ def test_chordal_con_r_implies_shellable_ind_r(g, r):
         assert is_shellable(ind_r(g, r)).shellable is True
 
 
-def _preorder(cert) -> list:
-    nodes, stack = [], [cert]
+def _preorder(data: dict, keys) -> list[dict]:
+    """The nodes of a certificate's JSON dict, root first."""
+    _, branch_key, first_key, second_key = keys
+    nodes, stack = [], [data]
     while stack:
         nodes.append(stack.pop())
-        if nodes[-1].branch is not None:
-            stack += [nodes[-1].second, nodes[-1].first]
+        if branch_key in nodes[-1]:
+            stack += [nodes[-1][second_key], nodes[-1][first_key]]
     return nodes
 
 
-def replace(node, **changes):
-    """A copy of the certificate node ``node`` with ``changes`` to its fields."""
-    fields = {"sets": node.sets, "branch": node.branch, "first": node.first, "second": node.second, **changes}
-    return type(node)(*fields.values())
-
-
-def _replaced(node, target, new):
-    """``node`` with every occurrence of the subtree ``target`` replaced by
-    ``new``."""
-    if node is target:
-        return new
-    if node.branch is None:
-        return node
-    first, second = _replaced(node.first, target, new), _replaced(node.second, target, new)
-    return replace(node, first=first, second=second)
-
-
-def _unheld(node, j: int, labels) -> str:
-    """A label that no set of ``node`` holds: one of ``labels``, or one
+def _unheld(sets, j: int, labels) -> str:
+    """A label that none of ``sets`` holds: one of ``labels``, or one
     outside them."""
-    free = [v for v in labels if not any(v in s for s in node.sets)] + ["zz"]
+    free = [v for v in labels if not any(v in s for s in sets)] + ["zz"]
     return free[j % len(free)]
 
 
-def _any(node) -> bool:
+# the nodes a mutation applies to, by a certificate's JSON keys
+def _any(node, keys) -> bool:
     return True
 
 
-def _inner(node) -> bool:
-    return node.branch is not None
+def _inner(node, keys) -> bool:
+    return keys[1] in node
 
 
-def _leaf(node) -> bool:
-    return node.branch is None
+def _leaf(node, keys) -> bool:
+    return keys[1] not in node
 
 
-_MUTATIONS = {  # name: (the nodes it applies to, (node, set index, labels) -> mutated node)
-    "children swapped": (_inner, lambda n, j, _: replace(n, first=n.second, second=n.first)),
-    "set dropped": (_any, lambda n, j, _: replace(n, sets=n.sets[:j] + n.sets[j + 1 :])),
-    "set duplicated": (_any, lambda n, j, _: replace(n, sets=n.sets[: j + 1] + n.sets[j:])),
-    "branch held by no set": (
-        _inner, lambda n, j, labels: replace(n, branch=_unheld(n, j, labels))
-    ),
-    "first child missing": (_inner, lambda n, j, _: replace(n, first=None)),
-    "second child missing": (_inner, lambda n, j, _: replace(n, second=None)),
-    "inner node made a leaf": (
-        _inner, lambda n, j, _: replace(n, branch=None, first=None, second=None)
-    ),
-    "leaf with no set": (_leaf, lambda n, j, _: replace(n, sets=())),
-    "leaf with two sets": (
-        _leaf, lambda n, j, _: replace(n, sets=tuple(sorted(n.sets + (("zz",),))))
-    ),
+def _with_set(node, keys) -> bool:
+    return bool(node[keys[0]])
+
+
+def _with_label(node, keys) -> bool:
+    return any(node[keys[0]])
+
+
+# the mutations: each changes a node in place, given the keys, a drawn set
+# index j and the labels of the complex or ideal
+
+
+def _swap_children(node, keys, j, labels):
+    node[keys[2]], node[keys[3]] = node[keys[3]], node[keys[2]]
+
+
+def _drop_set(node, keys, j, labels):
+    del node[keys[0]][j]
+
+
+def _duplicate_set(node, keys, j, labels):
+    node[keys[0]].insert(j, list(node[keys[0]][j]))
+
+
+def _repeat_label(node, keys, j, labels):
+    labelled = [s for s in node[keys[0]] if s]
+    chosen = labelled[j % len(labelled)]
+    chosen.append(chosen[0])
+
+
+def _reverse_sets(node, keys, j, labels):
+    node[keys[0]].reverse()
+
+
+def _unheld_branch(node, keys, j, labels):
+    node[keys[1]] = _unheld(node[keys[0]], j, labels)
+
+
+def _drop_first_child(node, keys, j, labels):
+    del node[keys[2]]
+
+
+def _drop_second_child(node, keys, j, labels):
+    del node[keys[3]]
+
+
+def _make_leaf(node, keys, j, labels):
+    for key in keys[1:]:
+        del node[key]
+
+
+def _empty_leaf(node, keys, j, labels):
+    node[keys[0]] = []
+
+
+def _add_set(node, keys, j, labels):
+    node[keys[0]].append(["zz"])
+
+
+_MUTATIONS = {  # name: (the nodes it applies to, the change)
+    "children swapped": (_inner, _swap_children),
+    "set dropped": (_with_set, _drop_set),
+    "set duplicated": (_with_set, _duplicate_set),
+    "label repeated in a set": (_with_label, _repeat_label),
+    "sets listed in another order": (_any, _reverse_sets),
+    "branch held by no set": (_inner, _unheld_branch),
+    "first child missing": (_inner, _drop_first_child),
+    "second child missing": (_inner, _drop_second_child),
+    "inner node made a leaf": (_inner, _make_leaf),
+    "leaf with no set": (_leaf, _empty_leaf),
+    "leaf with two sets": (_leaf, _add_set),
 }
+
+
+def _read_and_verify(verify, target, cls, data: dict) -> bool:
+    """``verify`` on the certificate read back from ``data``; a dict that
+    does not read as a certificate is invalid, as ``rindep verify`` says."""
+    try:
+        cert = cls.from_json_dict(data)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return verify(target, cert)
 
 
 @SETTINGS
@@ -454,7 +512,8 @@ _MUTATIONS = {  # name: (the nodes it applies to, (node, set index, labels) -> m
 def test_replay_matches_recursive_oracle_verifiers(k, other, data):
     """Both verifiers give the verdicts of the recursive oracles on search
     certificates, against another complex or ideal, and after each mutation
-    at a drawn node."""
+    of the certificate's JSON dict at a drawn node, read back through
+    ``from_json_dict``."""
     cases = []
     vd = is_vertex_decomposable(k)
     if vd.decomposable:
@@ -467,31 +526,34 @@ def test_replay_matches_recursive_oracle_verifiers(k, other, data):
         wrong = stanley_reisner(other)
         cases.append((verify_split_certificate, oracle_verify_split, i, wrong, split.certificate))
     for verify, oracle, target, wrong, cert in cases:
-        assert verify(target, cert) and oracle(target, cert)
-        assert verify(wrong, cert) == oracle(wrong, cert)
+        assert verify(target, cert) and oracle(target, cert.to_json_dict())
+        assert verify(wrong, cert) == oracle(wrong, cert.to_json_dict())
         labels = target.ground_set if verify is verify_shedding_certificate else target.variables
+        keys = type(cert).keys
         for applies, mutate in _MUTATIONS.values():
-            nodes = [n for n in _preorder(cert) if applies(n)]
+            tree = cert.to_json_dict()
+            nodes = [n for n in _preorder(tree, keys) if applies(n, keys)]
             if nodes:
                 node = data.draw(st.sampled_from(nodes))
-                j = data.draw(st.integers(0, max(len(node.sets) - 1, 0)))
-                mutated = _replaced(cert, node, mutate(node, j, labels))
-                assert verify(target, mutated) == oracle(target, mutated)
+                j = data.draw(st.integers(0, max(len(node[keys[0]]) - 1, 0)))
+                mutate(node, keys, j, labels)
+                assert _read_and_verify(verify, target, type(cert), tree) == oracle(target, tree)
 
 
 @SETTINGS
 @given(complexes)
-def test_labelled_shedding_condition_matches_definition(k):
-    """Split as the replay splits a family, a vertex sheds when some facet
-    holds it and the maximal sets of its deletion are facets; the second
-    child, the facets without it, is then that deletion."""
-    for v in k.ground_set:
+def test_shedding_condition_matches_labelled_definition(k):
+    """Split as the replay splits a family, a vertex sheds by the mask rule
+    when some facet holds it and the maximal sets of its deletion are
+    facets; the second child, the facets without it, is then that
+    deletion."""
+    for v, bit in zip(k.ground_set, masks_of(k.ground_set, [[v] for v in k.ground_set])):
         deletion = deletion_facets(k.facets, v)
-        held = [f - {v} for f in k.facets if v in f]
-        rest = [f for f in k.facets if v not in f]
-        sheds = bool(held) and _sheds_sets(held, rest)
+        held = [f ^ bit for f in k.facet_masks if f & bit]
+        rest = [f for f in k.facet_masks if not f & bit]
+        sheds = bool(held) and _sheds(held, rest)
         assert sheds == (any(v in f for f in k.facets) and deletion <= k.facets)
-        assert not sheds or frozenset(rest) == deletion
+        assert not sheds or sets_of(k.ground_set, rest) == deletion
 
 
 # ---------------------------------------------------------------------------

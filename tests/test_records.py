@@ -16,19 +16,21 @@ from rindep.homology import BettiProfile, CMReport, is_cohen_macaulay, is_scm
 from rindep.hypergraphs import con_r
 from rindep.ideals import SplitNode, dual_of_ind, is_vertex_splittable
 
-SETS = (("a",), ("b",))
+# a certificate with the single leaf {a, b} over the labels a, b
+LABELS, TREE = ("a", "b"), (frozenset({0b11}), None, None, None)
 
 
 def test_positional_construction_with_trailing_defaults_and_no_keywords():
-    leaf = SheddingNode(SETS)
-    assert (leaf.sets, leaf.branch, leaf.first, leaf.second) == (SETS, None, None, None)
-    node = SheddingNode(SETS, "a", leaf, leaf)
-    assert (node.sets, node.branch, node.first, node.second) == (SETS, "a", leaf, leaf)
+    report = CMReport(False, "Q", frozenset("a"))
+    assert (report.cohen_macaulay, report.field, report.witness_face) == (False, "Q", frozenset("a"))
+    assert (report.witness_degree, report.reason) == (None, None)
     assert CMReport(True, "Q") == CMReport(True, "Q", None, None, None)
+    cert = SheddingNode(LABELS, TREE)
+    assert (cert.labels, cert.tree) == (LABELS, TREE)
     with pytest.raises(TypeError):
-        SheddingNode(SETS, "a", first=leaf, second=leaf)
+        CMReport(False, "Q", witness_face=frozenset("a"))
     with pytest.raises(TypeError):
-        SheddingNode(sets=SETS)
+        SheddingNode(labels=LABELS, tree=TREE)
 
 
 def test_post_init_runs():
@@ -54,8 +56,8 @@ def test_bad_arguments_raise_type_error(args, kwargs):
 
 def test_class_variables_are_not_fields():
     with pytest.raises(TypeError):
-        SheddingNode(SETS, keys=())
-    assert "keys" not in repr(SheddingNode(SETS))
+        SheddingNode(LABELS, TREE, keys=())
+    assert "keys" not in repr(SheddingNode(LABELS, TREE))
 
 
 def test_defaults_must_come_last():
@@ -81,10 +83,10 @@ def test_assignment_and_deletion_raise():
 def test_equal_with_equal_hashes_exactly_when_class_and_fields_match():
     assert demo_graph() == demo_graph() and hash(demo_graph()) == hash(demo_graph())
     assert Graph.from_edges("ab", [("a", "b")]) != Graph.from_edges("ab", [])
-    shed, split = SheddingNode(SETS), SplitNode(SETS)
+    shed, split = SheddingNode(LABELS, TREE), SplitNode(LABELS, TREE)
     assert shed != split and split != shed
     assert shed.__eq__(split) is NotImplemented
-    assert len({shed, split, SheddingNode(SETS)}) == 2
+    assert len({shed, split, SheddingNode(LABELS, TREE)}) == 2
 
 
 def test_repr_names_the_fields():
