@@ -5,9 +5,9 @@ Conventions: the void complex has no faces at all (empty facet family), the
 empty complex has the single facet {} (its only face), and a simplex is any
 complex with exactly one facet.
 
-Internally a face is an ``int`` bitmask over the ground-set index (bit i is
-vertex ``ground_set[i]``, as ``graphs.masks_of`` and ``graphs.sets_of``
-convert); labels appear only in the public records and return values.
+A face is an ``int`` bitmask over the ground-set index (bit i is vertex
+``ground_set[i]``); a complex holds its facets as masks, and labels appear
+only in views for output and in ``graphs.parse_family`` for input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, check_family, check_guard, masks_of, record, sets_of
+from .graphs import Graph, bits, check_family, check_guard, parse_family, record, sets_of
 
 
 def mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -118,7 +118,7 @@ def maximal_sets(adj: Sequence[int], r: int) -> list[int]:
 
 @record
 class SimplicialComplex:
-    """Complex identified by its ground set and facet antichain.
+    """Complex identified by its ground set and facet antichain (masks).
 
     The ground set is part of the identity: vertices in no facet ("ghosts")
     are kept because Alexander duality and Stanley-Reisner ideals depend on
@@ -126,50 +126,44 @@ class SimplicialComplex:
     """
 
     ground_set: tuple[str, ...]
-    facets: frozenset[frozenset[str]]
+    masks: frozenset[int]
 
     def __post_init__(self):
-        check_family(self.ground_set, self.facets, "facet")
+        check_family(self.ground_set, self.masks, "facet")
 
-    @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        """Facets as bitmasks over the ground-set index, ascending."""
-        return tuple(sorted(masks_of(self.ground_set, self.facets)))
+    facets = cached_property(lambda self: sets_of(self.ground_set, self.masks))  # a view for output
 
     def labels(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground_set[i] for i in bits(mask))
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.masks
 
     @property
     def is_simplex(self) -> bool:
-        return len(self.facets) == 1
+        return len(self.masks) == 1
 
     @property
     def dimension(self) -> int | None:
         """Maximum face dimension; -1 for the empty complex, None for void."""
         if self.is_void:
             return None
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self.masks) - 1
 
     def is_pure(self) -> bool:
-        if self.is_void:
-            return True
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return len({m.bit_count() for m in self.masks}) <= 1  # the void complex too
 
     def face_masks(self) -> set[int]:
         """Every face as a bitmask, the empty face included (unless void)."""
         check_guard(len(self.ground_set), "face")
-        return submasks(self.facet_masks)
+        return submasks(self.masks)
 
     def to_json_dict(self) -> dict:
         """Each facet in ground-set order, the facets by their index tuples."""
         return {
             "ground_set": list(self.ground_set),
-            "facets": [[self.ground_set[i] for i in bits(m)] for m in sorted(self.facet_masks, key=bits)],
+            "facets": [[self.ground_set[i] for i in bits(m)] for m in sorted(self.masks, key=bits)],
         }
 
 
@@ -179,7 +173,8 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
     gs, facets = data["ground_set"], data["facets"]
     if not (isinstance(gs, list) and isinstance(facets, list) and all(isinstance(f, list) for f in facets)):
         raise ValueError("complex JSON needs 'ground_set' as a list and 'facets' as a list of lists")
-    return SimplicialComplex(tuple(map(str, gs)), frozenset(frozenset(map(str, f)) for f in facets))
+    ground = tuple(map(str, gs))
+    return SimplicialComplex(ground, parse_family(ground, facets, "facet"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +187,7 @@ def ind_r(g: Graph, r: int) -> SimplicialComplex:
     if r < 1:
         raise ValueError("r must be a positive integer")
     check_guard(len(g), "facet")
-    return SimplicialComplex(g.vertices, sets_of(g.vertices, maximal_sets(g.neighbour_masks, r)))
+    return SimplicialComplex(g.vertices, frozenset(maximal_sets(g.neighbour_masks, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     if not any(f <= g for g in k.facets):
         raise ValueError(f"{sorted(f)} is not a face")
     ground = tuple(v for v in k.ground_set if v not in f)
-    return SimplicialComplex(ground, frozenset(g - f for g in k.facets if f <= g))
+    return SimplicialComplex(ground, parse_family(ground, (g - f for g in k.facets if f <= g), "facet"))
 
 
 def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
@@ -218,9 +213,7 @@ def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:
     dim = k.dimension
     if dim is None or not 0 <= m <= dim:
         raise ValueError(f"m={m} out of range for a complex of dimension {dim}")
-    faces = {
-        frozenset(c) for f in k.facets if len(f) >= m + 1 for c in itertools.combinations(f, m + 1)
-    }
+    faces = {sum(1 << i for i in c) for f in k.masks for c in itertools.combinations(bits(f), m + 1)}
     return SimplicialComplex(k.ground_set, frozenset(faces))
 
 

@@ -8,7 +8,7 @@ import functools
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits, masks_of, record, sets_of
+from .graphs import bits, masks_of, record
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -138,6 +138,17 @@ class CertificateNode:
             built.append((family, branch, *children))
         return cls(labels, built[0])
 
+    def root_over(self, labels: tuple[str, ...]) -> frozenset[int] | None:
+        """The root family as masks over ``labels`` (the tree's own when those
+        are its labels, as from the search); None if it names one they lack."""
+        if labels == self.labels:
+            return self.tree[0]
+        index = {v: i for i, v in enumerate(labels)}
+        try:
+            return frozenset(sum(1 << index[self.labels[i]] for i in bits(m)) for m in self.tree[0])
+        except KeyError:  # a root label missing from ``labels``
+            return None
+
 
 def replay(tree: tuple, root: frozenset[int], rule: Callable) -> bool:
     """Check a certificate tree against the family ``root``, node by node on
@@ -191,7 +202,13 @@ class VDResult:
 def _sheds(link: list[int], rest: list[int]) -> bool:
     """The vertex sheds: every facet of its link lies inside some facet
     without it, so the deletion keeps exactly those."""
-    return all(any(not l & ~f for f in rest) for l in link)
+    for l in link:
+        for f in rest:
+            if not l & ~f:
+                break
+        else:
+            return False
+    return True
 
 
 def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET) -> VDResult:
@@ -207,15 +224,14 @@ def is_vertex_decomposable(k: SimplicialComplex, budget: int = DEFAULT_VD_BUDGET
     if k.is_void:
         raise ValueError("void complex")
     order = list(range(len(k.ground_set)))
-    found, tree, explored = certificate_search(frozenset(k.facet_masks), order, _sheds, budget)
+    found, tree, explored = certificate_search(k.masks, order, _sheds, budget)
     return VDResult(found, SheddingNode(k.ground_set, tree) if found else None, explored)
 
 
 def verify_shedding_certificate(k: SimplicialComplex, cert: SheddingNode) -> bool:
     """Replay a shedding tree whose root names the facets of ``k``,
     recomputing every link and deletion from its parent."""
-    root = cert.tree[0]
-    return bool(k.facets) and sets_of(cert.labels, root) == k.facets and replay(cert.tree, root, _sheds)
+    return bool(k.masks) and cert.root_over(k.ground_set) == k.masks and replay(cert.tree, cert.tree[0], _sheds)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +277,7 @@ def is_shellable(k: SimplicialComplex, budget: int = DEFAULT_SHELL_BUDGET) -> Sh
     """
     if k.is_void:
         raise ValueError("void complex has no facets to shell")
-    shellable, order, explored = shelling_search(k.facet_masks, budget)
+    shellable, order, explored = shelling_search(k.masks, budget)
     return ShellingResult(shellable, order and tuple(map(k.labels, order)), explored)
 
 
@@ -347,7 +363,10 @@ def _reduce_to_maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal members of ``masks``, each once."""
     maximal: list[int] = []
     for s in sorted(set(masks), key=int.bit_count, reverse=True):
-        if all(s & ~m for m in maximal):
+        for m in maximal:
+            if not s & ~m:
+                break
+        else:
             maximal.append(s)
     return maximal
 
@@ -358,13 +377,16 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
     one dimension lower.  The void complex has no shelling.
 
     Independent of the search: this materializes the maximal intersections
-    instead of using the pairwise reformulation.  Each facet becomes a mask
-    from its set of labels once the order names exactly the facets.
+    instead of using the pairwise reformulation.  The order's label lists
+    must name known labels, none twice; as masks they must be the facets,
+    each once.
     """
     facets = [frozenset(map(str, f)) for f in order]
-    if not facets or frozenset(facets) != k.facets or len(facets) != len(k.facets):
+    known = set(k.ground_set)
+    named = all(f <= known and len(f) == len(g) for f, g in zip(facets, order))
+    seq = masks_of(k.ground_set, facets) if named else []
+    if not seq or frozenset(seq) != k.masks or len(seq) != len(k.masks):
         return False
-    seq = masks_of(k.ground_set, facets)
     for t in range(1, len(seq)):
         fk = seq[t]
         if not fk:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -75,7 +76,7 @@ class Graph:
         odd = [sorted(e) for e in self.edges if len(e) != 2]
         if odd:
             raise ValueError(f"edge {min(odd)} is not a 2-element set")
-        check_family(self.vertices, self.edges, "edge")
+        parse_family(self.vertices, self.edges, "edge")
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:
@@ -115,8 +116,8 @@ def bits(mask: int) -> tuple[int, ...]:
 
 
 def masks_of(labels: Sequence[str], sets: Iterable[Iterable[str]]) -> list[int]:
-    """Each of ``sets`` as a bitmask, bit i being ``labels[i]``: the one place
-    a label becomes a bit."""
+    """Each of ``sets``, none of which repeats a label, as a bitmask, bit i
+    being ``labels[i]``: the one place a label becomes a bit."""
     index = {v: i for i, v in enumerate(labels)}
     return [sum(1 << index[v] for v in s) for s in sets]
 
@@ -132,26 +133,46 @@ def check_guard(n: int, what: str) -> None:
         raise ValueError(f"{what} enumeration over {n} vertices exceeds the guard")
 
 
-def check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
-    """Raise ``ValueError`` unless ``labels`` are distinct and ``sets``, a
-    family of distinct sets, form an antichain over them; ``member`` names
-    one set in the messages, the least offender by sorted labels, so they
-    do not depend on the hash seed.  Two distinct sets of one size are never
-    nested, so only sets of different sizes are compared."""
-    known = set(labels)
-    if len(known) != len(labels):
+def check_family(labels: tuple[str, ...], masks: frozenset[int], member: str) -> None:
+    """Raise ``ValueError`` unless ``labels`` are distinct and ``masks``, over
+    their index, form an antichain; ``member`` names a set in the messages,
+    the least offender by its sorted labels, so they do not depend on the
+    hash seed.  Each set is compared only with larger ones, until one holds it."""
+    if len(set(labels)) != len(labels):
         twice = next(v for i, v in enumerate(labels) if v in labels[:i])
         raise ValueError(f"label {twice!r} appears twice under the {member}s")
-    unknown = [s for s in sets if not s <= known]
-    if unknown:
-        raise ValueError(f"{member} {min(map(sorted, unknown))} uses unknown labels")
-    by_size: dict[int, list[frozenset[str]]] = {}
-    for s in sets:
-        by_size.setdefault(len(s), []).append(s)
-    groups = [by_size[n] for n in sorted(by_size)]
-    inner = [a for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large if a < b]
+    past = [m for m in masks if m >> len(labels)]
+    if past:
+        raise ValueError(f"{member} mask {min(past):#b} reaches past the {len(labels)} labels")
+    inner, larger = [], []
+    for _, group in itertools.groupby(sorted(masks, key=int.bit_count, reverse=True), int.bit_count):
+        group = list(group)
+        for a in group:
+            for b in larger:
+                if not a & ~b:
+                    inner.append(sorted(labels[j] for j in bits(a)))
+                    break
+        larger += group
     if inner:
-        raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
+        raise ValueError(f"{member} {min(inner)} lies inside another {member}")
+
+
+def parse_family(labels: tuple[str, ...], sets: Iterable[Iterable[str]], member: str) -> frozenset[int]:
+    """The masks of the label collections ``sets``: the one entry from labelled
+    input to masks.  Refuses, in this order, a label listed twice, a set with
+    an unknown label, a set that repeats a label and a set listed twice."""
+    check_family(labels, frozenset(), member)  # the labels alone, first
+    known = set(labels)
+    sets = [[str(v) for v in s] for s in sets]
+    keys = [frozenset(s) for s in sets]
+    for offenders, what in (
+        ([sorted(k) for k in keys if not k <= known], "uses unknown labels"),
+        ([sorted(s) for s, k in zip(sets, keys) if len(k) != len(s)], "repeats a label"),
+        ([sorted(k) for k, count in Counter(keys).items() if count > 1], "appears twice"),
+    ):
+        if offenders:
+            raise ValueError(f"{member} {min(offenders)} {what}")
+    return frozenset(masks_of(labels, sets))  # which sums bits, so no set may repeat a label
 
 
 def is_caterpillar(g: Graph) -> bool:

@@ -185,7 +185,7 @@ def reduced_homology(k: SimplicialComplex, field: int | None = None) -> BettiPro
     if k.is_void:
         return BettiProfile((), field_name(field))
     check_guard(len(k.ground_set), "face")
-    return BettiProfile(_betti(k.facet_masks, field), field_name(field))
+    return BettiProfile(_betti(tuple(sorted(k.masks)), field), field_name(field))
 
 
 @record
@@ -223,7 +223,7 @@ def is_cohen_macaulay(k: SimplicialComplex, field: int | None = None) -> CMRepor
     if k.is_void:
         raise ValueError("void complex")
     if not k.is_pure():
-        smallest = k.labels(min(k.facet_masks, key=mask_order))
+        smallest = k.labels(min(k.masks, key=mask_order))
         return CMReport(False, field_name(field), smallest, None, "non-pure")
     return _cohen_macaulay(k, sorted(k.face_masks(), key=mask_order), k.dimension, field)
 
@@ -242,7 +242,7 @@ def _cohen_macaulay(k: SimplicialComplex, faces: list[int], m: int, field: int |
     above; ``faces`` are the faces of ``k`` in ``mask_order``.  Faces with
     j <= 0 have nothing to test, as degree -1 vanishes once a vertex exists."""
     name = field_name(field)
-    generators = [f for f in k.facet_masks if f.bit_count() > m]
+    generators = [f for f in k.masks if f.bit_count() > m]
     for face in faces:
         j = m - face.bit_count()
         if j <= 0:
@@ -289,7 +289,7 @@ def is_scm(k: SimplicialComplex, field: int | None = None) -> SCMReport:
     if k.is_void:
         raise ValueError("void complex")
     faces = sorted(k.face_masks(), key=mask_order)
-    facet_sizes = {f.bit_count() for f in k.facet_masks}
+    facet_sizes = {f.bit_count() for f in k.masks}
     reports: dict[int, CMReport] = {}
     for m in range(k.dimension, 0, -1):
         above = reports.get(m + 1)

@@ -5,24 +5,26 @@ by Berge's rule, which give the dual ideal of ``ind_r`` from ``con_r``."""
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .graphs import Graph, bits, check_family, check_guard, masks_of, record, sets_of
+from .graphs import Graph, bits, check_family, check_guard, record, sets_of
 
 DEFAULT_MINOR_BUDGET = 2_000_000
 
 
 @record
 class Hypergraph:
-    """Simple hypergraph: the edge set is an antichain under inclusion."""
+    """Simple hypergraph: the edge masks are an antichain under inclusion."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    masks: frozenset[int]
 
     def __post_init__(self):
-        check_family(self.vertices, self.edges, "edge")
+        check_family(self.vertices, self.masks, "edge")
+
+    edges = cached_property(lambda self: sets_of(self.vertices, self.masks))  # a view for output
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,7 +52,7 @@ def con_r(g: Graph, r: int) -> Hypergraph:
             for grown, cands, reached, above in level
             for i in bits(cands)
         ]
-    return Hypergraph(g.vertices, sets_of(g.vertices, (s[0] for s in level)))
+    return Hypergraph(g.vertices, frozenset(s[0] for s in level))
 
 
 @record
@@ -72,9 +74,9 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     Every minor is reachable by interleaving single-vertex deletions and
     contractions.  A minor is searched as its vertex mask and its edge
     family, one int over the ids a table gives each edge mask when it first
-    appears; only a witness gets labels again.  The budget counts distinct
-    minors visited and exceeding it yields an explicit inconclusive result,
-    never a silent answer.
+    appears; a witness is renumbered over its own vertices.  The budget
+    counts distinct minors visited, and exceeding it yields an explicit
+    inconclusive result, never a silent answer.
 
     A minor passes when some vertex is simplicial: every two distinct edges
     through it have a third edge inside their union minus the vertex.
@@ -99,7 +101,7 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
     changes: the search holds at most two levels, never every minor.
     """
     n = len(h.vertices)
-    masks = sorted(masks_of(h.vertices, h.edges))  # by edge id; contraction appends shrunk edges
+    masks = sorted(h.masks)  # by edge id; contraction appends shrunk edges
     ids = {e: k for k, e in enumerate(masks)}
     holding = [0] * n  # the ids of the edges through each vertex
     for k, e in enumerate(masks):
@@ -129,7 +131,7 @@ def is_chordal_hypergraph(h: Hypergraph, budget: int = DEFAULT_MINOR_BUDGET) -> 
                 break
         else:  # no vertex is simplicial: a witness unless the minor is empty
             if members:
-                edges = sets_of(h.vertices, [masks[j] for j in bits(family)])
+                edges = frozenset(sum(1 << members.index(v) for v in bits(masks[j])) for j in bits(family))
                 witness = Hypergraph(tuple(map(h.vertices.__getitem__, members)), edges)
                 return ChordalityResult(False, witness, visited)
         if len(members) != size:
@@ -173,16 +175,22 @@ def minimal_vertex_covers(h: Hypergraph) -> list[int]:
 
     The edges are taken one at a time in mask order.  The covers of the
     edges so far that meet the next edge stay; each other cover grows by
-    one vertex of that edge in turn, and a grown set is dropped when it
-    contains a cover that stayed.  Only those can make it non-minimal: a
+    one vertex of that edge in turn, and a grown set is dropped at the
+    first cover that stayed inside it.  Only those can make it non-minimal: a
     grown set holds one vertex of the edge, so it cannot contain another
     grown set without being it.  With no edges the empty set is the unique
     cover; an empty edge cannot be met, so the cover family is empty.
     """
     check_guard(len(h.vertices), "cover")
     covers = [0]
-    for e in sorted(masks_of(h.vertices, h.edges)):
+    for e in sorted(h.masks):
         hit = [c for c in covers if c & e]
         grown = [c | 1 << i for c in covers if not c & e for i in bits(e)]
-        covers = hit + [g for g in grown if all(c & ~g for c in hit)]
+        covers = hit[:]
+        for g in grown:
+            for c in hit:
+                if not c & ~g:
+                    break
+            else:
+                covers.append(g)
     return covers

@@ -4,11 +4,12 @@ vertex-splittable recursion with replayable certificates."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from .complexes import SimplicialComplex, ind_r, mask_order
 from .decompose import CertificateNode, certificate_search, replay
-from .graphs import CrossCheckError, Graph, bits, check_family, masks_of, record, sets_of
+from .graphs import CrossCheckError, Graph, bits, check_family, parse_family, record, sets_of
 from .hypergraphs import con_r, minimal_vertex_covers
 
 DEFAULT_SPLIT_BUDGET = 500_000
@@ -17,28 +18,27 @@ DEFAULT_SPLIT_BUDGET = 500_000
 @record
 class MonomialIdeal:
     """Square-free monomial ideal: generators are supports, kept as an
-    antichain under divisibility (= inclusion).  No generators is the zero
-    ideal; the single generator {} (the monomial 1) is the unit ideal."""
+    antichain of masks under divisibility (= inclusion).  No generators is
+    the zero ideal; the single generator {} (the monomial 1) is the unit ideal."""
 
     variables: tuple[str, ...]
-    generators: frozenset[frozenset[str]]
+    masks: frozenset[int]
 
     def __post_init__(self):
-        check_family(self.variables, self.generators, "generator")
+        check_family(self.variables, self.masks, "generator")
 
     @classmethod
     def from_supports(cls, variables: Iterable, supports: Iterable) -> MonomialIdeal:
-        return cls(
-            tuple(str(v) for v in variables),
-            frozenset(frozenset(map(str, s)) for s in supports),
-        )
+        names = tuple(str(v) for v in variables)
+        return cls(names, parse_family(names, supports, "generator"))
+
+    generators = cached_property(lambda self: sets_of(self.variables, self.masks))  # a view for output
 
     def to_json_dict(self) -> dict:
         """Generators in (size, variable order), each in variable order."""
-        masks = sorted(masks_of(self.variables, self.generators), key=mask_order)
         return {
             "variables": list(self.variables),
-            "generators": [[self.variables[i] for i in bits(m)] for m in masks],
+            "generators": [[self.variables[i] for i in bits(m)] for m in sorted(self.masks, key=mask_order)],
         }
 
 
@@ -54,10 +54,10 @@ def facet_dual(k: SimplicialComplex) -> MonomialIdeal:
     """
     if k.is_void:
         raise ValueError("void complex has no Stanley-Reisner ideal")
-    full = frozenset(k.ground_set)
-    if k.facets == {full}:
+    full = (1 << len(k.ground_set)) - 1
+    if k.masks == {full}:
         raise ValueError("a simplex on its whole ground set has the zero Stanley-Reisner ideal")
-    return MonomialIdeal(k.ground_set, frozenset(full - f for f in k.facets))
+    return MonomialIdeal(k.ground_set, frozenset(full ^ f for f in k.masks))
 
 
 def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> MonomialIdeal:
@@ -67,8 +67,9 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
     the minimal vertex covers of ``con_r``, whose edges generate the
     Stanley-Reisner ideal, and ``maximal_sets`` the facets of the complex,
     whose complements generate the dual (``facet_dual``).  The two are
-    compared as masks over the graph's vertices, and any mismatch raises.  ``k`` is ``ind_r(g, r)`` when the caller has built it already,
-    else built here.
+    compared as masks over the graph's vertices, and any mismatch raises.
+    ``k`` is ``ind_r(g, r)`` when the caller has built it already, else
+    built here.
 
     When the graph has no connected (r+1)-subset the complex is the full
     simplex, and ``facet_dual`` rejects the dual of its zero ideal.  The
@@ -78,11 +79,8 @@ def dual_of_ind(g: Graph, r: int, k: SimplicialComplex | None = None) -> Monomia
     covers = minimal_vertex_covers(con_r(g, r))
     k = ind_r(g, r) if k is None else k
     dual = facet_dual(k)
-    full = (1 << len(k.ground_set)) - 1
-    if frozenset(covers) != frozenset(full ^ f for f in k.facet_masks):
-        raise CrossCheckError(
-            "cover dual and Stanley-Reisner dual disagree; this is a bug"
-        )
+    if frozenset(covers) != dual.masks:
+        raise CrossCheckError("cover dual and Stanley-Reisner dual disagree; this is a bug")
     return dual
 
 
@@ -115,7 +113,13 @@ def _splits(quotients: list[int], remainder: list[int]) -> bool:
     """The pivot splits: every generator without it contains some quotient
     of a generator with it, so the quotients are exactly the minimal
     generators of the first part, and the remainder lies in it."""
-    return all(any(not q & ~f for q in quotients) for f in remainder)
+    for f in remainder:
+        for q in quotients:
+            if not q & ~f:
+                break
+        else:
+            return False
+    return True
 
 
 def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
@@ -123,14 +127,12 @@ def is_vertex_splittable(i: MonomialIdeal, budget: int = DEFAULT_SPLIT_BUDGET) -
     (``certificate_search``), pivots in the string order of the variables.
     Zero, unit, and principal ideals are the base cases; the budget counts
     memo entries."""
-    root = frozenset(masks_of(i.variables, i.generators))
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
-    found, tree, explored = certificate_search(root, pivots, _splits, budget)
+    found, tree, explored = certificate_search(i.masks, pivots, _splits, budget)
     return SplitResult(found, SplitNode(i.variables, tree) if found else None, explored)
 
 
 def verify_split_certificate(i: MonomialIdeal, cert: SplitNode) -> bool:
     """Replay a splitting certificate whose root names the generators of
     ``i``, recomputing every quotient and remainder from its parent."""
-    root = cert.tree[0]
-    return sets_of(cert.labels, root) == i.generators and replay(cert.tree, root, _splits)
+    return cert.root_over(i.variables) == i.masks and replay(cert.tree, cert.tree[0], _splits)

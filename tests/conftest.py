@@ -25,7 +25,7 @@ from rindep.decompose import (
     ShellingResult,
     VDResult,
 )
-from rindep.graphs import Graph, masks_of, sets_of
+from rindep.graphs import Graph, masks_of, parse_family, sets_of
 from rindep.homology import CMReport, SCMReport, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -68,12 +68,44 @@ def recursion_limit(frames: int):
         sys.setrecursionlimit(old)
 
 
+def oracle_check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]], member: str) -> None:
+    """The family rule on labels: raise ``ValueError`` unless ``labels`` are
+    distinct and ``sets``, a family of distinct sets, form an antichain
+    over them; ``member`` names one set in the messages, the least
+    offender by sorted labels.  Two distinct sets of one size are never
+    nested, so only sets of different sizes are compared."""
+    known = set(labels)
+    if len(known) != len(labels):
+        twice = next(v for i, v in enumerate(labels) if v in labels[:i])
+        raise ValueError(f"label {twice!r} appears twice under the {member}s")
+    unknown = [s for s in sets if not s <= known]
+    if unknown:
+        raise ValueError(f"{member} {min(map(sorted, unknown))} uses unknown labels")
+    by_size: dict[int, list[frozenset[str]]] = {}
+    for s in sets:
+        by_size.setdefault(len(s), []).append(s)
+    groups = [by_size[n] for n in sorted(by_size)]
+    inner = [a for i, small in enumerate(groups) for large in groups[i + 1 :] for a in small for b in large if a < b]
+    if inner:
+        raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
+
+
+MEMBERS = {SimplicialComplex: "facet", Hypergraph: "edge", MonomialIdeal: "generator"}
+
+
+def labelled(cls, labels, sets):
+    """The record ``cls`` (a complex, hypergraph or ideal) over ``labels``
+    whose family is the labelled ``sets``, through the package's one entry
+    from labels to masks."""
+    labels = tuple(map(str, labels))
+    return cls(labels, parse_family(labels, sets, MEMBERS[cls]))
+
+
 def complex_from_faces(ground_set, faces) -> SimplicialComplex:
     """The complex on ``ground_set`` generated by ``faces``: only the
     inclusion-maximal ones are kept as facets."""
     sets = {frozenset(map(str, f)) for f in faces}
-    facets = frozenset(f for f in sets if not any(f < g for g in sets))
-    return SimplicialComplex(tuple(map(str, ground_set)), facets)
+    return labelled(SimplicialComplex, ground_set, (f for f in sets if not any(f < g for g in sets)))
 
 
 def faces_of(k: SimplicialComplex) -> set[frozenset[str]]:
@@ -105,8 +137,7 @@ def path_complex(n: int):
     """Facets {i, i+1} on the labels "0".."n-1": a shedding tree nests
     about n levels deep."""
     verts = [str(i) for i in range(n)]
-    facets = frozenset(frozenset(verts[i : i + 2]) for i in range(n - 1))
-    return SimplicialComplex(tuple(verts), facets)
+    return labelled(SimplicialComplex, verts, (verts[i : i + 2] for i in range(n - 1)))
 
 
 def variable_ideal(n: int) -> MonomialIdeal:
@@ -208,7 +239,7 @@ def minimal_nonfaces(k: SimplicialComplex) -> frozenset[frozenset[str]]:
     minimal vertex covers of the facet complements, and the empty set alone
     when the complex is void."""
     ground = frozenset(k.ground_set)
-    h = Hypergraph(k.ground_set, frozenset(ground - f for f in k.facets))
+    h = labelled(Hypergraph, k.ground_set, (ground - f for f in k.facets))
     return sets_of(h.vertices, minimal_vertex_covers(h))
 
 
@@ -216,7 +247,7 @@ def stanley_reisner(k: SimplicialComplex) -> MonomialIdeal:
     """Ideal generated by the minimal non-faces of ``k``."""
     if k.is_void:
         raise ValueError("void complex has no Stanley-Reisner ideal")
-    return MonomialIdeal(k.ground_set, minimal_nonfaces(k))
+    return labelled(MonomialIdeal, k.ground_set, minimal_nonfaces(k))
 
 
 def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
@@ -227,8 +258,8 @@ def alexander_dual_ideal(i: MonomialIdeal) -> MonomialIdeal:
         raise ZeroIdealRejected("the zero ideal has no Alexander dual here")
     if is_unit(i):
         raise UnitIdealRejected("the unit ideal has no Alexander dual here")
-    covers = minimal_vertex_covers(Hypergraph(i.variables, i.generators))
-    return MonomialIdeal(i.variables, sets_of(i.variables, covers))
+    covers = minimal_vertex_covers(labelled(Hypergraph, i.variables, i.generators))
+    return labelled(MonomialIdeal, i.variables, sets_of(i.variables, covers))
 
 
 def random_graph(rng: random.Random, n_min: int = 3, n_max: int = 7) -> Graph:
@@ -294,7 +325,7 @@ def reduced_hypergraph(vertices, edges) -> Hypergraph:
     for e in by_size:
         if not any(m <= e for m in minimal):
             minimal.append(e)
-    return Hypergraph(tuple(map(str, vertices)), frozenset(minimal))
+    return labelled(Hypergraph, vertices, minimal)
 
 
 def _check_vertex(h: Hypergraph, v: str) -> None:
@@ -719,9 +750,9 @@ def oracle_cm(k, field: int | None = None) -> CMReport:
     if not k.is_pure():
         smallest = min(k.facets, key=lambda f: (len(f), sorted(map(k.ground_set.index, f))))
         return CMReport(False, name, smallest, None, "non-pure")
-    facets = k.facet_masks
+    facets = k.masks
     for face in sorted(k.face_masks(), key=mask_order):
-        lk = SimplicialComplex(k.ground_set, frozenset(k.labels(f ^ face) for f in facets if f & face == face))
+        lk = labelled(SimplicialComplex, k.ground_set, (k.labels(f ^ face) for f in facets if f & face == face))
         for i, b in enumerate(oracle_reduced_betti(lk, field)[:-1]):
             if b:
                 return CMReport(False, name, k.labels(face), i - 1, "link-homology")

@@ -15,6 +15,7 @@ from conftest import (
     induced_subgraph,
     is_unit,
     is_zero,
+    labelled,
     oracle_ind_hypergraph_facets,
     oracle_is_shellable,
     sorted_facets,
@@ -172,7 +173,7 @@ def test_criterion_06_hypergraph_chordality():
                     res = is_chordal_hypergraph(con_r(tree, r))
                     assert res.chordal is True, (n, r)
         c4 = cycle_graph(4)
-        square = Hypergraph(c4.vertices, c4.edges)
+        square = labelled(Hypergraph, c4.vertices, c4.edges)
         res = is_chordal_hypergraph(square)
         assert res.chordal is False
         assert res.witness == square

@@ -186,6 +186,49 @@ def test_every_default_is_overridden_by_some_caller():
     assert unset == []
 
 
+# the functions that may turn masks into labelled sets (``sets_of``) or
+# labelled input into masks (``parse_family``): the labelled views and the
+# parsers of graphs, complexes, ideals and faces; a search or replay that
+# called either would bring back a round trip through labels
+LABEL_BOUNDARY = {
+    "complexes.SimplicialComplex.facets",
+    "hypergraphs.Hypergraph.edges",
+    "ideals.MonomialIdeal.generators",
+    "graphs.Graph.__post_init__",
+    "complexes.complex_from_json_dict",
+    "complexes.link",
+    "ideals.MonomialIdeal.from_supports",
+}
+
+
+def _functions(body: list, prefix: str):
+    """``(qualified name, node)`` of each function and method in ``body``,
+    and of each class attribute assigned there (a cached view)."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.Assign) and prefix.count(".") > 1:
+            yield prefix + ast.unparse(node.targets[0]), node
+
+
+def test_labels_meet_masks_only_at_the_boundary():
+    """Only the functions of ``LABEL_BOUNDARY`` call ``sets_of`` or
+    ``parse_family``, and each of them exists."""
+    callers, defined = set(), set()
+    for module, body in _module_bodies():
+        for name, func in _functions(body, f"{module}."):
+            defined.add(name)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    if callee in ("sets_of", "parse_family"):
+                        callers.add(name)
+    assert callers - LABEL_BOUNDARY == set()
+    assert LABEL_BOUNDARY <= defined
+
+
 @pytest.mark.parametrize(
     "module, loaded",
     [

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import oracle_cm, oracle_ind_r_facets, path_complex, recursion_limit
+from conftest import labelled, oracle_cm, oracle_ind_r_facets, path_complex, recursion_limit
 
 from rindep import cli
 from rindep.cli import (
@@ -138,7 +138,7 @@ class TestBuild:
 
     def test_cover_enumeration_beyond_guard_names_the_guard(self):
         ground = [f"v{i}" for i in range(21)]
-        wide = Hypergraph(tuple(ground), frozenset({frozenset(ground[0:3]), frozenset(ground[2:5])}))
+        wide = labelled(Hypergraph, ground, [ground[0:3], ground[2:5]])
         with pytest.raises(ValueError, match="cover enumeration over 21 vertices exceeds the guard"):
             minimal_vertex_covers(wide)
 
@@ -783,6 +783,25 @@ class TestMalformedFiles:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_PARSE and out == "" and "list" in err
 
+    @pytest.mark.parametrize(
+        "facets, message",
+        [
+            ([["a", "a", "b"], ["b", "c"], ["b", "c"]], "facet ['a', 'a', 'b'] repeats a label"),
+            ([["a", "b"], ["c", "b"], ["b", "c"]], "facet ['b', 'c'] appears twice"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_facet_lists_that_repeat_a_label_or_a_facet_are_parse_errors(
+        self, capsys, files, facets, message, command
+    ):
+        (files / "s.json").write_text(json.dumps({"ground_set": ["a", "b", "c"], "facets": facets}))
+        path = str(files / "s.json")
+        if command == "check":
+            argv = ("check", "--complex", path, "--props", "vd")
+        else:
+            argv = ("verify", path, str(files / "good.json"))
+        assert run_cli(capsys, *argv) == (EXIT_PARSE, "", f"error: {message}\n")
+
     def test_certificate_deeper_than_the_recursion_limit_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "path.json"
         path.write_text(json.dumps(path_complex(150).to_json_dict()))
@@ -965,6 +984,11 @@ calls = {
     "path:9": ["check", "--gen", "path:9", "--r", "3", "--props", props],
     "fig1": ["check", "--gen", "fig1", "--r", "1", "--props", props],
     "scan": ["scan", "--family", "trees", "--n", "8", "--r", "1..3", "--props", props],
+    "G:4": ["check", "--gen", "G:4", "--r", "2", "--props", props],
+    "H:3": ["check", "--gen", "H:3", "--r", "4", "--props", "scm,cm"],
+    "G:3": ["check", "--gen", "G:3", "--r", "2", "--props", "chordal-hypergraph"],
+    "path:16": ["check", "--gen", "path:16", "--r", "2", "--props", "splittable"],
+    "build": ["build", "--gen", "cycle:20", "--r", "2"],
 }
 digests = {}
 for name, argv in calls.items():
@@ -980,14 +1004,21 @@ for name, argv in calls.items():
 print(json.dumps(digests))
 """
 
-# SHA-256 of each report without ``timings`` (keys sorted), and of the scan's
-# stdout (145 lines), taken while certificates were still searched and
-# replayed on labelled sets; a change to any byte of them fails here
+# SHA-256 of each report without ``timings`` (keys sorted), and of the
+# stdout of the scan (145 lines) and of ``build``; the first four taken while
+# certificates were still searched and replayed on labelled sets, the last
+# five while complexes, hypergraphs and ideals still held labelled sets; a
+# change to any byte of them fails here
 _PINNED_DIGESTS = {
     "caterpillar:1,2,0,3": "b5677e25496749e0878d4e98137156c5b02f160752873979d87d6ddb866c808c",
     "path:9": "69eec1d031fe879ce2c868dc87a51ba469940f8258103fa6a18faafc1712c819",
     "fig1": "b2bdfbe57b20a63d9d9ebd88b4489805af235a3d209338b814f213a6b84b0b84",
     "scan": "6e1dde6f780c088b80de535ce78ea0ef5cd234445a269a561cf1475d2db9e8c5",
+    "G:4": "7bf791dc716b905d020f094900edadd37d645e8ec0db99eec990b3977a47b8b0",
+    "H:3": "92a9b640413957e37f409491e8795e83b4ec8ac3645dae92c880819be413b468",
+    "G:3": "b7269fb8365364371ea2db4dc69eca5d7dd28e108ca4ad334e2efbe3e1aef61a",
+    "path:16": "5272c2b3240f63e34cddf6243bebf4b5e62c5e89fbc9a77d2ed956f8fb6bf66c",
+    "build": "850b6219c8a29b3f878481eb0820882e95538ae2a308dffac596d9b441a6fa56",
 }
 
 

@@ -9,6 +9,7 @@ from conftest import (
     faces_of,
     induced_subgraph,
     is_connected,
+    labelled,
     oracle_ind_hypergraph_facets,
     oracle_ind_r_facets,
     oracle_r_independent,
@@ -48,12 +49,12 @@ def fs(*labels):
 class TestComplexType:
     def test_antichain_enforced(self):
         with pytest.raises(ValueError):
-            SimplicialComplex(("a", "b"), frozenset({fs("a"), fs("a", "b")}))
+            labelled(SimplicialComplex, ("a", "b"), [fs("a"), fs("a", "b")])
 
     def test_conventions(self):
         void = SimplicialComplex(("a",), frozenset())
-        empty = SimplicialComplex(("a",), frozenset({frozenset()}))
-        point = SimplicialComplex(("a",), frozenset({fs("a")}))
+        empty = SimplicialComplex(("a",), frozenset({0}))
+        point = labelled(SimplicialComplex, ("a",), [fs("a")])
         assert void.is_void and void.dimension is None
         assert empty.facets == frozenset({frozenset()})
         assert empty.is_simplex and empty.dimension == -1

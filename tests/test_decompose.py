@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from conftest import (
     complex_from_faces,
+    labelled,
     oracle_is_shellable,
     oracle_shelling_order_ok,
     oracle_vd,
@@ -53,7 +54,7 @@ def sheds(k, v):
     """The search's shedding condition at ``v``, on the facet masks of ``k``
     split as the search splits them."""
     bit = 1 << k.ground_set.index(v)
-    return _sheds([f ^ bit for f in k.facet_masks if f & bit], [f for f in k.facet_masks if not f & bit])
+    return _sheds([f ^ bit for f in k.masks if f & bit], [f for f in k.masks if not f & bit])
 
 
 class TestSheddingVertex:
@@ -96,7 +97,7 @@ class TestVertexDecomposability:
 
     def test_simplices_and_empty_complex_are_base_cases(self):
         assert is_vertex_decomposable(complex_from_faces("abc", ["abc"])).decomposable
-        empty = SimplicialComplex(("a",), frozenset({frozenset()}))
+        empty = SimplicialComplex(("a",), frozenset({0}))
         assert is_vertex_decomposable(empty).decomposable
 
     def test_void_rejected(self):
@@ -110,7 +111,7 @@ class TestVertexDecomposability:
             a = is_vertex_decomposable(k).decomposable
             # same facets; the search visits the vertices in reverse
             b = is_vertex_decomposable(
-                SimplicialComplex(tuple(reversed(k.ground_set)), k.facets)
+                labelled(SimplicialComplex, reversed(k.ground_set), k.facets)
             ).decomposable
             assert a == b
 

@@ -13,6 +13,7 @@ from conftest import (
     induced_subgraph,
     is_connected,
     is_tree,
+    labelled,
     oracle_is_caterpillar,
     prufer_decode,
     random_graph,
@@ -208,7 +209,7 @@ class TestGenerators:
 def is_chordal(g: Graph) -> bool:
     """A graph read as a hypergraph: its minor search decides graph
     chordality, since simplicial vertices take distinct edge pairs."""
-    return is_chordal_hypergraph(Hypergraph(g.vertices, g.edges)).chordal
+    return is_chordal_hypergraph(labelled(Hypergraph, g.vertices, g.edges)).chordal
 
 
 class TestChordality:

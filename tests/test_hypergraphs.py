@@ -7,6 +7,7 @@ from conftest import (
     delete_vertex,
     induced_subgraph,
     is_simplicial_vertex,
+    labelled,
     oracle_chordality,
     oracle_minimal_covers,
     random_graph,
@@ -37,7 +38,7 @@ def edges_of(h):
 class TestHypergraphType:
     def test_antichain_enforced(self):
         with pytest.raises(ValueError):
-            Hypergraph(("a", "b"), frozenset({frozenset("a"), frozenset("ab")}))
+            labelled(Hypergraph, ("a", "b"), ["a", "ab"])
 
     def test_reduced_keeps_minimal_edges(self):
         h = reduced_hypergraph("abc", [("a",), ("a", "b"), ("b", "c")])
@@ -94,7 +95,7 @@ class TestMinorOperations:
 
     def test_delete_in_cycle(self):
         g = cycle_graph(4)
-        h = Hypergraph(g.vertices, g.edges)
+        h = labelled(Hypergraph, g.vertices, g.edges)
         out = delete_vertex(h, "1")
         assert edges_of(out) == {frozenset({"2", "3"}), frozenset({"3", "4"})}
 
@@ -154,25 +155,25 @@ class TestSimplicialVertex:
 
     def test_c4_has_none(self):
         g = cycle_graph(4)
-        h = Hypergraph(g.vertices, g.edges)
+        h = labelled(Hypergraph, g.vertices, g.edges)
         assert not any(is_simplicial_vertex(h, v) for v in h.vertices)
 
     def test_leaf_conventions(self):
         g = path_graph(3)
-        h = Hypergraph(g.vertices, g.edges)
+        h = labelled(Hypergraph, g.vertices, g.edges)
         # one edge through a leaf: vacuous under the distinct-pair reading
         assert is_simplicial_vertex(h, "1")
 
     def test_triangle_vertices_are_simplicial(self):
         g = cycle_graph(3)
-        h = Hypergraph(g.vertices, g.edges)
+        h = labelled(Hypergraph, g.vertices, g.edges)
         assert all(is_simplicial_vertex(h, v) for v in h.vertices)
 
 
 class TestChordality:
     def test_c4_witnessed_by_itself(self):
         g = cycle_graph(4)
-        h = Hypergraph(g.vertices, g.edges)
+        h = labelled(Hypergraph, g.vertices, g.edges)
         res = is_chordal_hypergraph(h)
         assert res.chordal is False
         assert res.witness == h
@@ -268,7 +269,7 @@ class TestChordality:
             g = random_graph(rng, 4, 6)
             if not nx.is_chordal(to_networkx(g)):
                 continue
-            assert is_chordal_hypergraph(Hypergraph(g.vertices, g.edges)).chordal is True
+            assert is_chordal_hypergraph(labelled(Hypergraph, g.vertices, g.edges)).chordal is True
             checked += 1
 
 

@@ -4,15 +4,16 @@ from pathlib import Path
 
 import pytest
 from conftest import (
-    complex_from_faces,
     UnitIdealRejected,
     ZeroIdealRejected,
     alexander_dual_ideal,
+    complex_from_faces,
     faces_of,
     induced_subgraph,
     is_connected,
     is_unit,
     is_zero,
+    labelled,
     oracle_minimal_covers,
     random_graph,
     recursion_limit,
@@ -27,7 +28,6 @@ from rindep.graphs import (
     demo_graph,
     make_caterpillar,
     path_graph,
-    sets_of,
     twin_bridge_paths,
 )
 from rindep.ideals import (
@@ -341,7 +341,7 @@ class TestSharedPivotRule:
         variables = tuple("abcde")
         families = antichains(5)
         assert len(families) == 7580  # the Dedekind number 7581, less the empty family
-        assert_same_as_uncut(MonomialIdeal(variables, sets_of(variables, a)) for a in families)
+        assert_same_as_uncut(MonomialIdeal(variables, frozenset(a)) for a in families)
 
     def test_random_ideals_with_shared_variables(self):
         # 1-5 shared variables times the edge ideal of a random graph on
@@ -354,7 +354,7 @@ class TestSharedPivotRule:
             rng.shuffle(variables)
             common = frozenset(variables[:shared])
             edges = {frozenset(rng.sample(variables[shared:], 2)) for _ in range(rng.randint(2, 6))}
-            ideals.append(MonomialIdeal(tuple(variables), frozenset(common | e for e in edges)))
+            ideals.append(labelled(MonomialIdeal, variables, (common | e for e in edges)))
         explored, uncut = assert_same_as_uncut(ideals)
         assert explored < uncut
 
@@ -363,7 +363,7 @@ class TestSharedPivotRule:
         # every generator of the dual holds the n - 5 vertices in no facet,
         # which took 2^(n - 5) states without the rule
         ground = tuple(f"v{i}" for i in range(n))
-        k = SimplicialComplex(ground, frozenset({frozenset(ground[0:3]), frozenset(ground[2:5])}))
+        k = labelled(SimplicialComplex, ground, [ground[0:3], ground[2:5]])
         res = is_vertex_splittable(facet_dual(k))
         assert (res.splittable, res.explored) == (False, explored)
 

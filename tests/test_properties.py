@@ -15,6 +15,7 @@ from pathlib import Path
 
 import networkx as nx
 from conftest import (
+    ZeroIdealRejected,
     alexander_dual_ideal,
     complex_from_faces,
     deletion_facets,
@@ -22,7 +23,9 @@ from conftest import (
     faces_of,
     is_simplicial_vertex,
     is_zero,
+    labelled,
     minimal_nonfaces,
+    oracle_check_family,
     oracle_chordality,
     oracle_cm,
     oracle_ind_r_facets,
@@ -38,7 +41,6 @@ from conftest import (
     rendered,
     stanley_reisner,
     to_networkx,
-    ZeroIdealRejected,
 )
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -59,15 +61,26 @@ from rindep.decompose import (
     verify_shedding_certificate,
     verify_shelling_certificate,
 )
-from rindep.graphs import Graph, bits, complete_graph, make_caterpillar, masks_of, path_graph, sets_of, star_graph
+from rindep.graphs import (
+    Graph,
+    bits,
+    complete_graph,
+    make_caterpillar,
+    masks_of,
+    parse_family,
+    path_graph,
+    sets_of,
+    star_graph,
+)
 from rindep.homology import _relabelled, is_cohen_macaulay, is_scm, reduced_homology
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
+    Hypergraph,
     con_r,
     is_chordal_hypergraph,
     minimal_vertex_covers,
 )
-from rindep.ideals import facet_dual, is_vertex_splittable, verify_split_certificate
+from rindep.ideals import MonomialIdeal, facet_dual, is_vertex_splittable, verify_split_certificate
 
 SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -96,6 +109,69 @@ def _subsets(draw, min_vertices, max_vertices, min_size):
 # simple hypergraphs (minimal edges kept) and complexes (maximal faces kept)
 hypergraphs = _subsets(0, 7, 0).map(lambda vs: reduced_hypergraph(*vs))
 antichain_complexes = _subsets(1, 7, 1).map(lambda vs: complex_from_faces(*vs))
+
+
+
+# each member name, its record and the record's labelled view
+_RECORDS = {
+    "facet": (SimplicialComplex, "facets"),
+    "edge": (Hypergraph, "edges"),
+    "generator": (MonomialIdeal, "generators"),
+}
+
+
+def _expected_refusal(labels, sets, member):
+    """The message the parse entry and the constructor give together: the
+    labelled oracle's for repeated or unknown labels, then a set that
+    repeats a label, then a set listed twice, then the oracle's antichain
+    message; None when the family is accepted."""
+    try:
+        oracle_check_family(labels, frozenset(map(frozenset, sets)), member)
+        antichain = None
+    except ValueError as exc:
+        if "lies inside" not in str(exc):
+            return str(exc)
+        antichain = str(exc)
+    repeats = [sorted(s) for s in sets if len(set(s)) != len(s)]
+    if repeats:
+        return f"{member} {min(repeats)} repeats a label"
+    keys = [frozenset(s) for s in sets]
+    twice = [sorted(s) for j, s in enumerate(sets) if keys[j] in keys[:j]]
+    if twice:
+        return f"{member} {min(twice)} appears twice"
+    return antichain
+
+
+_names = st.sampled_from("abcdx")
+
+
+@SETTINGS
+@given(
+    st.lists(_names, max_size=5).map(tuple),
+    st.lists(st.lists(_names, max_size=4), max_size=6),
+    st.sampled_from(sorted(_RECORDS)),
+)
+@example(("a", "b"), [], "facet")  # the void family
+@example(("a", "b"), [[]], "facet")  # {∅}
+@example(("a", "b"), [[], ["a"]], "generator")  # ∅ inside another set
+@example(("a", "a"), [["a"]], "edge")
+@example(("a", "b", "c"), [["c"], ["a", "b"], ["b", "c"]], "facet")  # held by the second larger set
+@example(("a", "b", "c"), [["a", "a", "b"], ["b", "c"], ["b", "c"]], "facet")
+@example(("a", "b", "c"), [["a", "b"], ["c", "b"], ["b", "c"]], "facet")
+@example(("a", "b"), [["a", "a", "x"]], "facet")
+def test_family_rule_on_masks_matches_labelled_oracle(labels, sets, member):
+    """The parse entry followed by the record's constructor accepts exactly
+    the families the labelled rule accepts, whose lists name each label and
+    each set once, and refuses the others with the same message."""
+    cls, view = _RECORDS[member]
+    try:
+        record = cls(labels, parse_family(labels, sets, member))
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = None
+        assert getattr(record, view) == frozenset(map(frozenset, sets))
+    assert got == _expected_refusal(labels, sets, member)
 
 
 @st.composite
@@ -187,7 +263,7 @@ def test_minimal_nonfaces_match_definition(k):
 @SETTINGS
 @given(_subsets(0, 8, 0).map(lambda vs: complex_from_faces(*vs)))
 @example(SimplicialComplex(("a", "b"), frozenset()))
-@example(SimplicialComplex((), frozenset({frozenset()})))
+@example(SimplicialComplex((), frozenset({0})))
 @example(complex_from_faces("ab", [()]))
 @example(complex_from_faces("abcd", ["ac"]))
 @example(complex_from_faces("abc", ["abc"]))
@@ -301,7 +377,7 @@ def test_skeleton_homology_below_top_is_that_of_the_facets_reaching_it(k):
     in degrees below j; the Reisner loop tests links through the latter."""
     for j in range(k.dimension + 1):
         skeleton = pure_skeleton(k, j)
-        tall = SimplicialComplex(k.ground_set, frozenset(f for f in k.facets if len(f) > j))
+        tall = SimplicialComplex(k.ground_set, frozenset(f for f in k.masks if f.bit_count() > j))
         assert oracle_reduced_betti(skeleton)[: j + 1] == list(reduced_homology(tall).reduced[: j + 1])
         mod2 = reduced_homology(skeleton, 2).reduced[: j + 1]
         assert mod2 == reduced_homology(tall, 2).reduced[: j + 1]
@@ -344,13 +420,13 @@ def test_false_chordality_witness_has_no_simplicial_vertex(h):
 )
 def test_certificate_search_matches_labelled_oracles(k, budget, reverse):
     if reverse:  # same facets; both searches visit the vertices in reverse
-        k = SimplicialComplex(tuple(reversed(k.ground_set)), k.facets)
+        k = labelled(SimplicialComplex, reversed(k.ground_set), k.facets)
     kw = {} if budget is None else {"budget": budget}
     assert rendered(is_vertex_decomposable(k, **kw)) == rendered(oracle_vd(k, **kw))
     sr = stanley_reisner(k)
     # "!" sorts before every label, so this vertex in no facet is the first
     # pivot, and every generator of the dual holds it
-    ghosted = facet_dual(SimplicialComplex(("!",) + k.ground_set, k.facets))
+    ghosted = facet_dual(labelled(SimplicialComplex, ("!",) + k.ground_set, k.facets))
     for i in ([sr] if is_zero(sr) else [sr, alexander_dual_ideal(sr)]) + [ghosted]:
         assert rendered(is_vertex_splittable(i, **kw)) == rendered(oracle_split(i, **kw))
 
@@ -549,8 +625,8 @@ def test_shedding_condition_matches_labelled_definition(k):
     deletion."""
     for v, bit in zip(k.ground_set, masks_of(k.ground_set, [[v] for v in k.ground_set])):
         deletion = deletion_facets(k.facets, v)
-        held = [f ^ bit for f in k.facet_masks if f & bit]
-        rest = [f for f in k.facet_masks if not f & bit]
+        held = [f ^ bit for f in k.masks if f & bit]
+        rest = [f for f in k.masks if not f & bit]
         sheds = bool(held) and _sheds(held, rest)
         assert sheds == (any(v in f for f in k.facets) and deletion <= k.facets)
         assert not sheds or sets_of(k.ground_set, rest) == deletion

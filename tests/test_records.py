@@ -8,6 +8,7 @@ import pickle
 from typing import ClassVar
 
 import pytest
+from conftest import labelled
 
 from rindep.complexes import SimplicialComplex, ind_r
 from rindep.decompose import SheddingNode, is_vertex_decomposable
@@ -105,7 +106,7 @@ def test_pickle_round_trip_returns_an_equal_object():
 def test_cached_property_works_and_leaves_identity_alone():
     g, k = demo_graph(), ind_r(demo_graph(), 2)
     assert g.adjacency is g.adjacency and "adjacency" in vars(g)
-    assert k.facet_masks is k.facet_masks and "facet_masks" in vars(k)
+    assert k.facets is k.facets and "facets" in vars(k)
     assert g == demo_graph() and hash(g) == hash(demo_graph())
     assert k == ind_r(demo_graph(), 2) and hash(k) == hash(ind_r(demo_graph(), 2))
 
@@ -122,7 +123,7 @@ def test_every_report_object_renders_through_to_json_dict():
         con_r(g, 2),
         ideal,
         is_cohen_macaulay(k),
-        is_cohen_macaulay(SimplicialComplex(("a", "b", "c"), frozenset({frozenset("ab"), frozenset("c")}))),
+        is_cohen_macaulay(labelled(SimplicialComplex, "abc", ["ab", "c"])),
         is_scm(k),
         is_vertex_decomposable(k).certificate,
         is_vertex_splittable(ideal).certificate,
