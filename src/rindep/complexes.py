@@ -174,7 +174,7 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
     if not (isinstance(gs, list) and isinstance(facets, list) and all(isinstance(f, list) for f in facets)):
         raise ValueError("complex JSON needs 'ground_set' as a list and 'facets' as a list of lists")
     ground = tuple(map(str, gs))
-    return SimplicialComplex(ground, parse_family(ground, facets, "facet"))
+    return SimplicialComplex(ground, frozenset(parse_family(ground, facets, "facet")))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     if not any(f <= g for g in k.facets):
         raise ValueError(f"{sorted(f)} is not a face")
     ground = tuple(v for v in k.ground_set if v not in f)
-    return SimplicialComplex(ground, parse_family(ground, (g - f for g in k.facets if f <= g), "facet"))
+    return SimplicialComplex(ground, frozenset(parse_family(ground, (g - f for g in k.facets if f <= g), "facet")))
 
 
 def pure_skeleton(k: SimplicialComplex, m: int) -> SimplicialComplex:

@@ -8,7 +8,7 @@ import functools
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits, masks_of, record
+from .graphs import bits, parse_family, record, sets_of
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -106,36 +106,31 @@ class CertificateNode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CertificateNode:
-        """The tree over the sorted labels the certificate names; a set that
-        is no label list or repeats a label, or a node that repeats a set,
-        raises ``ValueError``."""
+        """The tree over the sorted labels the certificate names; a node's
+        sets that are no list of label lists, or that ``parse_family``
+        refuses (a set repeats a label, a node a set), raise ``ValueError``."""
         sets_key, branch_key, first_key, second_key = cls.keys
         # a pre-order (node, first, second) read backwards meets every node
         # after both its children, whose nodes then lie on top of ``built``
-        preorder, stack = [], [data]
+        preorder, stack, names = [], [data], set()
         while stack:
-            preorder.append(stack.pop())
-            if branch_key in preorder[-1]:
-                stack += [preorder[-1][second_key], preorder[-1][first_key]]
-        rows: list[list[str]] = []  # each node's label lists, then its branch as one more
-        for d in preorder:
+            d = stack.pop()
+            preorder.append(d)
             if not isinstance(d[sets_key], list) or not all(isinstance(s, list) for s in d[sets_key]):
                 raise ValueError(f"certificate {sets_key!r} must be a list of label lists")
-            rows += [list(map(str, s)) for s in d[sets_key]]
+            names.update(str(v) for s in d[sets_key] for v in s)
             if branch_key in d:
-                rows.append([str(d[branch_key])])
-        if any(len(set(row)) != len(row) for row in rows):
-            raise ValueError(f"a set of certificate {sets_key!r} repeats a label")
-        labels = tuple(sorted({v for row in rows for v in row}))
-        masks = masks_of(labels, rows)
+                names.add(str(d[branch_key]))
+                stack += [d[second_key], d[first_key]]
+        labels = tuple(sorted(names))
         built: list[tuple] = []
         for d in reversed(preorder):
-            branch = masks.pop().bit_length() - 1 if branch_key in d else None
-            family = frozenset(masks.pop() for _ in d[sets_key])
-            if len(family) != len(d[sets_key]):
-                raise ValueError(f"a node of certificate {sets_key!r} repeats a set")
-            children = (None, None) if branch is None else (built.pop(), built.pop())
-            built.append((family, branch, *children))
+            family = frozenset(parse_family(labels, d[sets_key], sets_key.removesuffix("s")))  # a "facet"
+            if branch_key in d:
+                (bit,) = parse_family(labels, [[d[branch_key]]], branch_key)
+                built.append((family, bit.bit_length() - 1, built.pop(), built.pop()))
+            else:
+                built.append((family, None, None, None))
         return cls(labels, built[0])
 
     def root_over(self, labels: tuple[str, ...]) -> frozenset[int] | None:
@@ -143,10 +138,9 @@ class CertificateNode:
         are its labels, as from the search); None if it names one they lack."""
         if labels == self.labels:
             return self.tree[0]
-        index = {v: i for i, v in enumerate(labels)}
         try:
-            return frozenset(sum(1 << index[self.labels[i]] for i in bits(m)) for m in self.tree[0])
-        except KeyError:  # a root label missing from ``labels``
+            return frozenset(parse_family(labels, sets_of(self.labels, self.tree[0]), self.keys[0]))
+        except ValueError:  # a root label missing from ``labels``
             return None
 
 
@@ -378,14 +372,13 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
 
     Independent of the search: this materializes the maximal intersections
     instead of using the pairwise reformulation.  The order's label lists
-    must name known labels, none twice; as masks they must be the facets,
-    each once.
+    must parse (``parse_family``) as the facets, each once.
     """
-    facets = [frozenset(map(str, f)) for f in order]
-    known = set(k.ground_set)
-    named = all(f <= known and len(f) == len(g) for f, g in zip(facets, order))
-    seq = masks_of(k.ground_set, facets) if named else []
-    if not seq or frozenset(seq) != k.masks or len(seq) != len(k.masks):
+    try:
+        seq = parse_family(k.ground_set, order, "facet")
+    except ValueError:
+        return False
+    if not seq or frozenset(seq) != k.masks:
         return False
     for t in range(1, len(seq)):
         fk = seq[t]

@@ -63,46 +63,46 @@ def record(cls: type) -> type:
 @record
 class Graph:
     """Simple undirected graph; ``vertices`` fixes a stable label order.
-
-    Labels are opaque strings.  Edges are 2-element frozensets, so loops and
-    parallel edges cannot be represented.
-    """
+    Labels are opaque strings; each edge is the 2-bit mask of its ends over
+    their index, so loops and parallel edges cannot be represented."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    masks: frozenset[int]
 
     def __post_init__(self):
-        # the least offender by sorted labels, so the message does not depend on the hash seed
-        odd = [sorted(e) for e in self.edges if len(e) != 2]
-        if odd:
+        check_family(self.vertices, self.masks, "edge")
+        odd = [sorted(self.vertices[i] for i in bits(m)) for m in self.masks if m.bit_count() != 2]
+        if odd:  # the least by sorted labels, so the message does not depend on the hash seed
             raise ValueError(f"edge {min(odd)} is not a 2-element set")
-        parse_family(self.vertices, self.edges, "edge")
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:
+        """The graph on ``vertices`` whose edges are the label pairs ``edges``, each once."""
         vs = tuple(str(v) for v in vertices)
-        es = frozenset(frozenset(map(str, e)) for e in edges)
-        return cls(vs, es)
-
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(ns) for v, ns in nbrs.items()}
+        es = {frozenset(map(str, e)) for e in edges}
+        odd = [sorted(e) for e in es if len(e) != 2]
+        if odd:  # an edge's size before its labels, in the words of ``__post_init__``
+            raise ValueError(f"edge {min(odd)} is not a 2-element set")
+        return cls(vs, frozenset(parse_family(vs, es, "edge")))
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
-        return tuple(masks_of(self.vertices, self.adjacency.values()))
+        """Each vertex's neighbours: the other ends of the edges through it."""
+        nbrs = [0] * len(self.vertices)
+        for m in self.masks:
+            for i in bits(m):
+                nbrs[i] |= m ^ 1 << i
+        return tuple(nbrs)
+
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:  # a view for bench/gate.py
+        return {v: frozenset(self.vertices[j] for j in bits(m)) for v, m in zip(self.vertices, self.neighbour_masks)}
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        pairs = sorted(map(bits, masks_of(self.vertices, self.edges)))
-        return [(self.vertices[i], self.vertices[j]) for i, j in pairs]
+        return [(self.vertices[i], self.vertices[j]) for i, j in sorted(map(bits, self.masks))]
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -115,15 +115,8 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def masks_of(labels: Sequence[str], sets: Iterable[Iterable[str]]) -> list[int]:
-    """Each of ``sets``, none of which repeats a label, as a bitmask, bit i
-    being ``labels[i]``: the one place a label becomes a bit."""
-    index = {v: i for i, v in enumerate(labels)}
-    return [sum(1 << index[v] for v in s) for s in sets]
-
-
 def sets_of(labels: Sequence[str], masks: Iterable[int]) -> frozenset[frozenset[str]]:
-    """The labelled sets of ``masks``: the inverse of ``masks_of``."""
+    """The labelled sets of ``masks``: the inverse of ``parse_family``."""
     return frozenset(frozenset(labels[i] for i in bits(m)) for m in masks)
 
 
@@ -157,22 +150,22 @@ def check_family(labels: tuple[str, ...], masks: frozenset[int], member: str) ->
         raise ValueError(f"{member} {min(inner)} lies inside another {member}")
 
 
-def parse_family(labels: tuple[str, ...], sets: Iterable[Iterable[str]], member: str) -> frozenset[int]:
-    """The masks of the label collections ``sets``: the one entry from labelled
-    input to masks.  Refuses, in this order, a label listed twice, a set with
-    an unknown label, a set that repeats a label and a set listed twice."""
+def parse_family(labels: tuple[str, ...], sets: Iterable[Iterable[str]], member: str) -> tuple[int, ...]:
+    """The masks of the label collections ``sets`` in order, bit i being
+    ``labels[i]``: the one place a label becomes a bit.  Refuses, in this order,
+    a label listed twice, an unknown label, a repeated label and a repeated set."""
     check_family(labels, frozenset(), member)  # the labels alone, first
-    known = set(labels)
+    index = {v: i for i, v in enumerate(labels)}
     sets = [[str(v) for v in s] for s in sets]
     keys = [frozenset(s) for s in sets]
     for offenders, what in (
-        ([sorted(k) for k in keys if not k <= known], "uses unknown labels"),
+        ([sorted(k) for k in keys if not k <= index.keys()], "uses unknown labels"),
         ([sorted(s) for s, k in zip(sets, keys) if len(k) != len(s)], "repeats a label"),
         ([sorted(k) for k, count in Counter(keys).items() if count > 1], "appears twice"),
     ):
         if offenders:
             raise ValueError(f"{member} {min(offenders)} {what}")
-    return frozenset(masks_of(labels, sets))  # which sums bits, so no set may repeat a label
+    return tuple(sum(1 << index[v] for v in s) for s in sets)  # which sums bits, so no set may repeat a label
 
 
 def is_caterpillar(g: Graph) -> bool:
@@ -182,7 +175,7 @@ def is_caterpillar(g: Graph) -> bool:
     edge fewer than vertices, and a breadth-first search over the neighbour
     masks from vertex 0 reaches every vertex."""
     n, adj = len(g.vertices), g.neighbour_masks
-    if not n or len(g.edges) != n - 1:
+    if not n or len(g.masks) != n - 1:
         return False
     reached = frontier = 1
     while frontier:
@@ -354,7 +347,7 @@ def parse_edge_list(text: str) -> Graph:
     """Edge-list format: one ``u v`` pair per line, ``#`` comments, isolated
     vertices declared as ``vertex u``; ``vertex`` is no label."""
     verts: dict[str, None] = {}  # the labels in order of first mention
-    edges: set[frozenset[str]] = set()
+    edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -374,8 +367,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: loop edge {u!r} {v!r} not allowed")
         verts.setdefault(u)
         verts.setdefault(v)
-        edges.add(frozenset((u, v)))
-    return Graph(tuple(verts), frozenset(edges))
+        edges.append((u, v))
+    return Graph.from_edges(verts, edges)
 
 
 def parse_graph_json(text: str) -> Graph:

@@ -30,7 +30,7 @@ class MonomialIdeal:
     @classmethod
     def from_supports(cls, variables: Iterable, supports: Iterable) -> MonomialIdeal:
         names = tuple(str(v) for v in variables)
-        return cls(names, parse_family(names, supports, "generator"))
+        return cls(names, frozenset(parse_family(names, supports, "generator")))
 
     generators = cached_property(lambda self: sets_of(self.variables, self.masks))  # a view for output
 

@@ -25,7 +25,7 @@ from rindep.decompose import (
     ShellingResult,
     VDResult,
 )
-from rindep.graphs import Graph, masks_of, parse_family, sets_of
+from rindep.graphs import Graph, parse_family, sets_of
 from rindep.homology import CMReport, SCMReport, field_name
 from rindep.hypergraphs import (
     DEFAULT_MINOR_BUDGET,
@@ -90,15 +90,15 @@ def oracle_check_family(labels: tuple[str, ...], sets: frozenset[frozenset[str]]
         raise ValueError(f"{member} {min(map(sorted, inner))} lies inside another {member}")
 
 
-MEMBERS = {SimplicialComplex: "facet", Hypergraph: "edge", MonomialIdeal: "generator"}
+MEMBERS = {SimplicialComplex: "facet", Hypergraph: "edge", MonomialIdeal: "generator", Graph: "edge"}
 
 
 def labelled(cls, labels, sets):
-    """The record ``cls`` (a complex, hypergraph or ideal) over ``labels``
+    """The record ``cls`` (a complex, hypergraph, ideal or graph) over ``labels``
     whose family is the labelled ``sets``, through the package's one entry
     from labels to masks."""
     labels = tuple(map(str, labels))
-    return cls(labels, parse_family(labels, sets, MEMBERS[cls]))
+    return cls(labels, frozenset(parse_family(labels, sets, MEMBERS[cls])))
 
 
 def complex_from_faces(ground_set, faces) -> SimplicialComplex:
@@ -147,10 +147,15 @@ def variable_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal.from_supports(names, [[v] for v in names])
 
 
+def graph_edges(g: Graph) -> frozenset[frozenset[str]]:
+    """The edges of ``g`` as label pairs; the graph itself keeps masks."""
+    return sets_of(g.vertices, g.masks)
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(g.vertices)
-    out.add_edges_from(tuple(e) for e in g.edges)
+    out.add_edges_from(tuple(e) for e in graph_edges(g))
     return out
 
 
@@ -169,7 +174,7 @@ def induced_subgraph(g: Graph, s) -> Graph:
     if unknown:
         raise ValueError(f"unknown vertex labels: {sorted(unknown)}")
     verts = tuple(v for v in g.vertices if v in sub)
-    return Graph(verts, frozenset(e for e in g.edges if e <= sub))
+    return labelled(Graph, verts, (e for e in graph_edges(g) if e <= sub))
 
 
 def connected_components(g: Graph) -> list[frozenset[str]]:
@@ -198,7 +203,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_tree(g: Graph) -> bool:
-    return len(g.vertices) >= 1 and len(g.edges) == len(g.vertices) - 1 and is_connected(g)
+    return len(g.vertices) >= 1 and len(g.masks) == len(g.vertices) - 1 and is_connected(g)
 
 
 def oracle_is_caterpillar(g: Graph) -> bool:
@@ -493,7 +498,7 @@ def uncut_certificate_search(root, order, splits, budget) -> tuple:
 
 def uncut_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     """``is_vertex_splittable`` by ``uncut_certificate_search``."""
-    root = frozenset(masks_of(i.variables, i.generators))
+    root = i.masks
     pivots = sorted(range(len(i.variables)), key=i.variables.__getitem__)
     found, tree, explored = uncut_certificate_search(root, pivots, _splits, budget)
     return SplitResult(found, SplitNode(i.variables, tree) if found else None, explored)
@@ -628,7 +633,7 @@ def oracle_plain_shelling(k, budget: int = DEFAULT_SHELL_BUDGET) -> ShellingResu
         return ShellingResult(None, None, 0)
     if n == 1:
         return ShellingResult(True, tuple(facets), 1)
-    masks = masks_of(k.ground_set, facets)
+    masks = list(parse_family(k.ground_set, facets, "facet"))
     holding = [
         sum(1 << j for j, fj in enumerate(masks) if fj >> v & 1) for v in range(len(k.ground_set))
     ]

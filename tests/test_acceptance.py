@@ -173,7 +173,7 @@ def test_criterion_06_hypergraph_chordality():
                     res = is_chordal_hypergraph(con_r(tree, r))
                     assert res.chordal is True, (n, r)
         c4 = cycle_graph(4)
-        square = labelled(Hypergraph, c4.vertices, c4.edges)
+        square = Hypergraph(c4.vertices, c4.masks)
         res = is_chordal_hypergraph(square)
         assert res.chordal is False
         assert res.witness == square

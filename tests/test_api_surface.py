@@ -50,12 +50,29 @@ def _public(body: list, kinds: tuple) -> list:
     return [node for node in body if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
+def _views(body: list) -> list:
+    """The public class attributes of ``body`` assigned a ``cached_property``:
+    views that are members as much as a ``def`` is."""
+    return [
+        node
+        for node in body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "cached_property"
+        and not node.targets[0].id.startswith("_")
+    ]
+
+
 def _orphans(definitions: list, bare: bool = True) -> list[str]:
-    """The names of the ``(name, node)`` definitions that only their own
-    body uses in the package and the benchmark, bare names counted as for
-    ``_references``."""
+    """The qualified names of the ``(qualified name, node)`` definitions that
+    only their own body uses in the package and the benchmark, bare names
+    counted as for ``_references``."""
     used = sum((_references(ast.parse(path.read_text()), bare) for path in CALLERS), Counter())
-    return [name for name, node in definitions if used[node.name] == _references(node, bare)[node.name]]
+    return [
+        name
+        for name, node in definitions
+        if used[name.rpartition(".")[2]] == _references(node, bare)[name.rpartition(".")[2]]
+    ]
 
 
 def _module_bodies() -> list:
@@ -70,6 +87,8 @@ def test_every_public_definition_has_a_caller_outside_tests():
             if isinstance(node, ast.ClassDef):
                 for member in _public(node.body, (ast.FunctionDef,)):
                     members.append((f"{module}.{node.name}.{member.name}", member))
+                for view in _views(node.body):
+                    members.append((f"{module}.{node.name}.{view.targets[0].id}", view))
     assert _orphans(definitions) + _orphans(members, bare=False) == []
 
 
@@ -188,16 +207,20 @@ def test_every_default_is_overridden_by_some_caller():
 
 # the functions that may turn masks into labelled sets (``sets_of``) or
 # labelled input into masks (``parse_family``): the labelled views and the
-# parsers of graphs, complexes, ideals and faces; a search or replay that
-# called either would bring back a round trip through labels
+# parsers of graphs, complexes, ideals, faces, certificates and shelling
+# orders; a search or replay that called either would bring back a round
+# trip through labels
 LABEL_BOUNDARY = {
     "complexes.SimplicialComplex.facets",
     "hypergraphs.Hypergraph.edges",
     "ideals.MonomialIdeal.generators",
-    "graphs.Graph.__post_init__",
+    "graphs.Graph.from_edges",
     "complexes.complex_from_json_dict",
     "complexes.link",
     "ideals.MonomialIdeal.from_supports",
+    "decompose.CertificateNode.from_json_dict",
+    "decompose.CertificateNode.root_over",
+    "decompose.verify_shelling_certificate",
 }
 
 

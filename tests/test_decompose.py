@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -31,6 +32,7 @@ from rindep.graphs import (
     path_graph,
     twin_bridge_paths,
 )
+from rindep.ideals import SplitNode
 
 
 def fs(*labels):
@@ -158,6 +160,30 @@ class TestVertexDecomposability:
         leaf = SheddingNode.from_json_dict({"facets": [["a"], ["b"]]})
         assert not verify_shedding_certificate(two_points, leaf)
 
+    @pytest.mark.parametrize(
+        "cls, data, message",
+        [
+            (SheddingNode, {"facets": [["a", "a", "b"], ["c"]]}, "facet ['a', 'a', 'b'] repeats a label"),
+            (SheddingNode, {"facets": [["a", "b"], ["b", "a"]]}, "facet ['a', 'b'] appears twice"),
+            (
+                SheddingNode,
+                {
+                    "facets": [["a", "b"], ["c"]],
+                    "vertex": "c",
+                    "link": {"facets": [[]]},
+                    "del": {"facets": [["b", "a"], ["a", "b"]]},
+                },
+                "facet ['a', 'b'] appears twice",
+            ),
+            (SplitNode, {"generators": [["x"], ["y", "y"]]}, "generator ['y', 'y'] repeats a label"),
+            (SplitNode, {"generators": [["x"], ["x"]]}, "generator ['x'] appears twice"),
+        ],
+        ids=["label", "set", "set-below-the-root", "split-label", "split-set"],
+    )
+    def test_reader_refuses_what_the_family_entry_refuses_in_its_words(self, cls, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls.from_json_dict(data)
+
     def test_void_complex_has_no_shelling_either(self):
         assert not verify_shelling_certificate(SimplicialComplex(("a",), frozenset()), [])
 
@@ -280,6 +306,9 @@ class TestShellability:
             )
         missing = order[:-1]
         assert not verify_shelling_certificate(k, missing)
+        # every facet, one of them twice: as written, and in another label order
+        for again in (order[0], sorted(order[0], reverse=True)):
+            assert not verify_shelling_certificate(k, order + [again])
 
     def test_order_for_wrong_complex_rejected(self):
         k1 = ind_r(path_graph(6), 2)

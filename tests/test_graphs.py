@@ -9,11 +9,11 @@ from conftest import (
     ahu_canonical_key,
     connected_components,
     degree,
+    graph_edges,
     has_face,
     induced_subgraph,
     is_connected,
     is_tree,
-    labelled,
     oracle_is_caterpillar,
     prufer_decode,
     random_graph,
@@ -24,6 +24,7 @@ from rindep.complexes import ind_r
 from rindep.hypergraphs import Hypergraph, is_chordal_hypergraph
 from rindep.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     demo_graph,
@@ -42,7 +43,7 @@ import json
 
 
 def edge_set(g):
-    return {tuple(sorted(e)) for e in g.edges}
+    return {tuple(sorted(e)) for e in graph_edges(g)}
 
 
 class TestGraphBasics:
@@ -72,12 +73,12 @@ class TestInducedSubgraph:
 
     def test_empty_subset(self):
         sub = induced_subgraph(demo_graph(), set())
-        assert sub.vertices == () and not sub.edges
+        assert sub.vertices == () and not sub.masks
 
     def test_k4_triples_give_triangles(self):
         g = complete_graph(4)
         for triple in itertools.combinations(g.vertices, 3):
-            assert len(induced_subgraph(g, triple).edges) == 3
+            assert len(induced_subgraph(g, triple).masks) == 3
 
     def test_full_subset_is_identity(self):
         rng = random.Random(3)
@@ -173,13 +174,13 @@ class TestGenerators:
 
     def test_half_apex_clique_r2(self):
         g = half_apex_clique(2)
-        assert len(g) == 6 and len(g.edges) == 10
+        assert len(g) == 6 and len(g.masks) == 10
         assert g.adjacency["x1"] == frozenset({"v1", "v2"})
         assert g.adjacency["x2"] == frozenset({"v3", "v4"})
 
     def test_half_apex_clique_r3(self):
         g = half_apex_clique(3)
-        assert len(g) == 8 and len(g.edges) == 21
+        assert len(g) == 8 and len(g.masks) == 21
 
     def test_half_apex_clique_requires_r2(self):
         with pytest.raises(ValueError):
@@ -194,7 +195,7 @@ class TestGenerators:
 
     def test_twin_bridge_r3_counts(self):
         g = twin_bridge_paths(3)
-        assert len(g) == 8 and len(g.edges) == 9
+        assert len(g) == 8 and len(g.masks) == 9
 
     def test_twin_bridge_degree_a(self):
         for r in (2, 3, 4):
@@ -209,7 +210,7 @@ class TestGenerators:
 def is_chordal(g: Graph) -> bool:
     """A graph read as a hypergraph: its minor search decides graph
     chordality, since simplicial vertices take distinct edge pairs."""
-    return is_chordal_hypergraph(labelled(Hypergraph, g.vertices, g.edges)).chordal
+    return is_chordal_hypergraph(Hypergraph(g.vertices, g.masks)).chordal
 
 
 class TestChordality:
@@ -243,15 +244,14 @@ class TestTreeEnumeration:
         for n in range(1, 9):
             for t in enumerate_trees(n):
                 assert len(t) == n
-                assert len(t.edges) == n - 1
+                assert len(t.masks) == n - 1
                 assert is_connected(t)
 
     def test_pairwise_non_isomorphic(self):
         for n in range(2, 9):
             keys = set()
             for t in enumerate_trees(n):
-                idx = {v: i for i, v in enumerate(t.vertices)}
-                edges = frozenset(frozenset(idx[v] for v in e) for e in t.edges)
+                edges = frozenset(frozenset(bits(m)) for m in t.masks)
                 key = ahu_canonical_key(edges, n)
                 assert key not in keys
                 keys.add(key)
@@ -265,8 +265,7 @@ class TestTreeEnumeration:
             }
             from_enum = set()
             for t in enumerate_trees(n):
-                idx = {v: i for i, v in enumerate(t.vertices)}
-                edges = frozenset(frozenset(idx[v] for v in e) for e in t.edges)
+                edges = frozenset(frozenset(bits(m)) for m in t.masks)
                 from_enum.add(ahu_canonical_key(edges, n))
             assert from_enum == from_prufer
 
@@ -394,3 +393,7 @@ class TestFormats:
             text = json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]})
             with pytest.raises(ValueError, match=re.escape(f"edge {edge} is not a 2-element set")):
                 parse_graph_json(text)
+        # the edge's shape is refused before its labels are looked up
+        text = json.dumps({"vertices": ["a"], "edges": [["b", "b"]]})
+        with pytest.raises(ValueError, match=re.escape("edge ['b'] is not a 2-element set")):
+            parse_graph_json(text)

@@ -9,7 +9,7 @@ from conftest import complex_from_faces, oracle_reduced_betti, oracle_scm, rando
 from rindep import homology
 from rindep.complexes import SimplicialComplex, ind_r, link, pure_skeleton
 from rindep.decompose import is_shellable, is_vertex_decomposable
-from rindep.graphs import Graph, half_apex_clique, masks_of, path_graph, twin_bridge_paths
+from rindep.graphs import Graph, half_apex_clique, path_graph, twin_bridge_paths
 from rindep.homology import (
     field_name,
     is_cohen_macaulay,
@@ -316,7 +316,7 @@ class TestSCM:
         sizes = {r: [g.number_of_nodes() for g in failing[r]] for r in failing}
         assert sizes == {1: [], 2: [6] + [7] * 5, 3: [6] + [7] * 7, 4: [7] * 9, 5: []}
         g2 = twin_bridge_paths(2)
-        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
+        assert nx.is_isomorphic(failing[2][0], nx.Graph(g2.sorted_edges()))
         r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
         assert nx.is_isomorphic(failing[3][0], r3_pin)
 
@@ -370,7 +370,7 @@ class TestSCM:
                     failing[r].append(g)
         assert [g.number_of_nodes() for r in (2, 3) for g in failing[r]] == [6, 6]
         g2 = twin_bridge_paths(2)
-        assert nx.is_isomorphic(failing[2][0], nx.Graph([tuple(e) for e in g2.edges]))
+        assert nx.is_isomorphic(failing[2][0], nx.Graph(g2.sorted_edges()))
         r3_pin = nx.Graph([(e[0], e[1]) for e in "02 03 04 05 12 13 23 24 34 45".split()])
         assert nx.is_isomorphic(failing[3][0], r3_pin)
 
@@ -563,7 +563,7 @@ class TestRelativeElimination:
         # the cones a lower vertex ties with the apex x, so v is not x
         k = complex_from_faces(ground, generators)
         assert _star_vertex(k) != "x"
-        masks = tuple(masks_of(tuple(ground), generators))
+        masks = tuple(sum(1 << ground.index(v) for v in g) for g in generators)
         assert list(homology._betti(masks, field)) == oracle_reduced_betti(k, field)
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     contract_vertex,
     delete_vertex,
+    graph_edges,
     induced_subgraph,
     is_simplicial_vertex,
     labelled,
@@ -54,7 +55,7 @@ class TestConR:
         rng = random.Random(23)
         for _ in range(20):
             g = random_graph(rng)
-            assert edges_of(con_r(g, 1)) == {frozenset(e) for e in g.edges}
+            assert edges_of(con_r(g, 1)) == graph_edges(g)
 
     def test_demo_graph_r2(self):
         h = con_r(demo_graph(), 2)
@@ -95,7 +96,7 @@ class TestMinorOperations:
 
     def test_delete_in_cycle(self):
         g = cycle_graph(4)
-        h = labelled(Hypergraph, g.vertices, g.edges)
+        h = Hypergraph(g.vertices, g.masks)
         out = delete_vertex(h, "1")
         assert edges_of(out) == {frozenset({"2", "3"}), frozenset({"3", "4"})}
 
@@ -155,25 +156,25 @@ class TestSimplicialVertex:
 
     def test_c4_has_none(self):
         g = cycle_graph(4)
-        h = labelled(Hypergraph, g.vertices, g.edges)
+        h = Hypergraph(g.vertices, g.masks)
         assert not any(is_simplicial_vertex(h, v) for v in h.vertices)
 
     def test_leaf_conventions(self):
         g = path_graph(3)
-        h = labelled(Hypergraph, g.vertices, g.edges)
+        h = Hypergraph(g.vertices, g.masks)
         # one edge through a leaf: vacuous under the distinct-pair reading
         assert is_simplicial_vertex(h, "1")
 
     def test_triangle_vertices_are_simplicial(self):
         g = cycle_graph(3)
-        h = labelled(Hypergraph, g.vertices, g.edges)
+        h = Hypergraph(g.vertices, g.masks)
         assert all(is_simplicial_vertex(h, v) for v in h.vertices)
 
 
 class TestChordality:
     def test_c4_witnessed_by_itself(self):
         g = cycle_graph(4)
-        h = labelled(Hypergraph, g.vertices, g.edges)
+        h = Hypergraph(g.vertices, g.masks)
         res = is_chordal_hypergraph(h)
         assert res.chordal is False
         assert res.witness == h
@@ -269,7 +270,7 @@ class TestChordality:
             g = random_graph(rng, 4, 6)
             if not nx.is_chordal(to_networkx(g)):
                 continue
-            assert is_chordal_hypergraph(labelled(Hypergraph, g.vertices, g.edges)).chordal is True
+            assert is_chordal_hypergraph(Hypergraph(g.vertices, g.masks)).chordal is True
             checked += 1
 
 

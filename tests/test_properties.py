@@ -65,8 +65,8 @@ from rindep.graphs import (
     Graph,
     bits,
     complete_graph,
+    is_caterpillar,
     make_caterpillar,
-    masks_of,
     parse_family,
     path_graph,
     sets_of,
@@ -165,7 +165,7 @@ def test_family_rule_on_masks_matches_labelled_oracle(labels, sets, member):
     each set once, and refuses the others with the same message."""
     cls, view = _RECORDS[member]
     try:
-        record = cls(labels, parse_family(labels, sets, member))
+        record = cls(labels, frozenset(parse_family(labels, sets, member)))
     except ValueError as exc:
         got = str(exc)
     else:
@@ -182,6 +182,52 @@ def _scrambled_complexes(draw):
     labels = draw(st.permutations([str(i) for i in range(2, 14)]))[: len(verts)]
     relabel = dict(zip(verts, labels))
     return complex_from_faces(labels, [[relabel[v] for v in s] for s in subsets])
+
+
+@st.composite
+def edge_lists(draw, max_vertices=8):
+    """Distinct labels in a drawn order, none to ``max_vertices`` of them,
+    and label pairs over them, some repeated or reversed: half the time the
+    edges of a tree, so that caterpillars come up, half the time any."""
+    labels = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=max_vertices))
+    index = st.integers(0, max(len(labels) - 1, 0))
+    if draw(st.booleans()):
+        pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, len(labels))]
+    else:
+        pairs = draw(st.lists(st.tuples(index, index), max_size=12)) if labels else []
+    edges = [(labels[i], labels[j]) for i, j in pairs if i != j]
+    if edges:
+        edges += [e[::-1] for e in draw(st.lists(st.sampled_from(edges), max_size=2))]
+    return labels, edges
+
+
+@SETTINGS
+@given(edge_lists())
+@example(([], []))
+@example((["a"], []))
+@example((["c", "b", "a"], []))
+@example((["x", "c", "a", "b"], [("a", "c"), ("c", "b"), ("b", "a"), ("a", "c")]))
+@example((["d", "c", "a", "b"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]))  # no tree, though no vertex has 3
+@example((list("c123456"), [("c", "1"), ("1", "2"), ("c", "3"), ("3", "4"), ("c", "5"), ("5", "6")]))  # a spider
+def test_graph_views_match_the_input_edge_list(labels_and_edges):
+    """The views of a graph, which holds edge masks, against oracles built
+    from the labelled edge list it came from: neighbour masks and adjacency
+    from the neighbour sets, the sorted edges by vertex index, and the
+    caterpillar verdict from networkx (a tree whose vertices of degree two
+    or more induce a path)."""
+    labels, edges = labels_and_edges
+    g = Graph.from_edges(labels, edges)
+    nbrs = {v: {u for e in edges if v in e for u in e if u != v} for v in labels}
+    assert g.adjacency == {v: frozenset(nbrs[v]) for v in labels}
+    assert g.neighbour_masks == tuple(sum(1 << labels.index(u) for u in nbrs[v]) for v in labels)
+    pairs = {tuple(sorted(map(labels.index, e))) for e in edges}
+    assert g.sorted_edges() == [(labels[i], labels[j]) for i, j in sorted(pairs)]
+    nxg = nx.Graph(edges)
+    nxg.add_nodes_from(labels)
+    spine = nxg.subgraph(v for v in labels if nxg.degree(v) >= 2)
+    caterpillar = bool(labels) and nx.is_tree(nxg) and (not spine or nx.is_connected(spine))
+    caterpillar = caterpillar and all(d <= 2 for _, d in spine.degree)
+    assert is_caterpillar(g) == caterpillar
 
 
 con_r_of_graphs = st.builds(con_r, graphs(8), radii)
@@ -623,7 +669,8 @@ def test_shedding_condition_matches_labelled_definition(k):
     when some facet holds it and the maximal sets of its deletion are
     facets; the second child, the facets without it, is then that
     deletion."""
-    for v, bit in zip(k.ground_set, masks_of(k.ground_set, [[v] for v in k.ground_set])):
+    for i, v in enumerate(k.ground_set):
+        bit = 1 << i
         deletion = deletion_facets(k.facets, v)
         held = [f ^ bit for f in k.masks if f & bit]
         rest = [f for f in k.masks if not f & bit]

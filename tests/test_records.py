@@ -5,6 +5,7 @@ hashing, pickling, ``cached_property`` and rendering through
 
 import json
 import pickle
+import re
 from typing import ClassVar
 
 import pytest
@@ -37,6 +38,9 @@ def test_positional_construction_with_trailing_defaults_and_no_keywords():
 def test_post_init_runs():
     with pytest.raises(ValueError):
         Graph(("a", "a"), frozenset())
+    # a hand-built graph meets the rule that ``Graph.from_edges`` applies
+    with pytest.raises(ValueError, match=re.escape("edge ['a'] is not a 2-element set")):
+        Graph(("a", "b"), frozenset({0b1}))
 
 
 @pytest.mark.parametrize(
@@ -77,7 +81,7 @@ def test_assignment_and_deletion_raise():
     with pytest.raises(AttributeError):
         g.colour = "red"
     with pytest.raises(AttributeError):
-        del g.edges
+        del g.masks
     assert g == demo_graph()
 
 
