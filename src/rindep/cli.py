@@ -6,7 +6,7 @@ certificate (``verify``), 2 rejected input (a parse or usage error, a negative
 or non-integer budget, a ``--jobs`` below 1, ``--r`` with ``--complex``, a
 ``--props`` that names no property, a ``scan --n`` below 1 or above the
 20-vertex guard, a field order that is not a prime below 2**64, an input
-beyond an enumeration guard, a JSON file nested too deeply to read, or an
+beyond an enumeration guard, a JSON file invalid or too deep to read, or an
 input whose certificate nests too deeply to write as JSON), 3 a search budget
 ran out, 4 an internal check failed (a certificate its verifier rejects, a
 nonzero boundary of a boundary, or two routes to one result that disagree).
@@ -48,11 +48,11 @@ from .graphs import (
     cycle_graph,
     demo_graph,
     enumerate_trees,
+    graph_from_json_dict,
     half_apex_clique,
     is_caterpillar,
     make_caterpillar,
     parse_edge_list,
-    parse_graph_json,
     path_graph,
     star_graph,
     twin_bridge_paths,
@@ -123,6 +123,8 @@ def build_generator(token: str) -> Graph:
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
@@ -130,8 +132,10 @@ def _load_json(path: str):
 def _graph_input(args) -> tuple[Graph, dict]:
     if args.gen is not None:
         return build_generator(args.gen), {"kind": "generator", "source": args.gen}
-    text = Path(args.input).read_text()
-    graph = parse_graph_json(text) if args.input.endswith(".json") else parse_edge_list(text)
+    if args.input.endswith(".json"):
+        graph = graph_from_json_dict(_load_json(args.input))
+    else:
+        graph = parse_edge_list(Path(args.input).read_text())
     return graph, {"kind": "graph-file", "source": args.input}
 
 
@@ -339,7 +343,7 @@ def cmd_scan(args) -> int:
     rs, props, field = _r_range(args.r), _parse_props(args.props), parse_field(args.field)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    check_guard(args.n, "facet")  # the guard each item's ind_r applies
+    check_guard(args.n, "facet")  # the guard each item's Graph applies
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         items = (
@@ -399,8 +403,9 @@ def cmd_verify(args) -> int:
             ok = verify_shedding_certificate(complex_, SheddingNode.from_json_dict(cert))
         else:
             order = cert["order"] if isinstance(cert, dict) else cert
-            ok = all(isinstance(f, list) for f in order) and verify_shelling_certificate(complex_, order)
-    except (KeyError, TypeError, ValueError):  # malformed, or a simplex (zero ideal)
+            ok = isinstance(order, list) and all(isinstance(f, list) for f in order)
+            ok = ok and verify_shelling_certificate(complex_, order)
+    except ValueError:  # malformed, or a simplex (zero ideal)
         ok = False
     print("valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_INVALID

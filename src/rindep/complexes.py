@@ -183,10 +183,9 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
 
 def ind_r(g: Graph, r: int) -> SimplicialComplex:
     """Complex of all vertex subsets whose induced components have at most r
-    vertices; facets are the maximal ones, within the enumeration guard."""
+    vertices; facets are the maximal ones (a graph is within the guard)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    check_guard(len(g), "facet")
     return SimplicialComplex(g.vertices, frozenset(maximal_sets(g.neighbour_masks, r)))
 
 

@@ -8,7 +8,7 @@ import functools
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits, parse_family, record, sets_of
+from .graphs import bits, maximal, parse_family, record, sets_of
 
 DEFAULT_VD_BUDGET = 500_000
 DEFAULT_SHELL_BUDGET = 2_000_000
@@ -106,9 +106,10 @@ class CertificateNode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CertificateNode:
-        """The tree over the sorted labels the certificate names; a node's
-        sets that are no list of label lists, or that ``parse_family``
-        refuses (a set repeats a label, a node a set), raise ``ValueError``."""
+        """The tree over the sorted labels the certificate names; a node that
+        is no object with its keys, or whose sets are no list of label lists
+        or fail ``parse_family`` (a set repeats a label, a node a set),
+        raises ``ValueError``."""
         sets_key, branch_key, first_key, second_key = cls.keys
         # a pre-order (node, first, second) read backwards meets every node
         # after both its children, whose nodes then lie on top of ``built``
@@ -116,6 +117,9 @@ class CertificateNode:
         while stack:
             d = stack.pop()
             preorder.append(d)
+            needs = cls.keys if isinstance(d, dict) and branch_key in d else cls.keys[:1]
+            if not isinstance(d, dict) or any(k not in d for k in needs):
+                raise ValueError(f"a certificate node must be an object with the keys {list(needs)}")
             if not isinstance(d[sets_key], list) or not all(isinstance(s, list) for s in d[sets_key]):
                 raise ValueError(f"certificate {sets_key!r} must be a list of label lists")
             names.update(str(v) for s in d[sets_key] for v in s)
@@ -353,18 +357,6 @@ def shelling_search(masks: Iterable[int], budget: int) -> tuple[bool | None, lis
     return False, None, visited
 
 
-def _reduce_to_maximal(masks: Iterable[int]) -> list[int]:
-    """The inclusion-maximal members of ``masks``, each once."""
-    maximal: list[int] = []
-    for s in sorted(set(masks), key=int.bit_count, reverse=True):
-        for m in maximal:
-            if not s & ~m:
-                break
-        else:
-            maximal.append(s)
-    return maximal
-
-
 def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[str]]) -> bool:
     """Check a facet ordering directly against the definition: each facet
     must meet the union of its predecessors in a pure subcomplex of exactly
@@ -384,7 +376,6 @@ def verify_shelling_certificate(k: SimplicialComplex, order: Sequence[Iterable[s
         fk = seq[t]
         if not fk:
             return False  # the empty facet can only come alone
-        maximal = _reduce_to_maximal([fj & fk for fj in seq[:t]])
-        if any(m.bit_count() != fk.bit_count() - 1 for m in maximal):
+        if any(m.bit_count() != fk.bit_count() - 1 for m in maximal([fj & fk for fj in seq[:t]])):
             return False
     return True

@@ -5,7 +5,6 @@ exception class of the package; graphs, generators and formats."""
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -70,6 +69,7 @@ class Graph:
     masks: frozenset[int]
 
     def __post_init__(self):
+        check_guard(len(self.vertices), "facet")
         check_family(self.vertices, self.masks, "edge")
         odd = [sorted(self.vertices[i] for i in bits(m)) for m in self.masks if m.bit_count() != 2]
         if odd:  # the least by sorted labels, so the message does not depend on the hash seed
@@ -79,6 +79,7 @@ class Graph:
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> Graph:
         """The graph on ``vertices`` whose edges are the label pairs ``edges``, each once."""
         vs = tuple(str(v) for v in vertices)
+        check_guard(len(vs), "facet")  # before any edge becomes a mask
         es = {frozenset(map(str, e)) for e in edges}
         odd = [sorted(e) for e in es if len(e) != 2]
         if odd:  # an edge's size before its labels, in the words of ``__post_init__``
@@ -126,28 +127,35 @@ def check_guard(n: int, what: str) -> None:
         raise ValueError(f"{what} enumeration over {n} vertices exceeds the guard")
 
 
+def maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal members of ``masks``, each once, largest first; a
+    set is compared only with the larger kept ones, until one holds it."""
+    kept: list[int] = []
+    for _, group in itertools.groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
+        larger = tuple(kept)
+        for s in group:
+            for m in larger:
+                if not s & ~m:
+                    break
+            else:
+                kept.append(s)
+    return kept
+
+
 def check_family(labels: tuple[str, ...], masks: frozenset[int], member: str) -> None:
-    """Raise ``ValueError`` unless ``labels`` are distinct and ``masks``, over
-    their index, form an antichain; ``member`` names a set in the messages,
-    the least offender by its sorted labels, so they do not depend on the
-    hash seed.  Each set is compared only with larger ones, until one holds it."""
+    """Raise ``ValueError`` unless ``labels`` are distinct and ``masks`` over
+    them form an antichain, all kept by ``maximal``; a message names the least
+    offending ``member`` by its sorted labels, whatever the hash seed."""
     if len(set(labels)) != len(labels):
         twice = next(v for i, v in enumerate(labels) if v in labels[:i])
         raise ValueError(f"label {twice!r} appears twice under the {member}s")
     past = [m for m in masks if m >> len(labels)]
     if past:
         raise ValueError(f"{member} mask {min(past):#b} reaches past the {len(labels)} labels")
-    inner, larger = [], []
-    for _, group in itertools.groupby(sorted(masks, key=int.bit_count, reverse=True), int.bit_count):
-        group = list(group)
-        for a in group:
-            for b in larger:
-                if not a & ~b:
-                    inner.append(sorted(labels[j] for j in bits(a)))
-                    break
-        larger += group
+    inner = masks.difference(maximal(masks))
     if inner:
-        raise ValueError(f"{member} {min(inner)} lies inside another {member}")
+        least = min(sorted(labels[j] for j in bits(m)) for m in inner)
+        raise ValueError(f"{member} {least} lies inside another {member}")
 
 
 def parse_family(labels: tuple[str, ...], sets: Iterable[Iterable[str]], member: str) -> tuple[int, ...]:
@@ -371,11 +379,7 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(verts, edges)
 
 
-def parse_graph_json(text: str) -> Graph:
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # malformed or nested too deeply
-        raise ValueError(f"invalid JSON: {exc}") from exc
+def graph_from_json_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'vertices' and 'edges'")
     vertices, edges = data["vertices"], data["edges"]

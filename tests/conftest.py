@@ -548,6 +548,23 @@ def oracle_split(i, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
     return SplitResult(*_labelled_search(i.generators, pivots, split_children, budget, SplitNode))
 
 
+def malformed_certificates(keys: tuple[str, str, str, str]) -> list:
+    """Decoded JSON that is no certificate tree for the node keys ``keys``:
+    a node that lacks its children, a list (empty or of label lists) where a
+    node belongs, a child that is a number, a node without its sets, a
+    number and null."""
+    sets, branch, first, second = keys
+    return [
+        {"facets": [], "vertex": "a"},
+        [],
+        [["a"]],
+        {sets: [["a"]], branch: "a", first: 5, second: {sets: []}},
+        {"vertex": "a"},
+        5,
+        None,
+    ]
+
+
 def oracle_verify_shedding(k, data: dict) -> bool:
     """Recursive replay of a shedding tree in its JSON form: at every inner
     node the link and the deletion are recomputed by the definition, and

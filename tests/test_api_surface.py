@@ -142,6 +142,35 @@ def test_the_only_exception_class_is_cross_check_error():
     assert sorted(exceptions & bases.keys()) == ["CrossCheckError"]
 
 
+def test_only_the_cli_decodes_json():
+    """Input files are read and decoded in ``cli`` alone; the layers below
+    take decoded data (``graph_from_json_dict``, ``complex_from_json_dict``,
+    ``from_json_dict``) and write JSON-ready dicts."""
+    importers = [
+        path.stem
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "json" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json"
+    ]
+    assert importers == ["cli"]
+
+
+def test_no_handler_catches_key_error_or_type_error():
+    """Rejected input is a ``ValueError``, so no ``except`` needs to name
+    ``KeyError`` or ``TypeError``; one that did would read an internal fault
+    as rejected input."""
+    handlers = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)} & {"KeyError", "TypeError"}
+    ]
+    assert handlers == []
+
+
 def test_every_import_is_used():
     """Each name a module imports is read somewhere in that module, as a
     bare name or as the head of an attribute chain; ``__future__`` imports

@@ -8,9 +8,16 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import labelled, oracle_cm, oracle_ind_r_facets, path_complex, recursion_limit
+from conftest import (
+    labelled,
+    malformed_certificates,
+    oracle_cm,
+    oracle_ind_r_facets,
+    path_complex,
+    recursion_limit,
+)
 
-from rindep import cli
+from rindep import cli, decompose, graphs
 from rindep.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -134,7 +141,24 @@ class TestBuild:
 
     def test_beyond_enumeration_guard_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "build", "--gen", "path:21", "--r", "2")
-        assert (code, out, err) == (EXIT_PARSE, "", "error: facet enumeration over 21 vertices exceeds the guard\n")
+        message = "error: bad generator argument 'path:21': facet enumeration over 21 vertices exceeds the guard\n"
+        assert (code, out, err) == (EXIT_PARSE, "", message)
+
+    @pytest.mark.parametrize("n", [21, 100_000])
+    @pytest.mark.parametrize("name", ["path.edges", "path.json"])
+    def test_graph_file_beyond_the_guard_is_refused_before_its_edges_are_masks(
+        self, capsys, monkeypatch, tmp_path, n, name
+    ):
+        verts = [str(i) for i in range(1, n + 1)]
+        edges = list(zip(verts, verts[1:]))
+        path = tmp_path / name
+        if name.endswith(".json"):
+            path.write_text(json.dumps({"vertices": verts, "edges": edges}))
+        else:
+            path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        monkeypatch.setattr(graphs, "parse_family", lambda *args: pytest.fail("an edge became a mask"))
+        code, out, err = run_cli(capsys, "build", "--input", str(path), "--r", "1")
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: facet enumeration over {n} vertices exceeds the guard\n")
 
     def test_cover_enumeration_beyond_guard_names_the_guard(self):
         ground = [f"v{i}" for i in range(21)]
@@ -594,6 +618,26 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(other_path), str(cert_path))
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("index", range(7))
+    def test_malformed_certificate_is_invalid(self, capsys, tmp_path, index):
+        complex_path, cert_path = tmp_path / "c.json", tmp_path / "cert.json"
+        complex_path.write_text(json.dumps(PATH_COMPLEX))
+        cert_path.write_text(json.dumps(malformed_certificates(SheddingNode.keys)[index]))
+        assert run_cli(capsys, "verify", str(complex_path), str(cert_path)) == (EXIT_INVALID, "invalid\n", "")
+
+    def test_a_fault_inside_the_replay_is_no_invalid_certificate(self, capsys, tmp_path, monkeypatch):
+        # only a rejected input reads as invalid; any other exception leaves main
+        complex_path, report = self._build_and_check(capsys, tmp_path, "vd")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["certificates"]["vd"]))
+
+        def faulty_replay(*args):
+            raise TypeError("a fault in the replay")
+
+        monkeypatch.setattr(decompose, "replay", faulty_replay)
+        with pytest.raises(TypeError, match="a fault in the replay"):
+            main(["verify", str(complex_path), str(cert_path)])
+
     def test_unreadable_cert_is_parse_error(self, capsys, tmp_path):
         complex_path, _ = self._build_and_check(capsys, tmp_path, "vd")
         cert_path = tmp_path / "cert.json"
@@ -752,8 +796,24 @@ class TestMalformedFiles:
     )
     def test_json_nested_too_deeply_is_parse_error(self, capsys, files, argv):
         argv = [str(files / a) if a.endswith(".json") else a for a in argv]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == EXIT_PARSE and "error" in err
+        assert run_cli(capsys, *argv) == (EXIT_PARSE, "", f"error: {files / 'deep.json'}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "--input", "bad.json", "--r", "1"),
+            ("check", "--complex", "bad.json", "--props", "vd"),
+            ("verify", "bad.json", "good.json"),
+            ("verify", "good.json", "bad.json"),
+        ],
+        ids=["graph", "complex", "verify-complex", "certificate"],
+    )
+    def test_invalid_json_is_a_parse_error_that_names_the_file(self, capsys, files, argv):
+        (files / "bad.json").write_text("{not json")
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {files / 'bad.json'}: invalid JSON: Expecting property name")
 
     @pytest.mark.parametrize("name", ["number.json", "null.json"])
     @pytest.mark.parametrize("command", ["check", "verify"])

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     complex_from_faces,
     labelled,
+    malformed_certificates,
     oracle_is_shellable,
     oracle_shelling_order_ok,
     oracle_vd,
@@ -182,6 +183,13 @@ class TestVertexDecomposability:
     )
     def test_reader_refuses_what_the_family_entry_refuses_in_its_words(self, cls, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls.from_json_dict(data)
+
+    @pytest.mark.parametrize("cls", [SheddingNode, SplitNode])
+    @pytest.mark.parametrize("index", range(7))
+    def test_reader_refuses_a_malformed_tree_with_value_error(self, cls, index):
+        data = malformed_certificates(cls.keys)[index]
+        with pytest.raises(ValueError, match="^a certificate node must be an object with the keys "):
             cls.from_json_dict(data)
 
     def test_void_complex_has_no_shelling_either(self):

@@ -20,20 +20,23 @@ from conftest import (
     to_networkx,
 )
 
+from rindep import graphs
 from rindep.complexes import ind_r
 from rindep.hypergraphs import Hypergraph, is_chordal_hypergraph
 from rindep.graphs import (
     Graph,
     bits,
+    check_family,
     complete_graph,
     cycle_graph,
     demo_graph,
     enumerate_trees,
+    graph_from_json_dict,
     half_apex_clique,
     is_caterpillar,
     make_caterpillar,
     parse_edge_list,
-    parse_graph_json,
+    parse_family,
     path_graph,
     star_graph,
     twin_bridge_paths,
@@ -58,6 +61,25 @@ class TestGraphBasics:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(["a", "b"], [("a", "c")])
+
+    def test_past_the_guard_before_any_edge_is_a_mask(self, monkeypatch):
+        # the guard of ind_r's enumeration holds for every graph, from labels or from masks
+        verts = [str(i) for i in range(21)]
+        assert len(Graph.from_edges(verts[:20], zip(verts[:20], verts[1:20]))) == 20
+        monkeypatch.setattr(graphs, "parse_family", lambda *args: pytest.fail("an edge became a mask"))
+        message = "^facet enumeration over 21 vertices exceeds the guard$"
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(verts, zip(verts, verts[1:]))
+        with pytest.raises(ValueError, match=message):
+            Graph(tuple(verts), frozenset())
+
+    def test_the_least_nested_member_by_sorted_labels_is_named(self):
+        # labels in reverse order: of the three nested members the least by
+        # mask and by size is ['c'], by sorted labels ['a', 'b']
+        labels = ("d", "c", "b", "a")
+        family = parse_family(labels, [["a", "b", "c"], ["a", "b"], ["c", "d"], ["c"], ["b"]], "facet")
+        with pytest.raises(ValueError, match=re.escape("facet ['a', 'b'] lies inside another facet")):
+            check_family(labels, frozenset(family), "facet")
 
     def test_demo_graph_shape(self):
         g = demo_graph()
@@ -382,18 +404,17 @@ class TestFormats:
         # JSON graphs have no keywords, so 'vertex' is a label like any other
         for g in (twin_bridge_paths(3), Graph.from_edges(["a", "vertex"], [("a", "vertex")])):
             data = {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
-            assert parse_graph_json(json.dumps(data)) == g
+            assert graph_from_json_dict(json.loads(json.dumps(data))) == g
 
     def test_json_errors(self):
-        with pytest.raises(ValueError, match="^invalid JSON: "):
-            parse_graph_json("{not json")
+        # text that is no JSON is refused by the CLI's reader (tests/test_cli.py)
         with pytest.raises(ValueError, match="graph JSON needs 'vertices' and 'edges'"):
-            parse_graph_json('{"vertices": ["a"]}')
+            graph_from_json_dict({"vertices": ["a"]})
         for edge in (["a"], ["a", "b", "c"]):
-            text = json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]})
+            data = {"vertices": ["a", "b", "c"], "edges": [edge]}
             with pytest.raises(ValueError, match=re.escape(f"edge {edge} is not a 2-element set")):
-                parse_graph_json(text)
+                graph_from_json_dict(data)
         # the edge's shape is refused before its labels are looked up
-        text = json.dumps({"vertices": ["a"], "edges": [["b", "b"]]})
+        data = {"vertices": ["a"], "edges": [["b", "b"]]}
         with pytest.raises(ValueError, match=re.escape("edge ['b'] is not a 2-element set")):
-            parse_graph_json(text)
+            graph_from_json_dict(data)

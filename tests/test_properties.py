@@ -67,6 +67,7 @@ from rindep.graphs import (
     complete_graph,
     is_caterpillar,
     make_caterpillar,
+    maximal,
     parse_family,
     path_graph,
     sets_of,
@@ -172,6 +173,22 @@ def test_family_rule_on_masks_matches_labelled_oracle(labels, sets, member):
         got = None
         assert getattr(record, view) == frozenset(map(frozenset, sets))
     assert got == _expected_refusal(labels, sets, member)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 63), max_size=12))
+@example([])
+@example([0, 0])  # the empty set, twice
+@example([0, 5])  # the empty set inside another
+@example([3, 5, 6, 3])  # several sets of one size, one of them twice
+@example([3, 5, 6, 7, 7])  # several sets of one size inside one larger set
+@example([1, 3, 7, 15])  # a chain
+def test_maximal_keeps_the_sets_no_other_member_holds(masks):
+    """``maximal`` against the definition: each member that no other
+    member strictly holds, once, largest first."""
+    kept = maximal(masks)
+    assert sorted(kept) == sorted({s for s in masks if not any(s != t and not s & ~t for t in masks)})
+    assert [m.bit_count() for m in kept] == sorted((m.bit_count() for m in kept), reverse=True)
 
 
 @st.composite
